@@ -8,6 +8,12 @@ its own stream namespace for importance sampling.  Free-group
 walks run as numpy letter stacks; Farey walks run as per-sample python
 loops over arbitrary-precision 2x2 matrices.
 
+Steps come from the streams' raw words: one Philox per call is re-keyed
+for each sample, and numpy's own conversion (Lemire's bounded integers,
+53-bit doubles, then the alias step) is redone in bulk.  Rows numpy would
+have rejected are redrawn through `draw_indices`, and the first row of
+every call is checked against it, so the draws equal the reference path's.
+
 Work is split into fixed-size sample blocks merged in block order, so a
 thread pool over blocks cannot change any output.
 """
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .models.farey import Slope, dist_to_infinity, slope_distance
-from .walk import StepDistribution, stream_generator
+from .walk import _MASK64, StepDistribution, _stream_key, stream_generator
 
 BLOCK_SIZE = 16384
 
@@ -48,12 +54,90 @@ def _run_blocks(fn, samples: int, threads: int = 1) -> list:
         return [f.result() for f in futures]  # block order, not completion order
 
 
+# Engines draw their steps from each sample's raw Philox words, in chunks
+# of this many samples: one (rows, words) uint64 array per chunk.  Small
+# chunks are as fast and keep the words' memory off the peak (1024-row
+# chunks raised peak RSS on the free-walks benchmark by 9%).
+_CHUNK_ROWS = 256
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _raw_chunks(seed: int, lo: int, hi: int, ensemble: int, words: int):
+    """Yield (first sample index, raw) per chunk of samples lo..hi-1, where
+    raw[r] holds the first `words` 64-bit outputs of the stream that
+    `stream_generator(seed, first + r, ensemble)` wraps.  One Philox is
+    re-keyed per sample instead of building a Generator per sample."""
+    bitgen = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for first in range(lo, hi, _CHUNK_ROWS):
+        raw = np.empty((min(first + _CHUNK_ROWS, hi) - first, words), dtype=np.uint64)
+        for r in range(raw.shape[0]):
+            key = _stream_key(seed, first + r, ensemble)
+            state["state"]["key"] = [key & _MASK64, key >> 64]
+            bitgen.state = state
+            raw[r] = bitgen.random_raw(words)
+        yield first, raw
+
+
+def _index_words(size: int, n: int) -> int:
+    """Raw words `draw_indices` reads for n steps: ceil(n/2) for the column
+    indices (none when size is 1), then n for the uniforms."""
+    return n + ((n + 1) // 2 if size > 1 else 0)
+
+
+def _uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
+    """`Generator.random` on the same words: the top 53 bits over 2^53."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def _indices_from_raw(raw: np.ndarray, size: int, n: int, threshold: np.ndarray,
+                      alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alias draw of `StepDistribution.draw_indices` for n steps per
+    row of raw words, and a per-row flag where numpy would have rejected.
+
+    `integers(0, size, n)` splits its ceil(n/2) words low half first into
+    uint32s u and takes (u * size) >> 32 (Lemire), rejecting u when
+    (u * size) mod 2^32 < (2^32 - size) mod size; a rejection pulls extra
+    words, so a flagged row must be drawn again by the reference path.
+    `random(n)` then reads n words as (w >> 11) / 2^53, and u < p is
+    compared as w >> 11 < ceil(p 2^53), `threshold` per column.
+    """
+    rows = raw.shape[0]
+    if size == 1:
+        col = np.zeros((rows, n), dtype=np.intp)
+        rejected = np.zeros(rows, dtype=bool)
+        m = 0
+    else:
+        m = (n + 1) // 2
+        halves = np.empty((rows, 2 * m), dtype=np.uint64)
+        halves[:, 0::2] = raw[:, :m] & _MASK32
+        halves[:, 1::2] = raw[:, :m] >> np.uint64(32)
+        product = halves[:, :n] * np.uint64(size)
+        col = (product >> np.uint64(32)).astype(np.intp)
+        floor = np.uint64((2 ** 32 - size) % size)
+        rejected = ((product & _MASK32) < floor).any(axis=1)
+    keep = (raw[:, m:m + n] >> np.uint64(11)) < threshold[col]
+    return np.where(keep, col, alias[col]), rejected
+
+
 def _draw_index_block(dist: StepDistribution, n: int, lo: int, hi: int,
                       seed: int, ensemble: int) -> np.ndarray:
-    out = np.empty((hi - lo, n), dtype=np.int16)
-    for i in range(lo, hi):
-        gen = stream_generator(seed, i, ensemble)
-        out[i - lo] = dist.draw_indices(gen, n)
+    """Row r: `dist.draw_indices(stream_generator(seed, lo + r, ensemble), n)`,
+    converted in bulk from raw words.  int16 up to 32767 support elements."""
+    size = dist.size()
+    out = np.empty((hi - lo, n), dtype=np.int16 if size <= 32767 else np.int32)
+    threshold = np.ceil(dist._prob * 2.0 ** 53).astype(np.uint64)
+    for first, raw in _raw_chunks(seed, lo, hi, ensemble, _index_words(size, n)):
+        idx, rejected = _indices_from_raw(raw, size, n, threshold, dist._alias)
+        for r in np.flatnonzero(rejected):
+            idx[r] = dist.draw_indices(stream_generator(seed, first + int(r), ensemble), n)
+        out[first - lo:first - lo + len(idx)] = idx
+    # a numpy whose conversion differs fails here instead of moving the numbers
+    if hi > lo and not np.array_equal(
+            out[0], dist.draw_indices(stream_generator(seed, lo, ensemble), n)):
+        raise RuntimeError("bulk step draw disagrees with Generator.integers/random; "
+                           "the numpy conversion has changed")
     return out
 
 
@@ -306,8 +390,11 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     def run_block(lo: int, hi: int):
         rows = hi - lo
         u = np.empty((two_n, rows))
-        for i in range(lo, hi):
-            u[:, i - lo] = stream_generator(seed, i, ENSEMBLE_TILTED).random(two_n)
+        for first, raw in _raw_chunks(seed, lo, hi, ENSEMBLE_TILTED, two_n):
+            u[:, first - lo:first - lo + len(raw)] = _uniforms_from_raw(raw).T
+        if not np.array_equal(u[:, 0], stream_generator(seed, lo, ENSEMBLE_TILTED).random(two_n)):
+            raise RuntimeError("bulk uniforms disagree with Generator.random; "
+                               "the numpy conversion has changed")
         stacks = _LetterStacks(rows, cap)
         flat = stacks.stack.reshape(-1)
         row_ids = np.arange(rows)

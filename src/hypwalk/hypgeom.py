@@ -9,8 +9,7 @@ at exactly r are members).
 The predicates `verify_*` implement inclusion/separation statements that
 hold in any delta-hyperbolic space once their slack constants are large
 enough.  The constants are existential, so they are treated as calibration
-outputs: `calibrate_slack` searches randomized valid instances for the
-smallest slack (on a half-integer grid) with no counterexample.
+outputs (`suites.calibrate_constants`).
 
 Everything is finite-time: boundary points, boundary metrics, and closure
 statements about limit sets are deliberately out of scope, so products and
@@ -20,11 +19,11 @@ memberships are always evaluated on group elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, UnsatisfiableConfigError
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -214,38 +213,3 @@ def estimate_delta(model, sample_count: int, radius: int, seed: int) -> float:
         if defect > worst:
             worst = defect
     return worst
-
-
-def calibrate_slack(
-    instance_gen: Callable[[float], bool],
-    grid: Sequence[float],
-    instances: int,
-) -> float:
-    """Smallest slack on `grid` (ascending) for which `instance_gen(slack)`
-    returns True on every one of `instances` randomized trials.  The
-    generator is expected to draw its own instances and return the predicate
-    value; PreconditionError trials are not counted against the slack.
-
-    Raises UnsatisfiableConfigError when every grid value fails.
-    """
-    for slack in grid:
-        ok = True
-        produced = 0
-        attempts = 0
-        while produced < instances:
-            attempts += 1
-            if attempts > 50 * instances:
-                raise UnsatisfiableConfigError(
-                    "could not generate enough valid instances"
-                )
-            try:
-                result = instance_gen(slack)
-            except PreconditionError:
-                continue
-            produced += 1
-            if not result:
-                ok = False
-                break
-        if ok:
-            return slack
-    raise UnsatisfiableConfigError(f"no slack in {grid!r} avoided counterexamples")

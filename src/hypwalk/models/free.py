@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..errors import PreconditionError
-
 _LETTER_TO_CHAR = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
 
@@ -176,13 +174,6 @@ class FreeGroupModel:
         return FreeWord(letters, _reduced=True)
 
 
-def check_conjugacy_decomposition(model, g, v, s) -> None:
-    """Raise unless g = v s v^-1 holds exactly in the model."""
-    recomposed = model.multiply(model.multiply(v, s), model.invert(v))
-    if recomposed != g:
-        raise PreconditionError("g != v s v^-1")
-
-
 def random_conjugacy_instance(model: FreeGroupModel, rng, core_max: int, conj_max: int):
     """Sample (g, v, s) with g = v s v^-1 reduced as written, s cyclically
     reduced of length 1..core_max and v of length 0..conj_max, so that v is
@@ -203,7 +194,7 @@ def random_conjugacy_instance(model: FreeGroupModel, rng, core_max: int, conj_ma
 
 
 def words_of_length(length: int) -> Sequence[FreeWord]:
-    """All reduced words of exactly the given length (3 * 4^(L-1) of them)."""
+    """All reduced words of exactly the given length (4 * 3^(L-1) of them)."""
     if length == 0:
         return [FreeWord()]
     out = [(x,) for x in GENERATOR_LETTERS]

@@ -221,9 +221,8 @@ def translation_decay(model, dist: StepDistribution, B: float,
         counts = []
         for n in n_grid:
             cnt = 0
-            for i in range(samples):
-                gen = stream_generator(seed, i, engines.ENSEMBLE_PRIMARY)
-                idx = dist.draw_indices(gen, n)
+            steps = engines._draw_index_block(dist, n, 0, samples, seed, engines.ENSEMBLE_PRIMARY)
+            for idx in steps:
                 w = model.identity()
                 for j in idx:
                     w = model.multiply(w, dist.support[int(j)])

@@ -4,8 +4,13 @@ Randomness discipline: every sample index gets its own counter-based
 Philox stream derived from (master seed, ensemble, sample index), so
 parallel or reordered execution cannot change any draw, and a rerun with
 the same seed is bit-identical.  Step indices are drawn with Walker's
-alias method (two uniforms per step) so arbitrary finite distributions
-cost O(1) per draw.
+alias method (a column index and a uniform per step) so arbitrary finite
+distributions cost O(1) per draw.
+
+`stream_generator` and `StepDistribution.draw_indices` are the reference
+path, one `Generator` per sample.  The batch engines draw the same indices
+in bulk from the streams' raw 64-bit words (`engines._draw_index_block`)
+and recheck them against this path.
 """
 
 from __future__ import annotations
@@ -21,18 +26,20 @@ from .hypgeom import gromov_product
 _MASK64 = (1 << 64) - 1
 
 
-def stream_generator(seed: int, sample_index: int, ensemble: int = 0) -> np.random.Generator:
-    """Independent Philox stream for one sample of one ensemble.
-
-    The 128-bit Philox key is (seed mod 2^64) << 64 | (ensemble << 48 | index),
-    so distinct (seed, ensemble, index) triples never share a stream.
-    """
+def _stream_key(seed: int, sample_index: int, ensemble: int = 0) -> int:
+    """The 128-bit Philox key (seed mod 2^64) << 64 | (ensemble << 48 | index),
+    so distinct (seed, ensemble, index) triples never share a stream."""
     if not 0 <= sample_index < (1 << 48):
         raise ValueError("sample_index out of range")
     if not 0 <= ensemble < (1 << 16):
         raise ValueError("ensemble out of range")
-    key = ((seed & _MASK64) << 64) | (ensemble << 48) | sample_index
-    return np.random.Generator(np.random.Philox(key=key))
+    return ((seed & _MASK64) << 64) | (ensemble << 48) | sample_index
+
+
+def stream_generator(seed: int, sample_index: int, ensemble: int = 0) -> np.random.Generator:
+    """Independent Philox stream for one sample of one ensemble, keyed by
+    `_stream_key`."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, sample_index, ensemble)))
 
 
 def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
