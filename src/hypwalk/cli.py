@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         header, rows, summary, checks = _HANDLERS[args.subcommand](cfg, threads)
     except (ElementaryDistributionError, PreconditionError, UnsatisfiableConfigError) as exc:
         return _error(EXIT_PRECONDITION, str(exc))
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         return _error(EXIT_CONFIG, str(exc))
     wall = time.perf_counter() - t0
     _write_outputs(cfg, args.subcommand, header, rows, summary, checks, wall)

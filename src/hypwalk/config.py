@@ -47,6 +47,9 @@ REQUIRED_FIELDS = {
     "calibrate": (),
 }
 
+# subcommands whose estimators run on the free group only
+FREE_ONLY = ("backtrack", "z-sum", "bernstein", "midpoint", "diagonal")
+
 _MAX_SEED = (1 << 64) - 1
 
 
@@ -113,10 +116,12 @@ class ExperimentConfig:
             missing.append("L (or L_factor)")
         if subcommand in ("bernstein",) and self.epsilon is None and self.epsilon_factor is None:
             missing.append("epsilon (or epsilon_factor)")
-        if missing:
-            raise ConfigError(
-                [f"subcommand {subcommand!r} requires field {f!r}" for f in missing]
-            )
+        violations = [f"subcommand {subcommand!r} requires field {f!r}" for f in missing]
+        if subcommand in FREE_ONLY and self.model != "free":
+            violations.append(f"subcommand {subcommand!r} supports model 'free' only, "
+                              f"not {self.model!r}")
+        if violations:
+            raise ConfigError(violations)
 
 
 def _check_grid(errors: list[str], name: str, grid, numeric=(int, float)) -> list | None:

@@ -1,12 +1,16 @@
-"""Vectorized batch trajectory engines (internal).
+"""Vectorized batch walks (internal): one step kernel per model, plus observers.
 
-These produce exactly the same samples as per-sample `walk.sample_walk`
-(same Philox stream per sample index) but keep only the statistics an
-estimator needs, so experiments with 1e5+ samples stay cheap.  The one
-exception is `free_midpoint_tilted`, which draws from a tilted step law on
-its own stream namespace for importance sampling.  Free-group
-walks run as numpy letter stacks; Farey walks run as per-sample python
-loops over arbitrary-precision 2x2 matrices.
+A step kernel walks a block of samples, each on its own Philox stream (the
+same steps as per-sample `walk.sample_walk`), and yields the block's state at
+each checkpoint.  `_free_steps` keeps freely reduced words as an int8 letter
+stack plus lengths and applies a step as one numpy pass per letter position
+over all rows, reading the letters of each row's drawn word from a
+(support, longest word) table, so its cost does not grow with the support.
+`_farey_steps` keeps exact 2x2 matrices as python ints.  Observers fold
+those states into one statistic per sample (distance, cyclic core, trace
+class, Gromov products), and `observe` runs a model's kernel with an
+observer over the blocks.  `free_midpoint_tilted` keeps its own step law,
+which depends on the state, on its own stream namespace.
 
 Steps come from the streams' raw words: one Philox per call is re-keyed
 for each sample, and numpy's own conversion (Lemire's bounded integers,
@@ -141,207 +145,191 @@ def _draw_index_block(dist: StepDistribution, n: int, lo: int, hi: int,
     return out
 
 
-def _support_letter_words(dist: StepDistribution) -> list[tuple[int, ...]]:
-    return [g.letters for g in dist.support]
+def _letter_table(dist: StepDistribution) -> np.ndarray:
+    """Letters of each support word, zero-padded on the right to the
+    longest word (at least one column)."""
+    wmax = max((len(g) for g in dist.support), default=1) or 1
+    table = np.zeros((dist.size(), wmax), dtype=np.int8)
+    for s, g in enumerate(dist.support):
+        table[s, :len(g)] = g.letters
+    return table
 
 
-class _LetterStacks:
-    """Freely reduced words for a block of samples, as an int8 letter matrix
-    plus a length vector."""
+def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
+                seed: int, ensemble: int):
+    """Yield (stack, length) at each checkpoint t: row r's freely reduced w_t
+    is stack[r, :length[r]].  Both arrays change in place after a yield.
 
-    def __init__(self, rows: int, capacity: int):
-        self.stack = np.zeros((rows, capacity), dtype=np.int8)
-        self.length = np.zeros(rows, dtype=np.int64)
-
-    def apply_letter(self, rows: np.ndarray, letter: int) -> None:
-        ln = self.length
-        top_idx = np.maximum(ln[rows] - 1, 0)
-        top = self.stack[rows, top_idx]
-        cancel = (ln[rows] > 0) & (top == -letter)
-        crows = rows[cancel]
-        prows = rows[~cancel]
-        ln[crows] -= 1
-        self.stack[prows, ln[prows]] = letter
-        ln[prows] += 1
-
-    def apply_step_column(self, idx_col: np.ndarray, words: Sequence[tuple[int, ...]]) -> None:
-        for j, word in enumerate(words):
-            if not word:
-                continue
-            rows = np.nonzero(idx_col == j)[0]
-            if rows.size == 0:
-                continue
-            for letter in word:
-                self.apply_letter(rows, letter)
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.stack.copy(), self.length.copy()
+    A step is one pass per letter position over all rows: each row pushes
+    the letter of its drawn word at that position, or cancels it against
+    its top letter; padding letters (0) change nothing.  Writes above a
+    row's top land in its stale region, which no observer reads.
+    """
+    n = checkpoints[-1]
+    idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
+    table = _letter_table(dist)
+    rows, cap = hi - lo, n * table.shape[1] + 1
+    stack = np.zeros((rows, cap), dtype=np.int8)
+    length = np.zeros(rows, dtype=np.int64)
+    flat, base = stack.reshape(-1), np.arange(rows) * cap
+    cps = set(checkpoints)
+    for i in range(n):
+        for letter in table[idx[:, i]].T:
+            cancel = (flat.take(base + length - 1) == -letter) & (length > 0)
+            flat[base + length] = letter
+            length += (letter != 0) - 2 * cancel
+        if i + 1 in cps:
+            yield stack, length
 
 
-def _pair_prefix_len(stack_a, len_a, stack_b, len_b) -> np.ndarray:
-    # positions below min(len_a, len_b) are live in both stacks, so stale
-    # letters beyond the live region cannot shorten the computed prefix
+def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
+                 seed: int, ensemble: int):
+    """Yield, at each checkpoint t, w_t = [[a, b], [c, d]] of every row as a
+    list of (a, b, c, d) python ints (exact at any size)."""
+    n = checkpoints[-1]
+    idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
+    mats = [g.entries() for g in dist.support]
+    state = [(1, 0, 0, 1)] * (hi - lo)
+    cps = set(checkpoints)
+    for i in range(n):
+        state = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                 for (a, b, c, d), (e, f, g, h)
+                 in zip(state, map(mats.__getitem__, idx[:, i].tolist()))]
+        if i + 1 in cps:
+            yield state
+
+
+_STEPS = {"free": _free_steps, "farey": _farey_steps}
+
+
+def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer: dict,
+            samples: int, seed: int, ensemble: int = ENSEMBLE_PRIMARY,
+            threads: int = 1) -> dict[int, np.ndarray]:
+    """One statistic per sample at each checkpoint: the model's step kernel
+    walks each block and `observer[model.name]` folds its states.
+
+    An observer is called as observer(walk) once per block, where walk()
+    gives the block's state at each checkpoint, and yields one array per
+    checkpoint with a row per sample.  walk(law, ensemble) gives the same
+    block of another, independent walk.
+    """
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    steps, fold = _STEPS[model.name], observer[model.name]
+
+    def run_block(lo: int, hi: int) -> list[np.ndarray]:
+        def walk(law: StepDistribution = dist, ens: int = ensemble):
+            return steps(law, checkpoints, lo, hi, seed, ens)
+
+        return list(fold(walk))
+
+    parts = _run_blocks(run_block, samples, threads)
+    return {c: np.concatenate([p[j] for p in parts]) for j, c in enumerate(checkpoints)}
+
+
+# --- observers: {model name: fold}, see `observe` ---
+
+
+def _common_prefix(stack_a, len_a, stack_b, len_b) -> np.ndarray:
+    """Common prefix lengths of rows of two letter stacks (either may be one
+    broadcast row).  Only columns below min(len_a, len_b) count, and they
+    are live in both, so stale letters cannot shorten the result."""
     lim = np.minimum(len_a, len_b)
-    width = max(stack_a.shape[1], stack_b.shape[1])
-    a = stack_a if stack_a.shape[1] == width else np.pad(stack_a, ((0, 0), (0, width - stack_a.shape[1])))
-    b = stack_b if stack_b.shape[1] == width else np.pad(stack_b, ((0, 0), (0, width - stack_b.shape[1])))
-    neq = a != b
-    first = np.argmax(neq, axis=1)
-    none = ~neq.any(axis=1)
-    return np.where(none, lim, np.minimum(first, lim))
+    width = min(stack_a.shape[1], stack_b.shape[1])
+    if width == 0:
+        return lim
+    neq = stack_a[:, :width] != stack_b[:, :width]
+    first = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
+    return np.minimum(first, lim)
 
 
-def _fixed_prefix_len(stack, length, word: tuple[int, ...]) -> np.ndarray:
-    m = len(word)
-    if m == 0:
-        return np.zeros(len(length), dtype=np.int64)
-    w = np.asarray(word, dtype=np.int8)
-    seg = stack[:, :m]
-    neq = seg != w[None, :]
-    first = np.argmax(neq, axis=1)
-    none = ~neq.any(axis=1)
-    cp = np.where(none, m, first)
-    return np.minimum(cp, length)
+def _free_lengths(walk):
+    for _, length in walk():
+        yield length.copy()
 
 
-def _cyclic_core_lengths(stack, length) -> np.ndarray:
-    rows, cap = stack.shape
-    j = np.arange(cap)
-    rev_idx = np.clip(length[:, None] - 1 - j[None, :], 0, cap - 1)
-    mirrored = stack[np.arange(rows)[:, None], rev_idx]
-    valid = j[None, :] < (length[:, None] // 2)
-    match = (stack == -mirrored) & valid
-    peel = np.argmax(~match, axis=1)  # first position that fails to cancel
-    return length - 2 * peel
+def _farey_distances(walk):
+    for state in walk():
+        yield np.array([dist_to_infinity(a, c) for a, _, c, _ in state], dtype=np.int64)
 
 
-def _max_word_len(dist: StepDistribution) -> int:
-    return max((len(g) for g in dist.support), default=1) or 1
+def _cyclic_cores(walk):
+    for stack, length in walk():
+        rows, cap = stack.shape
+        j = np.arange(cap)
+        rev_idx = np.clip(length[:, None] - 1 - j[None, :], 0, cap - 1)
+        mirrored = stack[np.arange(rows)[:, None], rev_idx]
+        valid = j[None, :] < (length[:, None] // 2)
+        match = (stack == -mirrored) & valid
+        peel = np.argmax(~match, axis=1)  # first position that fails to cancel
+        yield length - 2 * peel
 
 
-def free_distance_trajectories(dist: StepDistribution, checkpoints: Sequence[int],
-                               samples: int, seed: int, ensemble: int = ENSEMBLE_PRIMARY,
-                               threads: int = 1) -> dict[int, np.ndarray]:
-    """d(1, w_n) for every n in `checkpoints`, per sample."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    n = checkpoints[-1]
-    words = _support_letter_words(dist)
-    cap = n * _max_word_len(dist) + 1
-
-    def run_block(lo: int, hi: int) -> dict[int, np.ndarray]:
-        idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-        stacks = _LetterStacks(hi - lo, cap)
-        out: dict[int, np.ndarray] = {}
-        cps = set(checkpoints)
-        for i in range(n):
-            stacks.apply_step_column(idx[:, i], words)
-            if (i + 1) in cps:
-                out[i + 1] = stacks.length.copy()
-        return out
-
-    parts = _run_blocks(run_block, samples, threads)
-    return {c: np.concatenate([p[c] for p in parts]) for c in checkpoints}
+def _trace_small(walk):
+    for state in walk():
+        yield np.array([abs(a + d) <= 2 for a, _, _, d in state], dtype=bool)
 
 
-def free_segment_increments(dist: StepDistribution, k: int, n_iter: int,
-                            samples: int, seed: int, ensemble: int = ENSEMBLE_PRIMARY,
-                            threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, D) with Y[i] = d(w_{ik}, w_{(i+1)k}) and D[i] = d(1, w_{(i+1)k}),
-    each of shape (n_iter, samples)."""
-    n = k * n_iter
-    words = _support_letter_words(dist)
-    wmax = _max_word_len(dist)
-
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-        rows = hi - lo
-        main = _LetterStacks(rows, n * wmax + 1)
-        seg = _LetterStacks(rows, k * wmax + 1)
-        Y = np.empty((n_iter, rows), dtype=np.int64)
-        D = np.empty((n_iter, rows), dtype=np.int64)
-        for i in range(n):
-            col = idx[:, i]
-            main.apply_step_column(col, words)
-            seg.apply_step_column(col, words)
-            if (i + 1) % k == 0:
-                t = (i + 1) // k - 1
-                Y[t] = seg.length
-                D[t] = main.length
-                seg.length[:] = 0
-        return Y, D
-
-    parts = _run_blocks(run_block, samples, threads)
-    return (
-        np.concatenate([p[0] for p in parts], axis=1),
-        np.concatenate([p[1] for p in parts], axis=1),
-    )
+def _products_with_previous(walk):
+    prev = None
+    for stack, length in walk():
+        if prev is None:  # the previous checkpoint of the first is w_0 = 1
+            prev, prev_len = stack[:, :0], np.zeros_like(length)
+        yield np.stack([length, _common_prefix(prev, prev_len, stack, length)], axis=1)
+        prev, prev_len = stack[:, :length.max()].copy(), length.copy()
 
 
-def free_center_products(dist: StepDistribution, center_letters: tuple[int, ...],
-                         checkpoints: Sequence[int], samples: int, seed: int,
-                         ensemble: int = ENSEMBLE_PRIMARY,
-                         threads: int = 1) -> dict[int, np.ndarray]:
-    """(x . w_n)_1 against the fixed word x, per sample, at each checkpoint.
-    In the tree this is the common prefix length."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    n = checkpoints[-1]
-    words = _support_letter_words(dist)
-    cap = max(n * _max_word_len(dist) + 1, len(center_letters) + 1)
-
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-        stacks = _LetterStacks(hi - lo, cap)
-        out = {}
-        cps = set(checkpoints)
-        for i in range(n):
-            stacks.apply_step_column(idx[:, i], words)
-            if (i + 1) in cps:
-                out[i + 1] = _fixed_prefix_len(stacks.stack, stacks.length, center_letters)
-        return out
-
-    parts = _run_blocks(run_block, samples, threads)
-    return {c: np.concatenate([p[c] for p in parts]) for c in checkpoints}
+# d(1, w_t)
+DISTANCE = {"free": _free_lengths, "farey": _farey_distances}
+# translation length of w_t (the cyclic core's length in the tree)
+CYCLIC_CORE = {"free": _cyclic_cores}
+# |trace w_t| <= 2: w_t is not loxodromic
+TRACE_SMALL = {"farey": _trace_small}
+# (|w_t|, (w_s . w_t)_1) per row, s the previous checkpoint (0 for the
+# first); in the tree d(w_s, w_t) = |w_s| + |w_t| - 2 (w_s . w_t)_1
+PRODUCT_WITH_PREVIOUS = {"free": _products_with_previous}
 
 
-def free_midpoint_events(dist: StepDistribution, two_n: int, samples: int, seed: int,
-                         threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """((w_n . w_2n)_1, d(1, w_n)) per sample for a walk of length two_n."""
-    if two_n % 2 != 0:
-        raise ValueError("walk length must be even")
-    n = two_n // 2
-    words = _support_letter_words(dist)
-    cap = two_n * _max_word_len(dist) + 1
+def center_product(center) -> dict:
+    """(x . w_t)_1 against the fixed element x = `center`."""
 
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, two_n, lo, hi, seed, ENSEMBLE_PRIMARY)
-        stacks = _LetterStacks(hi - lo, cap)
-        mid_stack = mid_len = None
-        for i in range(two_n):
-            stacks.apply_step_column(idx[:, i], words)
-            if i + 1 == n:
-                mid_stack, mid_len = stacks.snapshot()
-        gp = _pair_prefix_len(mid_stack, mid_len, stacks.stack, stacks.length)
-        return gp, mid_len
+    def free(walk):
+        word = np.asarray(center.letters, dtype=np.int8)[None, :]
+        for stack, length in walk():
+            yield _common_prefix(stack, length, word, word.shape[1])
 
-    parts = _run_blocks(run_block, samples, threads)
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    def farey(walk):
+        x_slope = Slope(center.a, center.c)
+        dx = dist_to_infinity(center.a, center.c)
+        for state in walk():
+            yield np.array([0.5 * (dx + dist_to_infinity(a, c)
+                                   - slope_distance(x_slope, Slope(a, c)))
+                            for a, _, c, _ in state], dtype=np.float64)
+
+    return {"free": free, "farey": farey}
 
 
-def _cancellations(stacks: _LetterStacks, letters: np.ndarray,
+def product_with_walk(law: StepDistribution, ensemble: int) -> dict:
+    """(v_t . w_t)_1 for w an independent walk of `law` on `ensemble`."""
+
+    def free(walk):
+        for (stack_v, len_v), (stack_w, len_w) in zip(walk(), walk(law, ensemble)):
+            yield _common_prefix(stack_v, len_v, stack_w, len_w)
+
+    return {"free": free}
+
+
+def _cancellations(stack: np.ndarray, length: np.ndarray, letters: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """C[s, r]: how many letters of support word g_s cancel against row r's
     word x_r, so |x_r g_s| = |x_r| + len(g_s) - 2 C[s, r].  `letters` holds
     the support words' letters zero-padded on the right."""
-    rows, cap = stacks.stack.shape
-    flat = stacks.stack.reshape(-1)
+    rows, cap = stack.shape
+    flat = stack.reshape(-1)
     base = np.arange(rows) * cap
     cancelled = np.zeros((len(lengths), rows), dtype=np.int64)
     alive = np.ones((len(lengths), rows), dtype=bool)
     for t in range(int(lengths.max())):
-        pos = stacks.length - 1 - t
+        pos = length - 1 - t
         # the letter t places below the top of each stack (0 past the bottom)
         top = np.where(pos >= 0, flat.take(base + np.maximum(pos, 0)), 0)
         alive &= (top[None, :] == -letters[:, t, None]) & (t < lengths)[:, None]
@@ -370,12 +358,11 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     n = two_n // 2
     size = dist.size()
     lengths = np.array([len(g) for g in dist.support], dtype=np.int64)
-    wmax = _max_word_len(dist)
+    table = _letter_table(dist)
+    wmax = table.shape[1]
     # letters padded to twice the longest word, so letters[s, c + q] exists
     # for every cancellation count c and write offset q below wmax
-    letters = np.zeros((size, 2 * wmax), dtype=np.int8)
-    for s, word in enumerate(_support_letter_words(dist)):
-        letters[s, :len(word)] = word
+    letters = np.pad(table, ((0, 0), (0, wmax)))
     span = wmax + 1
     # per (word s, tilt index, cancellations c), tilt index 0, 1, 2 meaning
     # theta = 0, thetas[0], thetas[1]: mu(g_s) exp(-theta D) and theta D
@@ -395,20 +382,20 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
         if not np.array_equal(u[:, 0], stream_generator(seed, lo, ENSEMBLE_TILTED).random(two_n)):
             raise RuntimeError("bulk uniforms disagree with Generator.random; "
                                "the numpy conversion has changed")
-        stacks = _LetterStacks(rows, cap)
-        flat = stacks.stack.reshape(-1)
+        stack = np.zeros((rows, cap), dtype=np.int8)
+        length = np.zeros(rows, dtype=np.int64)
+        flat = stack.reshape(-1)
         row_ids = np.arange(rows)
         row_base = row_ids * cap
         log_w = np.zeros(rows)
         tilt = np.ones(rows, dtype=np.int64)
         for i in range(two_n):
             if i == n:
-                mid_stack, k = stacks.snapshot()
-                mid_flat = mid_stack.reshape(-1)
+                mid_flat, k = flat.copy(), length.copy()
                 j, h = k.copy(), np.zeros(rows, dtype=np.int64)
             if i >= n:
                 tilt = np.where(2 * j >= k, 2, 0)
-            cancelled = _cancellations(stacks, letters, lengths)
+            cancelled = _cancellations(stack, length, letters, lengths)
             cell = word_base + tilt * span + cancelled
             cum = weight_table.take(cell)
             for s in range(1, size):
@@ -420,10 +407,9 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
             # m - c; writes past the new length land in the stale region
             c = cancelled.reshape(-1).take(pick)
             m = lengths[choice]
-            ln = stacks.length
             for q in range(wmax):
-                flat[row_base + ln - c + q] = letters[choice, c + q]
-            stacks.length = ln + m - 2 * c
+                flat[row_base + length - c + q] = letters[choice, c + q]
+            length = length + m - 2 * c
             if i < n:
                 continue
             # x = w_n[:j] followed by a branch of height h off the w_n path
@@ -445,129 +431,3 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     )
 
 
-def free_diagonal_products(dist: StepDistribution, dist_reflected: StepDistribution,
-                           n: int, samples: int, seed: int,
-                           threads: int = 1) -> np.ndarray:
-    """(v_n . w_n)_1 for independent walks v ~ mu (ensemble 0) and
-    w ~ reflected mu (ensemble 1)."""
-    words_v = _support_letter_words(dist)
-    words_w = _support_letter_words(dist_reflected)
-    cap_v = n * _max_word_len(dist) + 1
-    cap_w = n * _max_word_len(dist_reflected) + 1
-
-    def run_block(lo: int, hi: int):
-        idx_v = _draw_index_block(dist, n, lo, hi, seed, ENSEMBLE_PRIMARY)
-        idx_w = _draw_index_block(dist_reflected, n, lo, hi, seed, ENSEMBLE_REFLECTED)
-        sv = _LetterStacks(hi - lo, cap_v)
-        sw = _LetterStacks(hi - lo, cap_w)
-        for i in range(n):
-            sv.apply_step_column(idx_v[:, i], words_v)
-            sw.apply_step_column(idx_w[:, i], words_w)
-        return _pair_prefix_len(sv.stack, sv.length, sw.stack, sw.length)
-
-    return np.concatenate(_run_blocks(run_block, samples, threads))
-
-
-def free_translation_lengths(dist: StepDistribution, checkpoints: Sequence[int],
-                             samples: int, seed: int,
-                             threads: int = 1) -> dict[int, np.ndarray]:
-    """Exact translation lengths (cyclic-reduction lengths) at checkpoints."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    n = checkpoints[-1]
-    words = _support_letter_words(dist)
-    cap = n * _max_word_len(dist) + 1
-
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, n, lo, hi, seed, ENSEMBLE_PRIMARY)
-        stacks = _LetterStacks(hi - lo, cap)
-        out = {}
-        cps = set(checkpoints)
-        for i in range(n):
-            stacks.apply_step_column(idx[:, i], words)
-            if (i + 1) in cps:
-                out[i + 1] = _cyclic_core_lengths(stacks.stack, stacks.length)
-        return out
-
-    parts = _run_blocks(run_block, samples, threads)
-    return {c: np.concatenate([p[c] for p in parts]) for c in checkpoints}
-
-
-# --- Farey engine: python loops over arbitrary-precision matrices ---
-
-
-def farey_checkpoint_stats(dist: StepDistribution, checkpoints: Sequence[int],
-                           samples: int, seed: int, want_distance: bool = False,
-                           ensemble: int = ENSEMBLE_PRIMARY,
-                           threads: int = 1) -> dict[int, dict[str, np.ndarray]]:
-    """Per-checkpoint 'trace_small' (|trace| <= 2) flags and optionally
-    exact distances d(1, w_n)."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    n = checkpoints[-1]
-    mats = [g.entries() for g in dist.support]
-    cpset = set(checkpoints)
-
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-        rows = hi - lo
-        trace_small = {c: np.zeros(rows, dtype=bool) for c in checkpoints}
-        distance = {c: np.zeros(rows, dtype=np.int64) for c in checkpoints} if want_distance else None
-        for r in range(rows):
-            a, b, c_, d = 1, 0, 0, 1
-            row = idx[r]
-            for i in range(n):
-                e, f, g2, h = mats[row[i]]
-                a, b, c_, d = a * e + b * g2, a * f + b * h, c_ * e + d * g2, c_ * f + d * h
-                t = i + 1
-                if t in cpset:
-                    trace_small[t][r] = abs(a + d) <= 2
-                    if want_distance:
-                        distance[t][r] = dist_to_infinity(a, c_)
-        out = {}
-        for c in checkpoints:
-            entry = {"trace_small": trace_small[c]}
-            if want_distance:
-                entry["distance"] = distance[c]
-            out[c] = entry
-        return out
-
-    parts = _run_blocks(run_block, samples, threads)
-    merged: dict[int, dict[str, np.ndarray]] = {}
-    for c in checkpoints:
-        merged[c] = {
-            key: np.concatenate([p[c][key] for p in parts]) for key in parts[0][c]
-        }
-    return merged
-
-
-def farey_center_products(dist: StepDistribution, center_entries: tuple[int, int, int, int],
-                          checkpoints: Sequence[int], samples: int, seed: int,
-                          ensemble: int = ENSEMBLE_PRIMARY,
-                          threads: int = 1) -> dict[int, np.ndarray]:
-    """(x . w_n)_1 against a fixed matrix x, per sample, at each checkpoint."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    n = checkpoints[-1]
-    mats = [g.entries() for g in dist.support]
-    cpset = set(checkpoints)
-    xa, _, xc, _ = center_entries
-    x_slope = Slope(xa, xc)
-    dx = dist_to_infinity(xa, xc)
-
-    def run_block(lo: int, hi: int):
-        idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-        rows = hi - lo
-        out = {c: np.zeros(rows, dtype=np.float64) for c in checkpoints}
-        for r in range(rows):
-            a, b, c_, d = 1, 0, 0, 1
-            row = idx[r]
-            for i in range(n):
-                e, f, g2, h = mats[row[i]]
-                a, b, c_, d = a * e + b * g2, a * f + b * h, c_ * e + d * g2, c_ * f + d * h
-                t = i + 1
-                if t in cpset:
-                    dw = dist_to_infinity(a, c_)
-                    dxw = slope_distance(x_slope, Slope(a, c_))
-                    out[t][r] = 0.5 * (dx + dw - dxw)
-        return out
-
-    parts = _run_blocks(run_block, samples, threads)
-    return {c: np.concatenate([p[c] for p in parts]) for c in checkpoints}

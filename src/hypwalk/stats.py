@@ -11,6 +11,7 @@ with zero-count bins excluded and the exclusion count reported.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +21,7 @@ from scipy.stats import beta as _beta
 from scipy.stats import norm as _norm
 
 from . import engines
-from .models.farey import translation_length_detail
+from .models.farey import FareyElement, translation_length_detail
 from .walk import StepDistribution, assert_nonelementary, reflected, stream_generator
 
 DEFAULT_CONFIDENCE = 0.95
@@ -161,11 +162,8 @@ def empirical_tail(values: Sequence[float], thresholds: Sequence[float],
 
 
 def _distance_samples(model, dist: StepDistribution, checkpoints, samples, seed, threads=1):
-    if model.name == "free":
-        return engines.free_distance_trajectories(dist, checkpoints, samples, seed, threads=threads)
-    stats = engines.farey_checkpoint_stats(dist, checkpoints, samples, seed,
-                                           want_distance=True, threads=threads)
-    return {c: stats[c]["distance"] for c in stats}
+    return engines.observe(model, dist, checkpoints, engines.DISTANCE, samples, seed,
+                           threads=threads)
 
 
 def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
@@ -212,31 +210,41 @@ def translation_decay(model, dist: StepDistribution, B: float,
     n_grid = [int(n) for n in n_grid]
     non_stabilized = {n: 0 for n in n_grid}
     if model.name == "free":
-        taus = engines.free_translation_lengths(dist, n_grid, samples, seed, threads=threads)
+        taus = engines.observe(model, dist, n_grid, engines.CYCLIC_CORE, samples, seed,
+                               threads=threads)
         counts = [int(np.sum(taus[n] <= B)) for n in n_grid]
     elif B == 0:
-        stats = engines.farey_checkpoint_stats(dist, n_grid, samples, seed, threads=threads)
-        counts = [int(stats[n]["trace_small"].sum()) for n in n_grid]
+        small = engines.observe(model, dist, n_grid, engines.TRACE_SMALL, samples, seed,
+                                threads=threads)
+        counts = [int(small[n].sum()) for n in n_grid]
     else:
         counts = []
-        for n in n_grid:
-            cnt = 0
-            steps = engines._draw_index_block(dist, n, 0, samples, seed, engines.ENSEMBLE_PRIMARY)
-            for idx in steps:
-                w = model.identity()
-                for j in idx:
-                    w = model.multiply(w, dist.support[int(j)])
-                detail = translation_length_detail(w, horizon)
-                if not detail.stabilized:
-                    non_stabilized[n] += 1
-                    cnt += 1  # conservative: counted as tau <= B
-                elif detail.value <= B:
-                    cnt += 1
-            counts.append(cnt)
+        for n in n_grid:  # one walk of exactly n steps per grid point
+            tau = engines.observe(model, dist, [n], _farey_translation_lengths(horizon),
+                                  samples, seed, threads=threads)[n]
+            non_stabilized[n] = int(np.isnan(tau).sum())
+            # conservative: a length that did not stabilize counts as tau <= B
+            counts.append(non_stabilized[n] + int(np.sum(tau <= B)))
     series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
     fit = _try_fit(series.rows_xy())
     return DecayResult(series=series, fit=fit,
                        diagnostics={"B": B, "non_stabilized": non_stabilized})
+
+
+def _farey_translation_lengths(horizon: int) -> dict:
+    """Observer: `translation_length_detail` of w_t, NaN where it does not
+    stabilize within the horizon."""
+
+    def farey(walk):
+        for state in walk():
+            details = [translation_length_detail(FareyElement(*m), horizon) for m in state]
+            yield np.array([d.value if d.stabilized else np.nan for d in details])
+
+    return {"farey": farey}
+
+
+# centers of the shadow experiment: powers of one loxodromic per model
+_SHADOW_CENTER_STEP = {"free": "a", "farey": "[[2,1],[1,1]]"}
 
 
 def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance: int,
@@ -252,19 +260,12 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
     are flagged in the diagnostics.
     """
     r_grid = [float(r) for r in r_grid]
-    if model.name == "free":
-        center = tuple([1] * center_distance)
-        gp = engines.free_center_products(dist, center, [n], samples, seed,
-                                          ensemble=ensemble, threads=threads)[n]
-    else:
-        m = (1, 0, 0, 1)
-        step = (2, 1, 1, 1)
-        for _ in range(center_distance):
-            a, b, c, d = m
-            e, f, g, h = step
-            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        gp = engines.farey_center_products(dist, m, [n], samples, seed,
-                                           ensemble=ensemble, threads=threads)[n]
+    step = model.parse(_SHADOW_CENTER_STEP[model.name])
+    center = model.identity()
+    for _ in range(center_distance):
+        center = model.multiply(center, step)
+    gp = engines.observe(model, dist, [n], engines.center_product(center), samples, seed,
+                         ensemble=ensemble, threads=threads)[n]
     series = TailEstimate.from_values(gp, r_grid, confidence)
     empty = [r for r in r_grid if r > center_distance + 2.0 * model.delta]
     fit = _try_fit(series.rows_xy())
@@ -273,12 +274,19 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
                                     "empty_shadow_radii": empty})
 
 
-def _free_backtracks(dist, k, n_iter, samples, seed, threads=1):
+def _iterated_increments(model, dist, k, n_iter, samples, seed, threads=1):
+    """(Y, X, Z), each of shape (n_iter, samples), of the k-iterated walk:
+    Y[i] = d(w_ik, w_(i+1)k), X[i] = |w_(i+1)k| - |w_ik| and the backtrack
+    Z = Y - X."""
     # ensemble keyed by k: sweeps over k compare independent draws
-    ensemble = engines.ENSEMBLE_ITERATED_BASE + k
-    Y, D = engines.free_segment_increments(dist, k, n_iter, samples, seed,
-                                           ensemble=ensemble, threads=threads)
-    X = np.diff(np.vstack([np.zeros((1, samples), dtype=np.int64), D]), axis=0)
+    out = engines.observe(model, dist, range(k, k * n_iter + 1, k),
+                          engines.PRODUCT_WITH_PREVIOUS, samples, seed,
+                          ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
+    pairs = np.stack(list(out.values()))
+    D, gp = pairs[..., 0], pairs[..., 1]
+    before = np.vstack([np.zeros((1, samples), dtype=np.int64), D[:-1]])
+    Y = before + D - 2 * gp
+    X = D - before
     return Y, X, Y - X
 
 
@@ -298,7 +306,7 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
         raise ValueError("n must be at least k")
     if model.name != "free":
         raise NotImplementedError("backtrack estimation is implemented for the free model")
-    Y, _, Z = _free_backtracks(dist, k, n_iter, samples, seed, threads)
+    Y, _, Z = _iterated_increments(model, dist, k, n_iter, samples, seed, threads)
     pooled = Z.reshape(-1)
     if thresholds is None:
         thresholds = [float(t) for t in range(0, 14, 2)]
@@ -329,7 +337,7 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
     m_max = max(n_grid)
     if model.name != "free":
         raise NotImplementedError("z-sum estimation is implemented for the free model")
-    _, _, Z = _free_backtracks(dist, k, m_max, samples, seed, threads)
+    _, _, Z = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
     mean_z = float(Z.mean())
     if L is None:
         if L_factor is None:
@@ -355,10 +363,7 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     m_max = max(n_grid)
     if model.name != "free":
         raise NotImplementedError("bernstein estimation is implemented for the free model")
-    Y, _ = engines.free_segment_increments(
-        dist, k, m_max, samples, seed,
-        ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads,
-    )
+    Y, _, _ = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
     mean_y = float(Y.mean())
     if epsilon is None:
         if epsilon_factor is None:
@@ -437,8 +442,12 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
     if estimator == "frequency":
         counts = []
         for two_n in two_n_grid:
-            gp, mid = engines.free_midpoint_events(dist, two_n, samples, seed, threads=threads)
-            counts.append(int(np.sum(gp < 0.5 * mid)))
+            if two_n % 2 != 0:
+                raise ValueError("walk length must be even")
+            n = two_n // 2
+            out = engines.observe(model, dist, [n, two_n], engines.PRODUCT_WITH_PREVIOUS,
+                                  samples, seed, threads=threads)
+            counts.append(int(np.sum(out[two_n][:, 1] < 0.5 * out[n][:, 0])))
         series = TailEstimate.from_counts(two_n_grid, counts, samples, confidence)
         return DecayResult(series=series, fit=_try_fit(series.rows_xy()), diagnostics={})
     if estimator != "tilted":
@@ -477,18 +486,11 @@ def diagonal_event_decay(model, dist: StepDistribution, n: int,
     r_grid = [float(r) for r in r_grid]
     if model.name != "free":
         raise NotImplementedError("diagonal estimation is implemented for the free model")
-    gp = engines.free_diagonal_products(dist, reflected(dist), n, samples, seed,
-                                        threads=threads)
+    gp = engines.observe(model, dist, [n],
+                         engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED),
+                         samples, seed, threads=threads)[n]
     shifted = [r - 2.0 * model.delta for r in r_grid]
-    values = np.asarray(gp, dtype=np.float64)
-    n_total = values.size
-    probs, lows, highs = [], [], []
-    for thr in shifted:
-        kcnt = int(np.sum(values >= thr))
-        lo, hi = clopper_pearson(kcnt, n_total, confidence)
-        probs.append(kcnt / n_total)
-        lows.append(lo)
-        highs.append(hi)
-    series = TailEstimate(tuple(r_grid), tuple(probs), tuple(lows), tuple(highs), n_total)
+    series = dataclasses.replace(TailEstimate.from_values(gp, shifted, confidence),
+                                 thresholds=tuple(r_grid))
     fit = _try_fit(series.rows_xy())
     return DecayResult(series=series, fit=fit, diagnostics={"n": n})

@@ -2,8 +2,9 @@
 
 Each config below runs through `cli.main`; the sha256 digests of its
 series.csv and summary.json were recorded before the engines drew their
-steps from raw Philox words, so a change to the draw that moves any seeded
-number fails here.  The package version is masked in summary.json, so a
+steps from raw Philox words (the last four: before the engines became one
+step kernel per model with observers), so a change to the draw or the
+kernel that moves any seeded number fails here.  The package version is masked in summary.json, so a
 version bump alone does not break the pins.
 """
 
@@ -81,6 +82,25 @@ GOLDENS = [
       "B": 1.0, "n_grid": [3, 6, 9]},
      "6e854cb19e5e813f8dae5ef5a20bfc4b9d6582b733af6e0df99ce5c6b3269f61",
      "967237aa68c3882f983ef1486a20db71b43843c6ec8b4736b0194d44e5a22a04"),
+    # recorded before the engines became one step kernel per model with observers
+    ("drift-free", "drift",
+     {"model": "free", "distribution": FREE_MULTI, "seed": 22, "samples": 2000, "n": 40},
+     "957e369f41947febae1d8f7853d6e5facc6ce8a85318a9dad71afa5a47e9fbf9",
+     "3729122707b20d2b521f87b57e47739069f5a177d877dc1cccd6cd6f084ea533"),
+    ("drift-farey", "drift",
+     {"model": "farey", "distribution": FAREY_FIVE, "seed": 23, "samples": 800, "n": 25},
+     "ec8622d7c4c5dba28c6e557521d9095eb3c9e161888b95cf571de42aee4f3d56",
+     "177d93be1edc2c0ea901142ee42dd32183ef2a2a86fe5f117710ceb95017f250"),
+    ("backtrack-free", "backtrack",
+     {"model": "free", "distribution": FREE_THREE, "seed": 24, "samples": 1500,
+      "k": 4, "n": 40},
+     "e3e5eaccecdcfaec64ef10cfe39d8674e8bb01e6636fb2180e3cf1ae45fcde92",
+     "11f41ed275db6659f4b2f609e0e56e0f1022e5f4697e7646f83b3cb82fa7c629"),
+    ("bernstein-free", "bernstein",
+     {"model": "free", "distribution": FREE_UNIFORM, "seed": 25, "samples": 2000,
+      "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
+     "3bba403fd6ea001aa510a16b54a52f33eb05a8056da41844ff8dee0c87b87c53",
+     "478413510993a5e159e6228ab01458417aaff8b33536af2f763100c193767230"),
 ]
 
 

@@ -115,6 +115,30 @@ def test_cli_missing_required_field_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+FAREY_UNIFORM = [["[[1,1],[0,1]]", 0.25], ["[[1,0],[1,1]]", 0.25],
+                 ["[[1,-1],[0,1]]", 0.25], ["[[1,0],[-1,1]]", 0.25]]
+
+
+@pytest.mark.parametrize("subcommand,fields", [
+    ("backtrack", {"k": 2, "n": 10}),
+    ("z-sum", {"k": 2, "n_grid": [2, 4], "L_factor": 2.0}),
+    ("bernstein", {"k": 2, "n_grid": [2, 4], "epsilon": 0.5}),
+    ("midpoint", {"n_grid": [4, 8]}),
+    ("diagonal", {"n": 6, "r_grid": [1.0, 2.0]}),
+])
+def test_cli_free_only_subcommand_on_farey_exit_2(subcommand, fields, tmp_path, capsys):
+    from hypwalk import cli
+
+    out = tmp_path / "o"
+    path = _write_cfg(tmp_path, "f.json", model="farey", distribution=FAREY_UNIFORM,
+                      output_path=str(out), **fields)
+    assert cli.main([subcommand, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"hypwalk: config: subcommand {subcommand!r} supports model 'free' only" in err
+    assert "code=2" in err
+    assert not out.exists()
+
+
 def test_cli_elementary_distribution_exit_3(tmp_path):
     path = _write_cfg(
         tmp_path, "e.json", model="farey",

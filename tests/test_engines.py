@@ -2,8 +2,9 @@
 
 The bulk step draw (`engines._draw_index_block`, raw Philox words converted
 in numpy) must give exactly `draw_indices(stream_generator(seed, i, e), n)`
-row for row, and every engine's observable must equal the one recomputed
-from `sample_walk` plus the model's `distance` / `gromov_product`.
+row for row, and every observer of the step kernels must equal the
+statistic recomputed from `sample_walk` plus the model's `distance`,
+`gromov_product`, translation length or trace.
 """
 
 from functools import lru_cache
@@ -132,7 +133,7 @@ def test_conversion_drift_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="numpy conversion"):
         engines._draw_index_block(law(3), 10, 0, 50, 1, 0)
     with pytest.raises(RuntimeError, match="numpy conversion"):
-        engines.free_distance_trajectories(UNIFORM, [10], samples=50, seed=1)
+        engines.observe(free, UNIFORM, [10], engines.DISTANCE, samples=50, seed=1)
 
     uniforms = engines._uniforms_from_raw
     monkeypatch.setattr(engines, "_uniforms_from_raw", lambda raw: uniforms(raw) / 2)
@@ -140,34 +141,14 @@ def test_conversion_drift_raises(monkeypatch):
         engines.free_midpoint_tilted(UNIFORM, 10, 50, 1, (0.5, 1.0))
 
 
-def test_large_support_engine_rows_match_sample_walk():
-    # int16 step indices used to wrap past 32767 support elements
-    dist, samples, seed = law(40_000), 395, 8
-    traj = engines.free_distance_trajectories(dist, [1, 3], samples, seed)
-    for i in range(samples):
-        ws = sample_walk(free, dist, 3, seed=seed, stream=i)
-        assert traj[1][i] == ws.distances[1] and traj[3][i] == ws.distances[3], i
-
-
-# --- the engines without another reference test ---
-
-
-@pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])
-def test_free_center_products_match_reference(dist):
-    center, samples, seed, ensemble = (1, 2, 2, -1, 2), 60, 71, engines.ENSEMBLE_GRID_BASE + 1
-    x = FreeWord(center)
-    gp = engines.free_center_products(dist, center, [4, 13], samples, seed, ensemble=ensemble)
-    for i in range(samples):
-        ws = sample_walk(free, dist, 13, seed=seed, stream=i, ensemble=ensemble)
-        for n in (4, 13):
-            assert gp[n][i] == gromov_product(free, free.identity(), x, ws.locations[n]), (i, n)
-
-
 @pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])
 def test_free_midpoint_events_match_reference(dist):
+    # the midpoint event (w_n . w_2n)_1 < |w_n| / 2 as midpoint_decay counts it
     two_n, samples, seed = 14, 80, 72
     one = free.identity()
-    gp, mid_len = engines.free_midpoint_events(dist, two_n, samples, seed)
+    out = engines.observe(free, dist, [two_n // 2, two_n], engines.PRODUCT_WITH_PREVIOUS,
+                          samples, seed)
+    mid_len, gp = out[two_n // 2][:, 0], out[two_n][:, 1]
     for i in range(samples):
         ws = sample_walk(free, dist, two_n, seed=seed, stream=i)
         mid, end = ws.locations[two_n // 2], ws.locations[two_n]
@@ -175,27 +156,68 @@ def test_free_midpoint_events_match_reference(dist):
         assert mid_len[i] == free.distance(one, mid), i
 
 
-@pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])
-def test_free_diagonal_products_match_reference(dist):
-    n, samples, seed = 9, 80, 73
-    one = free.identity()
-    dist_w = reflected(dist)
-    gp = engines.free_diagonal_products(dist, dist_w, n, samples, seed)
-    for i in range(samples):
-        v = sample_walk(free, dist, n, seed=seed, stream=i, ensemble=engines.ENSEMBLE_PRIMARY)
-        w = sample_walk(free, dist_w, n, seed=seed, stream=i,
-                        ensemble=engines.ENSEMBLE_REFLECTED)
-        assert gp[i] == gromov_product(free, one, v.locations[n], w.locations[n]), i
+# --- every observer against the per-sample reference path ---
+
+CENTER_FREE = FreeWord((1, 2, 2, -1, 2))
+CENTER_FAREY = FareyElement(2, 1, 1, 1) * FareyElement(2, 1, 1, 1) * FareyElement(2, 1, 1, 1)
 
 
-@pytest.mark.parametrize("dist", [FAREY_UNIFORM, FAREY_FIVE], ids=["uniform", "five"])
-def test_farey_center_products_match_reference(dist):
-    samples, seed, ensemble = 40, 74, engines.ENSEMBLE_GRID_BASE
-    x = FareyElement(2, 1, 1, 1)
-    x = x * x * x
-    gp = engines.farey_center_products(dist, (x.a, x.b, x.c, x.d), [5, 12], samples, seed,
-                                       ensemble=ensemble)
+def _center(model):
+    return CENTER_FREE if model is free else CENTER_FAREY
+
+
+# name: (observer for (model, law), reference statistic at checkpoint t of
+# walk w, with s the previous checkpoint and v an independent walk of the
+# reflected law)
+OBSERVERS = {
+    "distance": (lambda model, dist: engines.DISTANCE,
+                 lambda m, w, t, s, v: m.distance(m.identity(), w[t])),
+    "cyclic_core": (lambda model, dist: engines.CYCLIC_CORE,
+                    lambda m, w, t, s, v: m.translation_length(w[t])),
+    "trace_small": (lambda model, dist: engines.TRACE_SMALL,
+                    lambda m, w, t, s, v: abs(w[t].trace()) <= 2),
+    "product_with_previous": (
+        lambda model, dist: engines.PRODUCT_WITH_PREVIOUS,
+        lambda m, w, t, s, v: (m.distance(m.identity(), w[t]),
+                               gromov_product(m, m.identity(), w[s], w[t]))),
+    "center_product": (
+        lambda model, dist: engines.center_product(_center(model)),
+        lambda m, w, t, s, v: gromov_product(m, m.identity(), _center(m), w[t])),
+    "product_with_walk": (
+        lambda model, dist: engines.product_with_walk(reflected(dist),
+                                                      engines.ENSEMBLE_REFLECTED),
+        lambda m, w, t, s, v: gromov_product(m, m.identity(), w[t], v[t])),
+}
+LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, None),
+        "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE)}
+OBSERVER_CASES = (
+    [(name, law_id) for name in OBSERVERS if name != "trace_small"
+     for law_id in ("uniform", "multi", "law40000")]
+    + [(name, law_id) for name in ("distance", "trace_small", "center_product")
+       for law_id in ("farey_uniform", "farey_five")]
+)
+
+
+@pytest.mark.parametrize("name,law_id", OBSERVER_CASES,
+                         ids=[f"{name}-{law_id}" for name, law_id in OBSERVER_CASES])
+def test_observer_matches_reference(name, law_id):
+    model, dist = LAWS[law_id]
+    checkpoints, samples = ([5, 12], 40) if model is farey else ([3, 8, 13], 60)
+    if law_id == "law40000":
+        # int16 step indices used to wrap past 32767 support elements
+        dist, checkpoints, samples = law(40_000), [1, 3], 40
+    seed, ensemble, n = 71, engines.ENSEMBLE_GRID_BASE + 1, checkpoints[-1]
+    make_observer, reference = OBSERVERS[name]
+    got = engines.observe(model, dist, checkpoints, make_observer(model, dist), samples, seed,
+                          ensemble=ensemble)
+    assert list(got) == checkpoints
+    dist_v = reflected(dist) if name == "product_with_walk" else None
     for i in range(samples):
-        ws = sample_walk(farey, dist, 12, seed=seed, stream=i, ensemble=ensemble)
-        for n in (5, 12):
-            assert gp[n][i] == gromov_product(farey, farey.identity(), x, ws.locations[n]), (i, n)
+        w = sample_walk(model, dist, n, seed=seed, stream=i, ensemble=ensemble).locations
+        v = None
+        if dist_v is not None:
+            v = sample_walk(model, dist_v, n, seed=seed, stream=i,
+                            ensemble=engines.ENSEMBLE_REFLECTED).locations
+        for j, t in enumerate(checkpoints):
+            s = checkpoints[j - 1] if j else 0
+            assert np.array_equal(got[t][i], reference(model, w, t, s, v)), (i, t)

@@ -7,6 +7,7 @@ from hypwalk import engines
 from hypwalk.errors import ElementaryDistributionError, PreconditionError
 from hypwalk.models.farey import FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
+from hypwalk.stats import _iterated_increments
 from hypwalk.walk import (
     StepDistribution,
     assert_nonelementary,
@@ -182,48 +183,22 @@ def test_walk_csv_rows():
     assert rows[-1] == (0, 3, "a", 3.0)
 
 
-def test_engine_matches_per_sample_walks():
-    d = uniform_free()
-    traj = engines.free_distance_trajectories(d, [10, 25], samples=6, seed=31)
-    taus = engines.free_translation_lengths(d, [25], samples=6, seed=31)
-    for i in range(6):
-        ws = sample_walk(free, d, 25, seed=31, stream=i)
-        assert traj[10][i] == ws.distances[10]
-        assert traj[25][i] == ws.distances[25]
-        assert taus[25][i] == free.translation_length(ws.locations[25])
-
-    fd = uniform_farey()
-    st = engines.farey_checkpoint_stats(fd, [8, 16], samples=5, seed=13,
-                                        want_distance=True)
-    for i in range(5):
-        ws = sample_walk(farey, fd, 16, seed=13, stream=i)
-        assert st[16]["distance"][i] == ws.distances[16]
-        assert st[8]["trace_small"][i] == (abs(ws.locations[8].trace()) <= 2)
-
-
 def test_engine_segment_increments_match_decomposition():
     d = uniform_free()
-    k, n_iter, samples = 5, 6, 4
-    Y, D = engines.free_segment_increments(d, k, n_iter, samples, seed=53)
+    k, n_iter, samples, seed = 5, 6, 4, 53
+    Y, X, Z = _iterated_increments(free, d, k, n_iter, samples, seed)
     for i in range(samples):
-        ws = sample_walk(free, d, k * n_iter, seed=53, stream=i)
+        ws = sample_walk(free, d, k * n_iter, seed=seed, stream=i,
+                         ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
         dec = iterated_decomposition(free, ws, k)
         assert np.array_equal(Y[:, i], dec.Y.astype(np.int64))
-        X = np.diff(np.concatenate([[0], D[:, i]]))
-        assert np.array_equal(X, dec.X.astype(np.int64))
+        assert np.array_equal(X[:, i], dec.X.astype(np.int64))
+        assert np.array_equal(Z[:, i], dec.Z.astype(np.int64))
 
 
 def test_engine_threads_do_not_change_output():
     d = uniform_free()
-    base = engines.free_distance_trajectories(d, [20], samples=40_000, seed=3)
-    threaded = engines.free_distance_trajectories(d, [20], samples=40_000, seed=3,
-                                                  threads=4)
+    base = engines.observe(free, d, [20], engines.DISTANCE, samples=40_000, seed=3)
+    threaded = engines.observe(free, d, [20], engines.DISTANCE, samples=40_000, seed=3,
+                               threads=4)
     assert np.array_equal(base[20], threaded[20])
-
-
-def test_engine_multi_letter_support():
-    d = StepDistribution([W("ab"), W("BA"), W("aa")], [0.4, 0.4, 0.2])
-    traj = engines.free_distance_trajectories(d, [15], samples=8, seed=61)
-    for i in range(8):
-        ws = sample_walk(free, d, 15, seed=61, stream=i)
-        assert traj[15][i] == ws.distances[15]
