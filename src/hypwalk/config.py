@@ -120,6 +120,17 @@ class ExperimentConfig:
         if subcommand in FREE_ONLY and self.model != "free":
             violations.append(f"subcommand {subcommand!r} supports model 'free' only, "
                               f"not {self.model!r}")
+        # inputs the estimators would reject only after the run has started
+        if subcommand == "drift" and self.samples < 2:
+            violations.append("drift requires samples >= 2 (its interval uses the sample "
+                              "standard deviation)")
+        if subcommand == "chernoff" and self.t_grid and min(self.t_grid) < 0:
+            violations.append("t_grid entries must be >= 0 for chernoff")
+        if subcommand == "midpoint" and self.n_grid and any(x % 2 for x in self.n_grid):
+            violations.append("n_grid entries must be even walk lengths 2n for midpoint")
+        if (subcommand == "backtrack" and self.n is not None and self.k is not None
+                and self.n < self.k):
+            violations.append("backtrack requires n >= k")
         if violations:
             raise ConfigError(violations)
 

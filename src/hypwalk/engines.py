@@ -6,11 +6,15 @@ each checkpoint.  `_free_steps` keeps freely reduced words as an int8 letter
 stack plus lengths and applies a step as one numpy pass per letter position
 over all rows, reading the letters of each row's drawn word from a
 (support, longest word) table, so its cost does not grow with the support.
-`_farey_steps` keeps exact 2x2 matrices as python ints.  Observers fold
-those states into one statistic per sample (distance, cyclic core, trace
-class, Gromov products), and `observe` runs a model's kernel with an
-observer over the blocks.  `free_midpoint_tilted` keeps its own step law,
-which depends on the state, on its own stream namespace.
+`_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
+step as four numpy expressions, switching the block to python ints before
+an entry could overflow.  Observers fold those states into one statistic
+per sample (distance, cyclic core, trace class, Gromov products), and
+`observe` runs a model's kernel with an observer over the blocks.  Farey
+distances follow `dist_to_infinity`'s recursion in lockstep over all rows
+(`_dists_to_infinity`), so the engines leave its memo alone.
+`free_midpoint_tilted` keeps its own step law, which depends on the state,
+on its own stream namespace.
 
 Steps come from the streams' raw words: one Philox per call is re-keyed
 for each sample, and numpy's own conversion (Lemire's bounded integers,
@@ -29,10 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .models.farey import Slope, dist_to_infinity, slope_distance
+from .models.farey import Slope, dist_to_infinity, mobius_to_infinity
 from .walk import _MASK64, StepDistribution, _stream_key, stream_generator
 
 BLOCK_SIZE = 16384
+_INT64_MAX = 2 ** 63 - 1
 
 # Stream namespaces.  Sweeps over a grid (shadow-decay n values) or over k
 # (iterated walks) key their ensembles by the swept value, so the compared
@@ -182,19 +187,39 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
             yield stack, length
 
 
+def _widened(state: np.ndarray, scale: int) -> np.ndarray:
+    """`state` as python ints (dtype object) once an entry exceeds
+    _INT64_MAX // scale, so that a sum of entries times integers whose
+    absolute values sum to at most `scale` cannot overflow int64."""
+    if state.dtype == object or np.abs(state).max() <= _INT64_MAX // scale:
+        return state
+    return state.astype(object)
+
+
 def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
                  seed: int, ensemble: int):
     """Yield, at each checkpoint t, w_t = [[a, b], [c, d]] of every row as a
-    list of (a, b, c, d) python ints (exact at any size)."""
+    (4, rows) array of a, b, c, d.
+
+    The state is int64 while every entry stays within _INT64_MAX // S, S the
+    largest absolute column sum of a support matrix (at least 2, so a + d
+    fits too): the next step then cannot overflow.  Once an entry passes
+    that bound the block goes on in python ints (dtype object), exactly.
+    """
     n = checkpoints[-1]
     idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-    mats = [g.entries() for g in dist.support]
-    state = [(1, 0, 0, 1)] * (hi - lo)
+    entries = [g.entries() for g in dist.support]
+    scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in entries))
+    state = np.zeros((4, hi - lo), dtype=np.int64)
+    state[0] = state[3] = 1
+    state = _widened(state, scale)
+    table = np.array(entries, dtype=state.dtype)
     cps = set(checkpoints)
     for i in range(n):
-        state = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-                 for (a, b, c, d), (e, f, g, h)
-                 in zip(state, map(mats.__getitem__, idx[:, i].tolist()))]
+        e, f, g, h = table[idx[:, i]].T
+        a, b, c, d = state
+        state = _widened(np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]),
+                         scale)
         if i + 1 in cps:
             yield state
 
@@ -247,9 +272,40 @@ def _free_lengths(walk):
         yield length.copy()
 
 
+def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`dist_to_infinity(p, q)` per row for coprime columns p, q (int64 or
+    python ints), all rows in lockstep and without the memo.
+
+    The recursion's two children of (den, r), X = (r, rem) and
+    E = (r + rem, rem), share their two children, so its states form a ladder
+    two wide over the Euclidean remainders.  Going down it, X costs one edge
+    more than the cheaper state above, and E is one edge cheaper than X
+    exactly when the quotient den // r is 1 and E above was not cheaper
+    (otherwise E is no cheaper, and a no-cheaper E never matters).  At r = 1
+    two edges remain (1/den is adjacent to 0, which is adjacent to infinity).
+    """
+    den = np.abs(q)
+    out = (den != 0).astype(np.int64)  # 0 at infinity, 1 at the integers
+    live = np.flatnonzero(den > 1)
+    den, r = den[live], p[live] % den[live]
+    cost = np.zeros(len(live), dtype=np.int64)  # of X
+    cheaper = np.zeros(len(live), dtype=bool)  # E costs one less than X
+    while len(live):
+        if not r.all():  # Euclid reached 0 before 1: it would never end
+            raise ValueError("slope columns must be coprime")
+        done = r == 1
+        out[live[done]] = cost[done] - cheaper[done] + 2
+        keep = ~done
+        live, den, r, cost, cheaper = live[keep], den[keep], r[keep], cost[keep], cheaper[keep]
+        cost = cost + 1 - cheaper
+        cheaper = (den - r < r) & ~cheaper
+        den, r = r, den % r
+    return out
+
+
 def _farey_distances(walk):
     for state in walk():
-        yield np.array([dist_to_infinity(a, c) for a, _, c, _ in state], dtype=np.int64)
+        yield _dists_to_infinity(state[0], state[2])
 
 
 def _cyclic_cores(walk):
@@ -266,7 +322,7 @@ def _cyclic_cores(walk):
 
 def _trace_small(walk):
     for state in walk():
-        yield np.array([abs(a + d) <= 2 for a, _, _, d in state], dtype=bool)
+        yield np.abs(state[0] + state[3]) <= 2
 
 
 def _products_with_previous(walk):
@@ -298,12 +354,14 @@ def center_product(center) -> dict:
             yield _common_prefix(stack, length, word, word.shape[1])
 
     def farey(walk):
-        x_slope = Slope(center.a, center.c)
-        dx = dist_to_infinity(center.a, center.c)
+        # d(x, w) = d(1, m w) for m sending x's slope to infinity
+        m = mobius_to_infinity(Slope(center.a, center.c)).entries()
+        scale = max(2, abs(m[0]) + abs(m[1]), abs(m[2]) + abs(m[3]))
+        dx = dist_to_infinity(center.a, center.c, {})
         for state in walk():
-            yield np.array([0.5 * (dx + dist_to_infinity(a, c)
-                                   - slope_distance(x_slope, Slope(a, c)))
-                            for a, _, c, _ in state], dtype=np.float64)
+            a, c = _widened(state[0::2], scale)
+            d_xw = _dists_to_infinity(m[0] * a + m[1] * c, m[2] * a + m[3] * c)
+            yield 0.5 * (dx + _dists_to_infinity(a, c) - d_xw)
 
     return {"free": free, "farey": farey}
 

@@ -23,8 +23,13 @@ number of continued-fraction terms of the target.  A brute-force
 breadth-first search over a denominator-bounded subgraph serves as the
 independent desk-scale oracle (`bounded_bfs_distances`).
 
-All matrix entries are Python ints, so walk locations never overflow no
-matter how long the walk runs.
+`FareyElement` entries are Python ints, so the scalar API never overflows
+however long a walk runs.  The batch engine (`engines._farey_steps`) keeps
+a block of walks in int64 while an exact bound shows that the next step
+cannot overflow, and finishes the block in Python ints once an entry
+passes it.  Its distances run the recursion above in lockstep over all
+rows (`engines._dists_to_infinity`) without the memo; only the scalar
+functions here fill `_SLOPE_MEMO`.
 """
 
 from __future__ import annotations

@@ -237,7 +237,9 @@ def _farey_translation_lengths(horizon: int) -> dict:
 
     def farey(walk):
         for state in walk():
-            details = [translation_length_detail(FareyElement(*m), horizon) for m in state]
+            # python ints: powers of w_t overflow int64
+            details = [translation_length_detail(FareyElement(*m), horizon)
+                       for m in state.T.tolist()]
             yield np.array([d.value if d.stabilized else np.nan for d in details])
 
     return {"farey": farey}

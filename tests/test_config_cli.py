@@ -139,6 +139,25 @@ def test_cli_free_only_subcommand_on_farey_exit_2(subcommand, fields, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,fields,message", [
+    ("chernoff", {"t_grid": [-0.5, 1.0], "n_grid": [5], "rate_mean": 1.0},
+     "t_grid entries must be >= 0"),
+    ("drift", {"n": 5, "samples": 1}, "drift requires samples >= 2"),
+    ("midpoint", {"n_grid": [4, 7]}, "n_grid entries must be even"),
+    ("backtrack", {"k": 5, "n": 3}, "backtrack requires n >= k"),
+])
+def test_cli_invalid_experiment_input_exit_2(subcommand, fields, message, tmp_path, capsys):
+    from hypwalk import cli
+
+    out = tmp_path / "o"
+    path = _write_cfg(tmp_path, "v.json", output_path=str(out), **fields)
+    assert cli.main([subcommand, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"hypwalk: config: {message}" in err
+    assert "code=2" in err
+    assert not out.exists()
+
+
 def test_cli_elementary_distribution_exit_3(tmp_path):
     path = _write_cfg(
         tmp_path, "e.json", model="farey",

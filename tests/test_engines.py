@@ -4,9 +4,12 @@ The bulk step draw (`engines._draw_index_block`, raw Philox words converted
 in numpy) must give exactly `draw_indices(stream_generator(seed, i, e), n)`
 row for row, and every observer of the step kernels must equal the
 statistic recomputed from `sample_walk` plus the model's `distance`,
-`gromov_product`, translation length or trace.
+`gromov_product`, translation length or trace.  The Farey kernel's int64
+state must widen to python ints before it can overflow, and the lockstep
+Farey distance must equal the scalar `dist_to_infinity`.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from hypwalk import engines
 from hypwalk.hypgeom import gromov_product
-from hypwalk.models.farey import FareyElement, FareyModel, L, R
+from hypwalk.models import farey as farey_module
+from hypwalk.models.farey import FareyElement, FareyModel, L, R, dist_to_infinity
 from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
 from hypwalk.walk import StepDistribution, reflected, sample_walk, stream_generator
 
@@ -31,6 +35,10 @@ MULTI = StepDistribution([W("ab"), W("BA"), W("a"), W("A"), W("bab"), W("BAB"), 
 FAREY_UNIFORM = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
 FAREY_FIVE = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
                               [0.3, 0.2, 0.2, 0.2, 0.1])
+# entries pass the int64 guard, 2^63 // (2^30 + 1), at the second step
+FAREY_HUGE = StepDistribution([FareyElement(1, 1 << 30, 0, 1), FareyElement(1, 0, 1 << 30, 1),
+                               FareyElement(1, -(1 << 30), 0, 1),
+                               FareyElement(1, 0, -(1 << 30), 1)], [0.25] * 4)
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +197,13 @@ OBSERVERS = {
         lambda m, w, t, s, v: gromov_product(m, m.identity(), w[t], v[t])),
 }
 LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, None),
-        "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE)}
+        "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE),
+        "farey_huge": (farey, FAREY_HUGE)}
 OBSERVER_CASES = (
     [(name, law_id) for name in OBSERVERS if name != "trace_small"
      for law_id in ("uniform", "multi", "law40000")]
     + [(name, law_id) for name in ("distance", "trace_small", "center_product")
-       for law_id in ("farey_uniform", "farey_five")]
+       for law_id in ("farey_uniform", "farey_five", "farey_huge")]
 )
 
 
@@ -206,6 +215,9 @@ def test_observer_matches_reference(name, law_id):
     if law_id == "law40000":
         # int16 step indices used to wrap past 32767 support elements
         dist, checkpoints, samples = law(40_000), [1, 3], 40
+    if law_id == "farey_huge":
+        # int64 at the first checkpoint, python ints from the second step on
+        checkpoints = [1, 5, 12]
     seed, ensemble, n = 71, engines.ENSEMBLE_GRID_BASE + 1, checkpoints[-1]
     make_observer, reference = OBSERVERS[name]
     got = engines.observe(model, dist, checkpoints, make_observer(model, dist), samples, seed,
@@ -221,3 +233,70 @@ def test_observer_matches_reference(name, law_id):
         for j, t in enumerate(checkpoints):
             s = checkpoints[j - 1] if j else 0
             assert np.array_equal(got[t][i], reference(model, w, t, s, v)), (i, t)
+
+
+# --- the Farey kernel's int64 guard and the lockstep distance ---
+
+
+def test_farey_kernel_widens_past_the_guard():
+    states = list(engines._farey_steps(FAREY_HUGE, [1, 2, 5], 0, 50, 71, 0))
+    assert [s.dtype for s in states] == [np.int64, object, object]
+    # at the benchmark's shapes the whole walk stays in int64
+    (state,) = engines._farey_steps(FAREY_UNIFORM, [100], 0, 2000, 5, 0)
+    assert state.dtype == np.int64
+
+
+def test_center_product_widens_past_the_guard():
+    # the map sending x's slope 1/2^62 to infinity has a column sum 2^62 + 1
+    center, checkpoints, samples, seed = FareyElement(1, 0, 1 << 62, 1), [1, 6], 30, 5
+    got = engines.observe(farey, FAREY_UNIFORM, checkpoints, engines.center_product(center),
+                          samples, seed)
+    for i in range(samples):
+        w = sample_walk(farey, FAREY_UNIFORM, 6, seed=seed, stream=i).locations
+        for t in checkpoints:
+            assert got[t][i] == gromov_product(farey, farey.identity(), center, w[t]), (i, t)
+
+
+@st.composite
+def coprime_column(draw, bits):
+    """(p, q) coprime with |p|, |q| < 2^bits: q = 0, q = +-1 (residue 0),
+    residues 1 and |q| - 1, or any pair."""
+    bound = (1 << bits) - 1
+    kind = draw(st.sampled_from(["infinity", "unit", "one", "last", "any"]))
+    if kind == "infinity":
+        return draw(st.sampled_from([1, -1])), 0
+    if kind == "unit":
+        return draw(st.integers(-bound, bound)), draw(st.sampled_from([1, -1]))
+    q = draw(st.integers(-bound, bound).filter(lambda v: abs(v) > 1))
+    if kind == "any":
+        p = draw(st.integers(-bound, bound))
+        g = math.gcd(p, q)
+        return p // g, q // g
+    residue = 1 if kind == "one" else abs(q) - 1
+    k = draw(st.integers(1 - bound // abs(q), (bound - residue) // abs(q)))
+    return k * abs(q) + residue, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.sampled_from([3, 20, 33, 62, 63, 200]), data=st.data())
+def test_lockstep_distance_matches_scalar(bits, data):
+    cols = data.draw(st.lists(coprime_column(bits), min_size=1, max_size=30))
+    dtype = object if bits > 63 else data.draw(st.sampled_from([np.int64, object]))
+    p, q = (np.array(v, dtype=dtype) for v in zip(*cols))
+    got = engines._dists_to_infinity(p, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [dist_to_infinity(a, b, {}) for a, b in cols]
+
+
+def test_lockstep_distance_rejects_non_coprime_columns():
+    # 2/4 would reach remainder 0 and never finish
+    with pytest.raises(ValueError, match="coprime"):
+        engines._dists_to_infinity(np.array([1, 2]), np.array([3, 4]))
+
+
+def test_farey_observers_leave_the_memo_alone(monkeypatch):
+    monkeypatch.setattr(farey_module, "_SLOPE_MEMO", {})
+    for observer in (engines.DISTANCE, engines.TRACE_SMALL,
+                     engines.center_product(CENTER_FAREY)):
+        engines.observe(farey, FAREY_FIVE, [5, 30], observer, 300, 3)
+    assert farey_module._SLOPE_MEMO == {}

@@ -202,3 +202,11 @@ def test_engine_threads_do_not_change_output():
     threaded = engines.observe(free, d, [20], engines.DISTANCE, samples=40_000, seed=3,
                                threads=4)
     assert np.array_equal(base[20], threaded[20])
+    # the Farey kernel over two blocks
+    samples = engines.BLOCK_SIZE + 3000
+    for observer in (engines.DISTANCE, engines.TRACE_SMALL):
+        base = engines.observe(farey, uniform_farey(), [10, 40], observer, samples, seed=3)
+        threaded = engines.observe(farey, uniform_farey(), [10, 40], observer, samples,
+                                   seed=3, threads=4)
+        for t in (10, 40):
+            assert np.array_equal(base[t], threaded[t])
