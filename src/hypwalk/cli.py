@@ -1,6 +1,8 @@
 """Experiment driver: one subcommand per decay claim.
 
-Every run writes three files under the config's output_path:
+Every subcommand runs on both models, "free" (F2 on its tree) and "farey"
+(SL(2,Z) on the Farey graph).  Each run writes three files under the
+config's output_path:
 
   series.csv     the estimated series (schema per subcommand, below)
   summary.json   fit constants, diagnostics, sample counts, seed, and the
@@ -9,10 +11,10 @@ Every run writes three files under the config's output_path:
                  (wall time varies, so the manifest is excluded from the
                  reproducibility contract)
 
-Exit codes: 0 success, 2 malformed config, 3 precondition failure (for
-example an elementary step distribution), 4 statistical assertion failure
-when --assert is passed.  Errors print one machine-parsable line to
-stderr: "hypwalk: error code=<n> reason=<text>".
+Exit codes: 0 success, 2 malformed config or --threads below 1, 3
+precondition failure (for example an elementary step distribution), 4
+statistical assertion failure when --assert is passed.  Errors print one
+machine-parsable line to stderr: "hypwalk: error code=<n> reason=<text>".
 
 CSV schemas (floats printed with 17 significant digits):
   drift                n,rate,ci_low,ci_high
@@ -32,8 +34,8 @@ CSV schemas (floats printed with 17 significant digits):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -62,21 +64,7 @@ def _fmt(x) -> str:
 
 
 def _fit_dict(fit) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "c": fit.c,
-        "K": fit.K,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-        "points_excluded": fit.points_excluded,
-    }
-
-
-def _series_rows(series) -> list[tuple]:
-    return [(x, p, lo, hi) for x, p, lo, hi in series.rows()]
+    return None if fit is None else dataclasses.asdict(fit)
 
 
 def _decay_assertion(result, r2_min: float = 0.9, strict_decrease: bool = False) -> dict:
@@ -124,7 +112,7 @@ def _run_linear_progress(cfg: ExperimentConfig, threads: int):
         confidence=cfg.confidence, threads=threads,
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, _decay_assertion(res)
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
 
 
 def _run_translation_decay(cfg: ExperimentConfig, threads: int):
@@ -135,7 +123,7 @@ def _run_translation_decay(cfg: ExperimentConfig, threads: int):
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
     checks = _decay_assertion(res, strict_decrease=True)
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, checks
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
 
 
 def _run_shadow_decay(cfg: ExperimentConfig, threads: int):
@@ -192,7 +180,7 @@ def _run_backtrack(cfg: ExperimentConfig, threads: int):
         thresholds=cfg.r_grid, confidence=cfg.confidence, threads=threads,
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, _decay_assertion(res)
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
 
 
 def _run_z_sum(cfg: ExperimentConfig, threads: int):
@@ -204,7 +192,7 @@ def _run_z_sum(cfg: ExperimentConfig, threads: int):
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
     checks = _decay_assertion(res, r2_min=0.85)
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, checks
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
 
 
 def _run_bernstein(cfg: ExperimentConfig, threads: int):
@@ -216,7 +204,7 @@ def _run_bernstein(cfg: ExperimentConfig, threads: int):
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
     checks = _decay_assertion(res, r2_min=0.85)
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, checks
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
 
 
 def _run_chernoff(cfg: ExperimentConfig, threads: int):
@@ -249,7 +237,7 @@ def _run_midpoint(cfg: ExperimentConfig, threads: int):
         ),
         "fit": res.fit is not None and res.fit.slope < 0,
     }
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, checks
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
 
 
 def _run_diagonal(cfg: ExperimentConfig, threads: int):
@@ -259,7 +247,7 @@ def _run_diagonal(cfg: ExperimentConfig, threads: int):
         confidence=cfg.confidence, threads=threads,
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", _series_rows(res.series), summary, _decay_assertion(res)
+    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
 
 
 def _run_props(cfg: ExperimentConfig, threads: int):
@@ -348,18 +336,6 @@ def _error(code: int, reason: str) -> int:
     return code
 
 
-def _resolve_threads(arg_value) -> int:
-    if arg_value is not None:
-        return max(1, arg_value)
-    env = os.environ.get("HYPWALK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypwalk",
@@ -372,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit 4 unless the acceptance assertions hold")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: HYPWALK_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1, help="worker cap (default: 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _resolve_threads(args.threads)
+    if args.threads < 1:
+        return _error(EXIT_CONFIG, "--threads must be >= 1")
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -394,7 +370,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        header, rows, summary, checks = _HANDLERS[args.subcommand](cfg, threads)
+        header, rows, summary, checks = _HANDLERS[args.subcommand](cfg, args.threads)
     except (ElementaryDistributionError, PreconditionError, UnsatisfiableConfigError) as exc:
         return _error(EXIT_PRECONDITION, str(exc))
     except ValueError as exc:

@@ -47,9 +47,6 @@ REQUIRED_FIELDS = {
     "calibrate": (),
 }
 
-# subcommands whose estimators run on the free group only
-FREE_ONLY = ("backtrack", "z-sum", "bernstein", "midpoint", "diagonal")
-
 _MAX_SEED = (1 << 64) - 1
 
 
@@ -117,9 +114,6 @@ class ExperimentConfig:
         if subcommand in ("bernstein",) and self.epsilon is None and self.epsilon_factor is None:
             missing.append("epsilon (or epsilon_factor)")
         violations = [f"subcommand {subcommand!r} requires field {f!r}" for f in missing]
-        if subcommand in FREE_ONLY and self.model != "free":
-            violations.append(f"subcommand {subcommand!r} supports model 'free' only, "
-                              f"not {self.model!r}")
         # inputs the estimators would reject only after the run has started
         if subcommand == "drift" and self.samples < 2:
             violations.append("drift requires samples >= 2 (its interval uses the sample "

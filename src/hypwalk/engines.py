@@ -8,10 +8,14 @@ over all rows, reading the letters of each row's drawn word from a
 (support, longest word) table, so its cost does not grow with the support.
 `_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
 step as four numpy expressions, switching the block to python ints before
-an entry could overflow.  Observers fold those states into one statistic
-per sample (distance, cyclic core, trace class, Gromov products), and
-`observe` runs a model's kernel with an observer over the blocks.  Farey
-distances follow `dist_to_infinity`'s recursion in lockstep over all rows
+an entry could overflow.  Each model's `_Geometry` gives d(1, w) per row
+and the Gromov product (u . w)_1 of two states: a common prefix in the
+tree, (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph.  Observers
+fold the states into one statistic per sample through it, so distance and
+the Gromov products are written once for both models; only the classifiers
+(cyclic core, trace class) belong to one model.  `observe` runs a model's
+kernel with an observer over the blocks.  Farey distances follow
+`dist_to_infinity`'s recursion in lockstep over all rows
 (`_dists_to_infinity`), so the engines leave its memo alone.
 `free_midpoint_tilted` keeps its own step law, which depends on the state,
 on its own stream namespace.
@@ -29,11 +33,10 @@ thread pool over blocks cannot change any output.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .models.farey import Slope, dist_to_infinity, mobius_to_infinity
 from .walk import _MASK64, StepDistribution, _stream_key, stream_generator
 
 BLOCK_SIZE = 16384
@@ -224,40 +227,39 @@ def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi
             yield state
 
 
-_STEPS = {"free": _free_steps, "farey": _farey_steps}
-
-
-def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer: dict,
+def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
             samples: int, seed: int, ensemble: int = ENSEMBLE_PRIMARY,
             threads: int = 1) -> dict[int, np.ndarray]:
     """One statistic per sample at each checkpoint: the model's step kernel
-    walks each block and `observer[model.name]` folds its states.
+    walks each block and `observer` folds its states.
 
-    An observer is called as observer(walk) once per block, where walk()
-    gives the block's state at each checkpoint, and yields one array per
-    checkpoint with a row per sample.  walk(law, ensemble) gives the same
-    block of another, independent walk.
+    An observer is called as observer(geom, walk) once per block, where geom
+    is the model's `_Geometry` and walk() gives the block's state at each
+    checkpoint, and yields one array per checkpoint with a row per sample.
+    walk(law, ensemble) gives the same block of another, independent walk.
     """
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    steps, fold = _STEPS[model.name], observer[model.name]
+    geom = _GEOMETRIES[model.name]
 
     def run_block(lo: int, hi: int) -> list[np.ndarray]:
         def walk(law: StepDistribution = dist, ens: int = ensemble):
-            return steps(law, checkpoints, lo, hi, seed, ens)
+            return geom.steps(law, checkpoints, lo, hi, seed, ens)
 
-        return list(fold(walk))
+        return list(observer(geom, walk))
 
     parts = _run_blocks(run_block, samples, threads)
     return {c: np.concatenate([p[j] for p in parts]) for j, c in enumerate(checkpoints)}
 
 
-# --- observers: {model name: fold}, see `observe` ---
+# --- the two geometries ---
 
 
-def _common_prefix(stack_a, len_a, stack_b, len_b) -> np.ndarray:
-    """Common prefix lengths of rows of two letter stacks (either may be one
-    broadcast row).  Only columns below min(len_a, len_b) count, and they
-    are live in both, so stale letters cannot shorten the result."""
+def _common_prefix(u, w) -> np.ndarray:
+    """(u . w)_1 in the tree: common prefix lengths of the rows of two
+    letter-stack states (either may be one broadcast row).  Only columns
+    below min(len_u, len_w) count, and they are live in both, so stale
+    letters cannot shorten the result."""
+    (stack_a, len_a), (stack_b, len_b) = u, w
     lim = np.minimum(len_a, len_b)
     width = min(stack_a.shape[1], stack_b.shape[1])
     if width == 0:
@@ -265,11 +267,6 @@ def _common_prefix(stack_a, len_a, stack_b, len_b) -> np.ndarray:
     neq = stack_a[:, :width] != stack_b[:, :width]
     first = np.where(neq.any(axis=1), neq.argmax(axis=1), width)
     return np.minimum(first, lim)
-
-
-def _free_lengths(walk):
-    for _, length in walk():
-        yield length.copy()
 
 
 def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -303,12 +300,66 @@ def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _farey_distances(walk):
+def _farey_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(u . w)_1 = (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2, with
+    u^-1 = [[d, -b], [-c, a]].  Both operands are python ints when
+    max|u| max|w| > _INT64_MAX // 2 and int64 otherwise (then both fit), so
+    no entry of u^-1 w can overflow."""
+    big = int(np.abs(u).max()) * int(np.abs(w).max()) > _INT64_MAX // 2
+    u, w = (x.astype(object if big else np.int64, copy=False) for x in (u, w))
+    a, b, c, d = u
+    d_uw = _dists_to_infinity(d * w[0] - b * w[2], a * w[2] - c * w[0])
+    return 0.5 * (_dists_to_infinity(a, c) + _dists_to_infinity(w[0], w[2]) - d_uw)
+
+
+class _Geometry(NamedTuple):
+    """A model as the engines see it: its step kernel, and functions of the
+    states it yields, one value per row."""
+
+    steps: Callable  # (dist, checkpoints, lo, hi, seed, ensemble) -> states
+    distance: Callable  # state -> d(1, w)
+    product: Callable  # (state u, state w) -> (u . w)_1
+    snapshot: Callable  # state -> a copy that outlives the next step
+    state_of: Callable  # element -> its state as one row that broadcasts
+    identity: object  # the state of the identity
+
+
+_GEOMETRIES = {
+    "free": _Geometry(
+        steps=_free_steps,
+        distance=lambda state: state[1].copy(),
+        product=_common_prefix,
+        snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1].copy()),
+        state_of=lambda g: (np.array([g.letters], dtype=np.int8), np.array([len(g.letters)])),
+        identity=(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64)),
+    ),
+    "farey": _Geometry(
+        steps=_farey_steps,
+        distance=lambda state: _dists_to_infinity(state[0], state[2]),
+        product=_farey_product,
+        snapshot=lambda state: state,  # each step builds a new array
+        state_of=lambda g: np.array(g.entries(), dtype=object)[:, None],
+        identity=np.array([[1], [0], [0], [1]], dtype=np.int64),
+    ),
+}
+
+
+# --- observers: observer(geom, walk), see `observe` ---
+
+
+def _distances(geom, walk):
     for state in walk():
-        yield _dists_to_infinity(state[0], state[2])
+        yield geom.distance(state)
 
 
-def _cyclic_cores(walk):
+def _products_with_previous(geom, walk):
+    prev = geom.identity  # w_0 = 1 precedes the first checkpoint
+    for state in walk():
+        yield np.stack([geom.distance(state), geom.product(prev, state)], axis=1)
+        prev = geom.snapshot(state)
+
+
+def _cyclic_cores(geom, walk):
     for stack, length in walk():
         rows, cap = stack.shape
         j = np.arange(cap)
@@ -320,60 +371,41 @@ def _cyclic_cores(walk):
         yield length - 2 * peel
 
 
-def _trace_small(walk):
+def _trace_small(geom, walk):
     for state in walk():
         yield np.abs(state[0] + state[3]) <= 2
 
 
-def _products_with_previous(walk):
-    prev = None
-    for stack, length in walk():
-        if prev is None:  # the previous checkpoint of the first is w_0 = 1
-            prev, prev_len = stack[:, :0], np.zeros_like(length)
-        yield np.stack([length, _common_prefix(prev, prev_len, stack, length)], axis=1)
-        prev, prev_len = stack[:, :length.max()].copy(), length.copy()
-
-
 # d(1, w_t)
-DISTANCE = {"free": _free_lengths, "farey": _farey_distances}
-# translation length of w_t (the cyclic core's length in the tree)
-CYCLIC_CORE = {"free": _cyclic_cores}
-# |trace w_t| <= 2: w_t is not loxodromic
-TRACE_SMALL = {"farey": _trace_small}
-# (|w_t|, (w_s . w_t)_1) per row, s the previous checkpoint (0 for the
-# first); in the tree d(w_s, w_t) = |w_s| + |w_t| - 2 (w_s . w_t)_1
-PRODUCT_WITH_PREVIOUS = {"free": _products_with_previous}
+DISTANCE = _distances
+# (d(1, w_t), (w_s . w_t)_1) per row, s the previous checkpoint (0 for the
+# first), so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1
+PRODUCT_WITH_PREVIOUS = _products_with_previous
+# the classifiers, one model each: translation length of w_t in the tree
+# (its cyclic core's length), and |trace w_t| <= 2 (w_t is not loxodromic)
+CYCLIC_CORE = _cyclic_cores
+TRACE_SMALL = _trace_small
 
 
-def center_product(center) -> dict:
+def center_product(center):
     """(x . w_t)_1 against the fixed element x = `center`."""
 
-    def free(walk):
-        word = np.asarray(center.letters, dtype=np.int8)[None, :]
-        for stack, length in walk():
-            yield _common_prefix(stack, length, word, word.shape[1])
-
-    def farey(walk):
-        # d(x, w) = d(1, m w) for m sending x's slope to infinity
-        m = mobius_to_infinity(Slope(center.a, center.c)).entries()
-        scale = max(2, abs(m[0]) + abs(m[1]), abs(m[2]) + abs(m[3]))
-        dx = dist_to_infinity(center.a, center.c, {})
+    def fold(geom, walk):
+        x = geom.state_of(center)
         for state in walk():
-            a, c = _widened(state[0::2], scale)
-            d_xw = _dists_to_infinity(m[0] * a + m[1] * c, m[2] * a + m[3] * c)
-            yield 0.5 * (dx + _dists_to_infinity(a, c) - d_xw)
+            yield geom.product(x, state)
 
-    return {"free": free, "farey": farey}
+    return fold
 
 
-def product_with_walk(law: StepDistribution, ensemble: int) -> dict:
+def product_with_walk(law: StepDistribution, ensemble: int):
     """(v_t . w_t)_1 for w an independent walk of `law` on `ensemble`."""
 
-    def free(walk):
-        for (stack_v, len_v), (stack_w, len_w) in zip(walk(), walk(law, ensemble)):
-            yield _common_prefix(stack_v, len_v, stack_w, len_w)
+    def fold(geom, walk):
+        for v, w in zip(walk(), walk(law, ensemble)):
+            yield geom.product(v, w)
 
-    return {"free": free}
+    return fold
 
 
 def _cancellations(stack: np.ndarray, length: np.ndarray, letters: np.ndarray,

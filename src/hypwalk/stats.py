@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta
-from scipy.stats import norm as _norm
+from scipy.special import betaincinv, ndtri
 
 from . import engines
 from .models.farey import FareyElement, translation_length_detail
@@ -32,8 +31,9 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[flo
     if trials <= 0:
         raise ValueError("trials must be positive")
     alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(_beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(_beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    k, n = successes, trials
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 
@@ -161,11 +161,6 @@ def empirical_tail(values: Sequence[float], thresholds: Sequence[float],
     return TailEstimate.from_values(values, thresholds, confidence)
 
 
-def _distance_samples(model, dist: StepDistribution, checkpoints, samples, seed, threads=1):
-    return engines.observe(model, dist, checkpoints, engines.DISTANCE, samples, seed,
-                           threads=threads)
-
-
 def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
           threads: int = 1) -> DriftEstimate:
     """Mean of d(1, w_n)/n with a normal-approximation interval."""
@@ -173,7 +168,7 @@ def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
         raise ValueError("n must be >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    d = _distance_samples(model, dist, [n], samples, seed, threads)[n]
+    d = engines.observe(model, dist, [n], engines.DISTANCE, samples, seed, threads=threads)[n]
     rates = d / n
     rate = float(rates.mean())
     half = 1.959963984540054 * float(rates.std(ddof=1)) / math.sqrt(samples)
@@ -187,7 +182,7 @@ def linear_progress_decay(model, dist: StepDistribution, L: float,
                           threads: int = 1) -> DecayResult:
     """P(d(1, w_n) <= L*n) along n_grid, with its exponential fit."""
     n_grid = [int(n) for n in n_grid]
-    d = _distance_samples(model, dist, n_grid, samples, seed, threads)
+    d = engines.observe(model, dist, n_grid, engines.DISTANCE, samples, seed, threads=threads)
     counts = [int(np.sum(d[n] <= L * n)) for n in n_grid]
     series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
     fit = _try_fit(series.rows_xy())
@@ -231,18 +226,18 @@ def translation_decay(model, dist: StepDistribution, B: float,
                        diagnostics={"B": B, "non_stabilized": non_stabilized})
 
 
-def _farey_translation_lengths(horizon: int) -> dict:
+def _farey_translation_lengths(horizon: int):
     """Observer: `translation_length_detail` of w_t, NaN where it does not
     stabilize within the horizon."""
 
-    def farey(walk):
+    def fold(geom, walk):
         for state in walk():
             # python ints: powers of w_t overflow int64
             details = [translation_length_detail(FareyElement(*m), horizon)
                        for m in state.T.tolist()]
             yield np.array([d.value if d.stabilized else np.nan for d in details])
 
-    return {"farey": farey}
+    return fold
 
 
 # centers of the shadow experiment: powers of one loxodromic per model
@@ -299,15 +294,14 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
     """Pooled tail of the backtracks Z_i of the k-iterated walk.
 
     Z is twice a Gromov product, so it lives on the even integers in the
-    tree model; even thresholds make the cleanest fit grid.
+    tree model (on the integers on the Farey graph); even thresholds make
+    the cleanest fit grid.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n_iter = n // k
     if n_iter < 1:
         raise ValueError("n must be at least k")
-    if model.name != "free":
-        raise NotImplementedError("backtrack estimation is implemented for the free model")
     Y, _, Z = _iterated_increments(model, dist, k, n_iter, samples, seed, threads)
     pooled = Z.reshape(-1)
     if thresholds is None:
@@ -337,8 +331,6 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
         n_grid = sorted({max(1, (n // k) * j // 8) for j in range(1, 9)})
     n_grid = [int(m) for m in n_grid]
     m_max = max(n_grid)
-    if model.name != "free":
-        raise NotImplementedError("z-sum estimation is implemented for the free model")
     _, _, Z = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
     mean_z = float(Z.mean())
     if L is None:
@@ -363,8 +355,6 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     epsilon_factor to use epsilon = epsilon_factor * mean."""
     n_grid = [int(m) for m in n_grid]
     m_max = max(n_grid)
-    if model.name != "free":
-        raise NotImplementedError("bernstein estimation is implemented for the free model")
     Y, _, _ = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
     mean_y = float(Y.mean())
     if epsilon is None:
@@ -432,15 +422,14 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
     on that weighted mean.  Diagnostics carry, per grid point, the relative
     standard error, the hit count and the effective sample size
     (sum w)^2 / sum w^2 over the hits.  It stays accurate where the
-    probability is far below 1/samples (about 2e-8 at 2n = 200).
+    probability is far below 1/samples (about 2e-8 at 2n = 200).  Its
+    tilts are derived on the tree, so it runs on the free model only.
 
     estimator="frequency" counts hits among plain mu-walks, with
     Clopper-Pearson intervals and empty diagnostics; the `midpoint` CLI
     subcommand uses it, so its outputs keep their sample-by-sample meaning.
     """
     two_n_grid = [int(x) for x in two_n_grid]
-    if model.name != "free":
-        raise NotImplementedError("midpoint estimation is implemented for the free model")
     if estimator == "frequency":
         counts = []
         for two_n in two_n_grid:
@@ -454,11 +443,13 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
         return DecayResult(series=series, fit=_try_fit(series.rows_xy()), diagnostics={})
     if estimator != "tilted":
         raise ValueError(f"unknown estimator {estimator!r}: use 'tilted' or 'frequency'")
+    if model.name != "free":
+        raise ValueError("the tilted estimator walks the tree: use estimator='frequency'")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    z = float(_norm.ppf(0.5 + 0.5 * confidence))
+    z = float(ndtri(0.5 + 0.5 * confidence))
     probs, lows, highs, rel, hits, ess = [], [], [], [], [], []
     for two_n in two_n_grid:
         hit, log_w = engines.free_midpoint_tilted(dist, two_n, samples, seed, MIDPOINT_TILTS,
@@ -486,8 +477,6 @@ def diagonal_event_decay(model, dist: StepDistribution, n: int,
     """P((v_n . w_n)_1 >= r - 2*delta) along r_grid for independent walks
     v ~ mu and w ~ reflected mu."""
     r_grid = [float(r) for r in r_grid]
-    if model.name != "free":
-        raise NotImplementedError("diagonal estimation is implemented for the free model")
     gp = engines.observe(model, dist, [n],
                          engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED),
                          samples, seed, threads=threads)[n]

@@ -2,10 +2,14 @@
 
 Each config below runs through `cli.main`; the sha256 digests of its
 series.csv and summary.json were recorded before the engines drew their
-steps from raw Philox words (the last four: before the engines became one
-step kernel per model with observers), so a change to the draw or the
-kernel that moves any seeded number fails here.  The package version is masked in summary.json, so a
-version bump alone does not break the pins.
+steps from raw Philox words (drift-free to bernstein-free: before the
+engines became one step kernel per model with observers), so a change to
+the draw or the kernel that moves any seeded number fails here.  The five
+*-farey goldens of backtrack, z-sum, bernstein, midpoint and diagonal were
+recorded from the change that first ran those subcommands on SL(2,Z), with
+its Farey Gromov products; they pin that code, not an older one.  The
+package version is masked in summary.json, so a version bump alone does not
+break the pins.
 """
 
 import hashlib
@@ -101,6 +105,32 @@ GOLDENS = [
       "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
      "3bba403fd6ea001aa510a16b54a52f33eb05a8056da41844ff8dee0c87b87c53",
      "478413510993a5e159e6228ab01458417aaff8b33536af2f763100c193767230"),
+    # recorded from the first code that ran these subcommands on SL(2,Z)
+    ("backtrack-farey", "backtrack",
+     {"model": "farey", "distribution": FAREY_FIVE, "seed": 26, "samples": 1200,
+      "k": 4, "n": 40},
+     "bd5bdc75c09effaa16be67bfbea5a6b58aac59cccc4c3c9f4d562cbc660d6965",
+     "7968f452c024d249874ccfab84999507702117ef3b57bb87a0a659c69ae96af2"),
+    ("z-sum-farey", "z-sum",
+     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 27, "samples": 1200,
+      "k": 3, "L_factor": 2.0, "n_grid": [2, 4, 6, 8]},
+     "416042a50ab449d5718273e461d4895c41308877559645d3c2d535db9442229a",
+     "1b5da76354c98dabb623fcfda7fc736ac526a2fbb86694b2a4b455ba3cc65313"),
+    ("bernstein-farey", "bernstein",
+     {"model": "farey", "distribution": FAREY_FIVE, "seed": 28, "samples": 1200,
+      "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
+     "15f961954cdbe1c1f67bd3534ed1d131583e4216bb2f4fe20dbd1a908f4d324f",
+     "0f23c89fdec53aa3ccc6da3110e7c0efa649c91a25bb414577aa67920d227282"),
+    ("midpoint-farey", "midpoint",
+     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 29, "samples": 1500,
+      "n_grid": [4, 8, 16]},
+     "2221f7446d9952fbc5d6de4e5f75667093ff44c800746902a0e6a5c5fd37a97e",
+     "3b29abba03a55aa3954ca154c561464533fd676a1679618cb1ca091f20ac36fb"),
+    ("diagonal-farey", "diagonal",
+     {"model": "farey", "distribution": FAREY_FIVE, "seed": 30, "samples": 1500,
+      "n": 20, "r_grid": [1.0, 2.0, 3.0, 4.0]},
+     "6a3b7b22263069cf97900531371d008c9330d878055269a492329b747d5d6995",
+     "fe58ea868b94396b72770533d5b126823a5b61c137b1e5573e8e90ef2fe44cf1"),
 ]
 
 

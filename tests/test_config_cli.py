@@ -127,16 +127,19 @@ FAREY_UNIFORM = [["[[1,1],[0,1]]", 0.25], ["[[1,0],[1,1]]", 0.25],
     ("diagonal", {"n": 6, "r_grid": [1.0, 2.0]}),
 ])
 def test_cli_free_only_subcommand_on_farey_exit_2(subcommand, fields, tmp_path, capsys):
+    # these five were once refused on SL(2,Z) with exit 2 (hence the name);
+    # the Farey Gromov products now run them, so they exit 0 with outputs
     from hypwalk import cli
 
     out = tmp_path / "o"
     path = _write_cfg(tmp_path, "f.json", model="farey", distribution=FAREY_UNIFORM,
                       output_path=str(out), **fields)
-    assert cli.main([subcommand, "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"hypwalk: config: subcommand {subcommand!r} supports model 'free' only" in err
-    assert "code=2" in err
-    assert not out.exists()
+    assert cli.main([subcommand, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0] == "x,p,ci_low,ci_high" and len(rows) > 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["model"] == "farey" and summary["subcommand"] == subcommand
 
 
 @pytest.mark.parametrize("subcommand,fields,message", [
@@ -226,6 +229,17 @@ def test_cli_props_free(tmp_path):
     rows = (out / "series.csv").read_text().strip().splitlines()
     assert rows[0] == "suite,instances,failures"
     assert all(line.rsplit(",", 1)[1] == "0" for line in rows[1:])
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exit_2(threads, tmp_path, capsys):
+    from hypwalk import cli
+
+    out = tmp_path / "o"
+    path = _write_cfg(tmp_path, "t.json", n=5, output_path=str(out))
+    assert cli.main(["drift", "--config", str(path), "--threads", threads]) == 2
+    assert "hypwalk: error code=2 reason=--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_threads_flag_deterministic(tmp_path):

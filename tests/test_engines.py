@@ -202,7 +202,7 @@ LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, N
 OBSERVER_CASES = (
     [(name, law_id) for name in OBSERVERS if name != "trace_small"
      for law_id in ("uniform", "multi", "law40000")]
-    + [(name, law_id) for name in ("distance", "trace_small", "center_product")
+    + [(name, law_id) for name in OBSERVERS if name != "cyclic_core"
        for law_id in ("farey_uniform", "farey_five", "farey_huge")]
 )
 
@@ -244,6 +244,21 @@ def test_farey_kernel_widens_past_the_guard():
     # at the benchmark's shapes the whole walk stays in int64
     (state,) = engines._farey_steps(FAREY_UNIFORM, [100], 0, 2000, 5, 0)
     assert state.dtype == np.int64
+
+
+def test_farey_pair_product_widens_int64_operands():
+    # both states fit int64, but b * c' passes 2^63: in int64,
+    # p = d a' - b c' would wrap by a multiple of 2^64, which changes p mod q
+    # (q is not a power of two) and so the distance d(1, u^-1 w)
+    big_b, big_c = (1 << 33) + 1, 3 ** 20
+    u = FareyElement(1, big_b, 0, 1)
+    ws = [FareyElement(1, 0, big_c, 1), FareyElement(1, 0, big_c + 2, 1),
+          FareyElement(big_c, 1, big_c - 1, 1), FareyElement(2, 1, 1, 1)]
+    u_state = np.array(u.entries(), dtype=np.int64)[:, None]
+    w_state = np.array([w.entries() for w in ws], dtype=np.int64).T
+    assert big_b * big_c > 1 << 63
+    got = engines._farey_product(u_state, w_state)
+    assert got.tolist() == [gromov_product(farey, farey.identity(), u, w) for w in ws]
 
 
 def test_center_product_widens_past_the_guard():
@@ -296,7 +311,8 @@ def test_lockstep_distance_rejects_non_coprime_columns():
 
 def test_farey_observers_leave_the_memo_alone(monkeypatch):
     monkeypatch.setattr(farey_module, "_SLOPE_MEMO", {})
-    for observer in (engines.DISTANCE, engines.TRACE_SMALL,
-                     engines.center_product(CENTER_FAREY)):
+    for observer in (engines.DISTANCE, engines.TRACE_SMALL, engines.PRODUCT_WITH_PREVIOUS,
+                     engines.center_product(CENTER_FAREY),
+                     engines.product_with_walk(reflected(FAREY_FIVE), engines.ENSEMBLE_REFLECTED)):
         engines.observe(farey, FAREY_FIVE, [5, 30], observer, 300, 3)
     assert farey_module._SLOPE_MEMO == {}

@@ -10,6 +10,7 @@ from scipy.stats import binom
 
 from hypwalk import __version__, cli, engines, exact, stats
 from hypwalk.hypgeom import gromov_product
+from hypwalk.models.farey import FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
 from hypwalk.walk import StepDistribution, stream_generator
 
@@ -166,6 +167,14 @@ def test_tilted_is_deterministic_and_thread_independent():
 def test_estimator_validation():
     with pytest.raises(ValueError):
         stats.midpoint_failure_decay(free, UNIFORM, [4], samples=100, seed=1, estimator="magic")
+    # the tilts are derived on the tree; counting runs on SL(2,Z) too
+    farey = FareyModel()
+    farey_law = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
+    with pytest.raises(ValueError, match="tilted"):
+        stats.midpoint_failure_decay(farey, farey_law, [4], samples=100, seed=1)
+    counted = stats.midpoint_failure_decay(farey, farey_law, [4], samples=100, seed=1,
+                                           estimator="frequency")
+    assert counted.series.sample_count == 100
     with pytest.raises(ValueError):
         engines.free_midpoint_tilted(UNIFORM, 5, 10, 1, stats.MIDPOINT_TILTS)
 

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta, norm
 
-from hypwalk import stats
+from hypwalk import engines, stats
 from hypwalk.errors import ElementaryDistributionError
-from hypwalk.models.farey import FareyModel, L, R
+from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.walk import StepDistribution, stream_generator
+from hypwalk.walk import StepDistribution, iterated_decomposition, sample_walk, stream_generator
 
 free = FreeGroupModel()
 farey = FareyModel()
@@ -58,6 +61,34 @@ def test_clopper_pearson_edges():
     assert lo == 0.0 and 0 < hi < 0.05
     lo, hi = stats.clopper_pearson(100, 100, 0.95)
     assert hi == 1.0 and lo > 0.95
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.integers(1, 10 ** 7), share=st.floats(0.0, 1.0),
+       confidence=st.floats(0.5, 0.999999))
+@example(trials=1, share=0.0, confidence=0.95)
+@example(trials=3000, share=0.05, confidence=0.95)
+@example(trials=10 ** 7, share=1.0, confidence=0.999999)
+def test_quantiles_match_scipy_stats_bitwise(trials, share, confidence):
+    # scipy.special's betaincinv and ndtri give exactly scipy.stats' values
+    k = round(share * trials)
+    alpha = 1.0 - confidence
+    lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, trials - k + 1))
+    hi = 1.0 if k == trials else float(beta.ppf(1 - alpha / 2, k + 1, trials - k))
+    assert stats.clopper_pearson(k, trials, confidence) == (lo, hi)
+    q = 0.5 + 0.5 * confidence
+    assert float(stats.ndtri(q)) == float(norm.ppf(q))
+
+
+def test_tilted_interval_uses_the_normal_quantile():
+    d, samples, seed = uniform_free(), 2000, 3
+    res = stats.midpoint_failure_decay(free, d, [10], samples, seed, confidence=0.9)
+    hit, log_w = engines.free_midpoint_tilted(d, 10, samples, seed, stats.MIDPOINT_TILTS)
+    w = np.where(hit, np.exp(log_w), 0.0)
+    p, se = float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples)
+    z = float(norm.ppf(0.95))
+    assert res.series.ci_low == (max(0.0, p - z * se),)
+    assert res.series.ci_high == (p + z * se,)
 
 
 def test_fit_exact_geometric():
@@ -175,6 +206,20 @@ def test_backtrack_trivial_and_tails():
     assert res.series.probabilities == (1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         stats.backtrack_tail(free, det, k=0, n=10, samples=5, seed=1)
+
+
+def test_farey_iterated_increments_match_reference():
+    # Y, X, Z of backtrack, z-sum and bernstein on SL(2,Z), sample by sample
+    d = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
+                         [0.3, 0.2, 0.2, 0.2, 0.1])
+    k, m, samples, seed = 3, 6, 40, 12
+    Y, X, Z = stats._iterated_increments(farey, d, k, m, samples, seed)
+    for i in range(samples):
+        w = sample_walk(farey, d, k * m, seed=seed, stream=i,
+                        ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
+        ref = iterated_decomposition(farey, w, k)
+        for got, want in ((Y, ref.Y), (X, ref.X), (Z, ref.Z)):
+            assert got[:, i].tolist() == want.tolist(), i
 
 
 def test_z_sum_trivial():
