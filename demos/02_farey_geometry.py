@@ -42,7 +42,7 @@ for _ in range(12):
     power = power * g
     dists.append(farey.distance(one, power))
 print("\nd(1, g^m) for g = [[2,1],[1,1]]:", dists)
-print("translation length:", farey.translation_length(g, horizon=64))
+print("translation length:", farey.translation_length(g))
 
 # %% The four-point hyperbolicity defect is small and stable.
 print("\nempirical four-point defect:", estimate_delta(farey, 4000, radius=8, seed=3))

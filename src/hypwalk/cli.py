@@ -119,7 +119,7 @@ def _run_translation_decay(cfg: ExperimentConfig, threads: int):
     model, dist = cfg.step_distribution()
     res = stats.translation_decay(
         model, dist, cfg.B, cfg.n_grid, cfg.samples, cfg.seed,
-        horizon=cfg.horizon, confidence=cfg.confidence, threads=threads,
+        confidence=cfg.confidence, threads=threads,
     )
     summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
     checks = _decay_assertion(res, strict_decrease=True)

@@ -69,6 +69,7 @@ class ExperimentConfig:
     t_grid: list[float] | None = None
     rate_mean: float | None = None
     center_distance: int | None = None
+    # inert: translation lengths are exact; kept for the config digest
     horizon: int = 64
     confidence: float = 0.95
     assert_rate: float | None = None

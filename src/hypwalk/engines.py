@@ -13,10 +13,10 @@ and the Gromov product (u . w)_1 of two states: a common prefix in the
 tree, (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph.  Observers
 fold the states into one statistic per sample through it, so distance and
 the Gromov products are written once for both models; only the classifiers
-(cyclic core, trace class) belong to one model.  `observe` runs a model's
-kernel with an observer over the blocks.  Farey distances follow
-`dist_to_infinity`'s recursion in lockstep over all rows
-(`_dists_to_infinity`), so the engines leave its memo alone.
+(cyclic core; trace class and exact translation length) belong to one
+model.  `observe` runs a model's kernel with an observer over the blocks.
+Farey distances run `dist_to_infinity`'s ladder in lockstep over all rows
+(`_dists_to_infinity`).
 `free_midpoint_tilted` keeps its own step law, which depends on the state,
 on its own stream namespace.
 
@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .models.farey import FareyElement, translation_length
 from .walk import _MASK64, StepDistribution, _stream_key, stream_generator
 
 BLOCK_SIZE = 16384
@@ -271,16 +272,8 @@ def _common_prefix(u, w) -> np.ndarray:
 
 def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """`dist_to_infinity(p, q)` per row for coprime columns p, q (int64 or
-    python ints), all rows in lockstep and without the memo.
-
-    The recursion's two children of (den, r), X = (r, rem) and
-    E = (r + rem, rem), share their two children, so its states form a ladder
-    two wide over the Euclidean remainders.  Going down it, X costs one edge
-    more than the cheaper state above, and E is one edge cheaper than X
-    exactly when the quotient den // r is 1 and E above was not cheaper
-    (otherwise E is no cheaper, and a no-cheaper E never matters).  At r = 1
-    two edges remain (1/den is adjacent to 0, which is adjacent to infinity).
-    """
+    python ints): its two-state ladder down the Euclidean remainders, all
+    rows in lockstep."""
     den = np.abs(q)
     out = (den != 0).astype(np.int64)  # 0 at infinity, 1 at the integers
     live = np.flatnonzero(den > 1)
@@ -376,15 +369,23 @@ def _trace_small(geom, walk):
         yield np.abs(state[0] + state[3]) <= 2
 
 
+def _farey_translation_lengths(geom, walk):
+    for state in walk():
+        # python ints: the period matrices outgrow int64
+        yield np.array([translation_length(FareyElement(*m)) for m in state.T.tolist()])
+
+
 # d(1, w_t)
 DISTANCE = _distances
 # (d(1, w_t), (w_s . w_t)_1) per row, s the previous checkpoint (0 for the
 # first), so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1
 PRODUCT_WITH_PREVIOUS = _products_with_previous
 # the classifiers, one model each: translation length of w_t in the tree
-# (its cyclic core's length), and |trace w_t| <= 2 (w_t is not loxodromic)
+# (its cyclic core's length); on the Farey graph |trace w_t| <= 2 (w_t is not
+# loxodromic: translation length 0) and the exact translation length
 CYCLIC_CORE = _cyclic_cores
 TRACE_SMALL = _trace_small
+FAREY_TRANSLATION_LENGTH = _farey_translation_lengths
 
 
 def center_product(center):

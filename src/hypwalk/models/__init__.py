@@ -23,6 +23,7 @@ from .farey import (
     dist_to_infinity,
     matrix_to_generator_word,
     slope_distance,
+    translation_length as farey_translation_length,
     translation_length_detail,
 )
 from .free import (
@@ -53,6 +54,7 @@ __all__ = [
     "cyclic_reduce",
     "dist_to_infinity",
     "farey_conjugacy_min_length",
+    "farey_translation_length",
     "get_model",
     "matrix_to_generator_word",
     "random_conjugacy_instance",

@@ -16,20 +16,22 @@ to x must therefore pass through m or m+1, giving the exact recursion
 
     d(inf, x) = 1 + min(d(inf, 1/(x - m)), d(inf, 1/(x - m - 1)))
 
-after renormalizing each neighbour to infinity.  Runs of subtractive
-steps produced by large continued-fraction quotients are collapsed in
-closed form, so the memoized recursion runs in time polynomial in the
-number of continued-fraction terms of the target.  A brute-force
-breadth-first search over a denominator-bounded subgraph serves as the
-independent desk-scale oracle (`bounded_bfs_distances`).
+after renormalizing each neighbour to infinity.  With runs of subtractive
+steps collapsed in closed form, the recursion is a ladder two states wide
+over the Euclidean remainders of the target, walked once per slope
+(`dist_to_infinity`).  The same ladder over one period of the eventually
+periodic continued fraction of a hyperbolic element's attracting fixed
+point gives its exact translation length (`translation_length`).  A
+brute-force breadth-first search over a denominator-bounded subgraph
+(`bounded_bfs_distances`) and the horizon estimate
+`translation_length_detail` are the independent desk-scale oracles.
 
 `FareyElement` entries are Python ints, so the scalar API never overflows
 however long a walk runs.  The batch engine (`engines._farey_steps`) keeps
 a block of walks in int64 while an exact bound shows that the next step
 cannot overflow, and finishes the block in Python ints once an entry
-passes it.  Its distances run the recursion above in lockstep over all
-rows (`engines._dists_to_infinity`) without the memo; only the scalar
-functions here fill `_SLOPE_MEMO`.
+passes it.  Its distances run the same ladder in lockstep over all rows
+(`engines._dists_to_infinity`).
 """
 
 from __future__ import annotations
@@ -38,12 +40,9 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable
 
 from .free import ConjugacyResult
-
-_SLOPE_MEMO: Dict[Tuple[int, int], int] = {}
-
 
 @dataclass(frozen=True)
 class Slope:
@@ -149,49 +148,28 @@ R = FareyElement(1, 1, 0, 1)
 L = FareyElement(1, 0, 1, 1)
 
 
-def dist_to_infinity(p: int, q: int, memo: Dict[Tuple[int, int], int] | None = None) -> int:
-    """Exact Farey-graph distance from infinity to the slope p/q.
+def dist_to_infinity(p: int, q: int) -> int:
+    """Exact Farey-graph distance from infinity to the slope p/q (p, q coprime).
 
-    Only depends on q and p mod q (the translation z -> z+1 fixes infinity),
-    and on the class of p mod q up to sign (z -> -z fixes infinity).
+    From (den, r), r = p mod den, the recursion steps to X = (r, rem) in one
+    edge or to E = (r + rem, rem), the end of the subtractive chain of the
+    quotient a, in a - 1 edges; X and E share their children.  Down this
+    ladder X costs one edge more than the cheaper state above, and E is one
+    edge cheaper than X exactly when a is 1 and E above was not cheaper (a
+    no-cheaper E never matters).  At r = 1 two edges remain (1/den - 0 - inf).
     """
-    if q == 0:
-        return 0
-    q = abs(q)
-    res = p % q
-    if res == 0:
-        return 1
-    if memo is None:
-        memo = _SLOPE_MEMO
-
-    def norm(den: int, r: int) -> Tuple[int, int]:
-        return (den, den - r) if r > den - r else (den, r)
-
-    root = norm(q, res)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        den, r = key
-        if r == 1:
-            # 1/den is adjacent to 0, which is adjacent to infinity
-            memo[key] = 2
-            stack.pop()
-            continue
-        a, rem = divmod(den, r)
-        # child A: one continued-fraction step; child E: the end of the
-        # subtractive chain generated by the quotient a, reached in a-1 edges
-        k_a = norm(r, rem)
-        k_e = norm(r + rem, rem)
-        pending = [k for k in (k_a, k_e) if k not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[key] = min(1 + memo[k_a], (a - 1) + memo[k_e])
-        stack.pop()
-    return memo[root]
+    den = abs(q)
+    if den <= 1:
+        return den  # 0 at infinity, 1 at the integers
+    r = p % den
+    cost, cheaper = 0, False  # cost of X; E costs one less than X
+    while r != 1:
+        if r == 0:  # Euclid reached 0 before 1: it would never end
+            raise ValueError("slope columns must be coprime")
+        cost += 1 - cheaper
+        cheaper = den - r < r and not cheaper
+        den, r = r, den % r
+    return cost - cheaper + 2
 
 
 def mobius_to_infinity(s: Slope) -> FareyElement:
@@ -334,6 +312,49 @@ def translation_length_detail(m: FareyElement, horizon: int) -> TranslationLengt
     return TranslationLength(dists[-1] / horizon, False, increments)
 
 
+def translation_length(m: FareyElement) -> float:
+    """Exact stable translation length lim d(1, m^n)/n on the Farey graph.
+
+    0 unless |tr m| = |t| > 2.  Then the attracting fixed point of m is
+    (P + sqrt D)/Q with D = t^2 - 4, P = s(a - d), Q = 2sc, s = sign t; its
+    continued-fraction digits q follow P <- qQ - P, Q <- (D - P^2)/Q and are
+    periodic from the first (P, Q) that repeats.  m is conjugate to +-M^j,
+    M the product of [[q, 1], [1, 0]] over the period (doubled if odd, so
+    det M = 1).  Per digit, `dist_to_infinity`'s ladder is the min-plus
+    matrix [[1, q - 1], [1, q]] on (X, E); over the period their product A
+    grows by its eigenvalue min(A00, A11, (A01 + A10)/2).
+    """
+    t = abs(m.trace())
+    if t <= 2:
+        return 0.0
+    s = 1 if m.trace() > 0 else -1
+    D = t * t - 4
+    root = math.isqrt(D)  # D is not a square: root < sqrt D < root + 1
+    P, Q = s * (m.a - m.d), 2 * s * m.c
+    first, digits = {}, []  # (P, Q) -> index of its digit
+    while (P, Q) not in first:
+        first[P, Q] = len(digits)
+        q = (P + root + (Q < 0)) // Q
+        digits.append(q)
+        P = q * Q - P
+        Q = (D - P * P) // Q
+    period = digits[first[P, Q]:]
+    if len(period) % 2:
+        period += period
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    a00, a01, a10, a11 = 0, math.inf, math.inf, 0
+    for q in period:
+        m00, m01, m10, m11 = m00 * q + m01, m00, m10 * q + m11, m10
+        a00, a01 = min(a00, a01) + 1, min(a00 + q - 1, a01 + q)
+        a10, a11 = min(a10, a11) + 1, min(a10 + q - 1, a11 + q)
+    # t_j = tr(period^j): t_0 = 2, t_1 = tr, t_j = tr * t_(j-1) - t_(j-2)
+    trace, prev, cur, j = m00 + m11, 2, m00 + m11, 1
+    while cur < t:
+        prev, cur, j = cur, trace * cur - prev, j + 1
+    assert cur == t, f"no power of the period matrix has trace {t}"
+    return float(j * min(a00, a11, (a01 + a10) / 2))
+
+
 def matrix_to_generator_word(m: FareyElement) -> list[str]:
     """Express m as a word in R, L and their inverses (not necessarily
     geodesic).  Tokens are "R", "L", "r", "l" with lowercase = inverse."""
@@ -424,8 +445,8 @@ class FareyModel:
     def format(self, g: FareyElement) -> str:
         return g.to_str()
 
-    def translation_length(self, g: FareyElement, horizon: int = 64) -> float:
-        return translation_length_detail(g, horizon).value
+    def translation_length(self, g: FareyElement) -> float:
+        return translation_length(g)
 
     def conjugacy_min_length(self, g: FareyElement) -> ConjugacyResult:
         return conjugacy_min_length(g)

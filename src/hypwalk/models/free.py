@@ -145,10 +145,8 @@ class FreeGroupModel:
     def format(self, g: FreeWord) -> str:
         return g.to_str()
 
-    def translation_length(self, g: FreeWord, horizon: int = 1) -> float:
-        """Exact: the length of the cyclic reduction (horizon is ignored)."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+    def translation_length(self, g: FreeWord) -> float:
+        """Exact: the length of the cyclic reduction."""
         core, _ = cyclic_reduce(g)
         return float(len(core))
 

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.special import betaincinv, ndtri
 
 from . import engines
-from .models.farey import FareyElement, translation_length_detail
 from .walk import StepDistribution, assert_nonelementary, reflected, stream_generator
 
 DEFAULT_CONFIDENCE = 0.95
@@ -191,53 +190,28 @@ def linear_progress_decay(model, dist: StepDistribution, L: float,
 
 def translation_decay(model, dist: StepDistribution, B: float,
                       n_grid: Sequence[int], samples: int, seed: int,
-                      horizon: int = 64, confidence: float = DEFAULT_CONFIDENCE,
+                      confidence: float = DEFAULT_CONFIDENCE,
                       threads: int = 1) -> DecayResult:
-    """P(translation length of w_n <= B) along n_grid.
-
-    Farey with B = 0 uses the exact trace classifier.  Otherwise translation
-    lengths are computed directly; Farey estimates that fail to stabilize
-    within the horizon are counted conservatively (as <= B) and reported.
+    """P(translation length of w_n <= B) along n_grid, all read off one walk
+    per sample.  Exact: the cyclic core's length in the tree; on the Farey
+    graph the trace class at B = 0 (the length is 0 iff |trace| <= 2),
+    otherwise `models.farey.translation_length`.
     """
     if B < 0:
         raise ValueError("B must be >= 0")
     assert_nonelementary(model, dist)
     n_grid = [int(n) for n in n_grid]
-    non_stabilized = {n: 0 for n in n_grid}
     if model.name == "free":
-        taus = engines.observe(model, dist, n_grid, engines.CYCLIC_CORE, samples, seed,
-                               threads=threads)
-        counts = [int(np.sum(taus[n] <= B)) for n in n_grid]
-    elif B == 0:
-        small = engines.observe(model, dist, n_grid, engines.TRACE_SMALL, samples, seed,
-                                threads=threads)
-        counts = [int(small[n].sum()) for n in n_grid]
+        classifier = engines.CYCLIC_CORE
     else:
-        counts = []
-        for n in n_grid:  # one walk of exactly n steps per grid point
-            tau = engines.observe(model, dist, [n], _farey_translation_lengths(horizon),
-                                  samples, seed, threads=threads)[n]
-            non_stabilized[n] = int(np.isnan(tau).sum())
-            # conservative: a length that did not stabilize counts as tau <= B
-            counts.append(non_stabilized[n] + int(np.sum(tau <= B)))
+        classifier = engines.TRACE_SMALL if B == 0 else engines.FAREY_TRANSLATION_LENGTH
+    out = engines.observe(model, dist, n_grid, classifier, samples, seed, threads=threads)
+    # TRACE_SMALL yields whether tau = 0, the others tau itself
+    counts = [int(np.sum(out[n] if classifier is engines.TRACE_SMALL else out[n] <= B))
+              for n in n_grid]
     series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
     fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit,
-                       diagnostics={"B": B, "non_stabilized": non_stabilized})
-
-
-def _farey_translation_lengths(horizon: int):
-    """Observer: `translation_length_detail` of w_t, NaN where it does not
-    stabilize within the horizon."""
-
-    def fold(geom, walk):
-        for state in walk():
-            # python ints: powers of w_t overflow int64
-            details = [translation_length_detail(FareyElement(*m), horizon)
-                       for m in state.T.tolist()]
-            yield np.array([d.value if d.stabilized else np.nan for d in details])
-
-    return fold
+    return DecayResult(series=series, fit=fit, diagnostics={"B": B})
 
 
 # centers of the shadow experiment: powers of one loxodromic per model

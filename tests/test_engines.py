@@ -6,7 +6,8 @@ row for row, and every observer of the step kernels must equal the
 statistic recomputed from `sample_walk` plus the model's `distance`,
 `gromov_product`, translation length or trace.  The Farey kernel's int64
 state must widen to python ints before it can overflow, and the lockstep
-Farey distance must equal the scalar `dist_to_infinity`.
+Farey distance and the scalar `dist_to_infinity` must both equal the
+memoized recursion they replaced (`farey_recursion`).
 """
 
 import math
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from farey_recursion import recursive_dist_to_infinity
 from hypwalk import engines
 from hypwalk.hypgeom import gromov_product
-from hypwalk.models import farey as farey_module
 from hypwalk.models.farey import FareyElement, FareyModel, L, R, dist_to_infinity
 from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
 from hypwalk.walk import StepDistribution, reflected, sample_walk, stream_generator
@@ -184,6 +185,8 @@ OBSERVERS = {
                     lambda m, w, t, s, v: m.translation_length(w[t])),
     "trace_small": (lambda model, dist: engines.TRACE_SMALL,
                     lambda m, w, t, s, v: abs(w[t].trace()) <= 2),
+    "farey_translation_length": (lambda model, dist: engines.FAREY_TRANSLATION_LENGTH,
+                                 lambda m, w, t, s, v: m.translation_length(w[t])),
     "product_with_previous": (
         lambda model, dist: engines.PRODUCT_WITH_PREVIOUS,
         lambda m, w, t, s, v: (m.distance(m.identity(), w[t]),
@@ -199,10 +202,11 @@ OBSERVERS = {
 LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, None),
         "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE),
         "farey_huge": (farey, FAREY_HUGE)}
+FREE_ONLY, FAREY_ONLY = {"cyclic_core"}, {"trace_small", "farey_translation_length"}
 OBSERVER_CASES = (
-    [(name, law_id) for name in OBSERVERS if name != "trace_small"
+    [(name, law_id) for name in OBSERVERS if name not in FAREY_ONLY
      for law_id in ("uniform", "multi", "law40000")]
-    + [(name, law_id) for name in OBSERVERS if name != "cyclic_core"
+    + [(name, law_id) for name in OBSERVERS if name not in FREE_ONLY
        for law_id in ("farey_uniform", "farey_five", "farey_huge")]
 )
 
@@ -300,19 +304,14 @@ def test_lockstep_distance_matches_scalar(bits, data):
     p, q = (np.array(v, dtype=dtype) for v in zip(*cols))
     got = engines._dists_to_infinity(p, q)
     assert got.dtype == np.int64
-    assert got.tolist() == [dist_to_infinity(a, b, {}) for a, b in cols]
+    expected = [recursive_dist_to_infinity(a, b) for a, b in cols]
+    assert got.tolist() == expected
+    assert [dist_to_infinity(a, b) for a, b in cols] == expected
 
 
 def test_lockstep_distance_rejects_non_coprime_columns():
     # 2/4 would reach remainder 0 and never finish
     with pytest.raises(ValueError, match="coprime"):
         engines._dists_to_infinity(np.array([1, 2]), np.array([3, 4]))
-
-
-def test_farey_observers_leave_the_memo_alone(monkeypatch):
-    monkeypatch.setattr(farey_module, "_SLOPE_MEMO", {})
-    for observer in (engines.DISTANCE, engines.TRACE_SMALL, engines.PRODUCT_WITH_PREVIOUS,
-                     engines.center_product(CENTER_FAREY),
-                     engines.product_with_walk(reflected(FAREY_FIVE), engines.ENSEMBLE_REFLECTED)):
-        engines.observe(farey, FAREY_FIVE, [5, 30], observer, 300, 3)
-    assert farey_module._SLOPE_MEMO == {}
+    with pytest.raises(ValueError, match="coprime"):
+        dist_to_infinity(2, 4)

@@ -1,10 +1,14 @@
 """Farey model: slope arithmetic, the distance algorithm against the BFS
-oracle, trace classification, and translation length."""
+oracle, trace classification, and translation length (the exact value
+against the horizon estimate and its algebraic properties)."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypwalk.models.farey import (
     IDENTITY,
@@ -22,6 +26,7 @@ from hypwalk.models.farey import (
     matrix_to_generator_word,
     mobius_to_infinity,
     slope_distance,
+    translation_length,
     translation_length_detail,
 )
 
@@ -156,6 +161,51 @@ def test_anosov_iff_positive_translation_length():
         if not det.stabilized:
             continue
         assert (det.value > 0) == (classify(g) == "pseudo_anosov"), g
+
+
+S = FareyElement(0, -1, 1, 0)
+NEG = FareyElement(-1, 0, 0, -1)
+CAT = FareyElement(2, 1, 1, 1)
+# products of up to 14 generators, S included (odd periods, negative traces)
+elements = st.lists(st.sampled_from([R, L, R.inverse(), L.inverse(), S]), max_size=14).map(
+    lambda gens: reduce(FareyElement.__mul__, gens, IDENTITY))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements)
+@example(S)
+@example(CAT)
+@example(NEG * CAT)
+@example(R * R * R * L)
+def test_exact_translation_length_matches_horizon_estimate(g):
+    tau = translation_length(g)
+    det = translation_length_detail(g, 256)
+    if det.stabilized:
+        assert tau == det.value
+    else:  # only an elliptic element's increments cycle for ever
+        assert abs(g.trace()) < 2 and tau == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements, st.integers(2, 4))
+@example(S, IDENTITY, 2)
+@example(CAT, S, 3)
+def test_exact_translation_length_properties(g, h, k):
+    tau = translation_length(g)
+    assert (tau > 0) == (abs(g.trace()) > 2)
+    assert translation_length(reduce(FareyElement.__mul__, [g] * k)) == k * tau
+    assert translation_length(h * g * h.inverse()) == tau
+    assert translation_length(g.inverse()) == tau
+    assert translation_length(NEG * g) == tau
+    assert model.translation_length(g) == tau
+
+
+def test_exact_translation_length_known_values():
+    assert translation_length(S) == 0.0
+    assert translation_length(R) == 0.0
+    assert translation_length(IDENTITY) == translation_length(NEG) == 0.0
+    assert translation_length(CAT) == 1.0
+    assert translation_length(R * R * L * L) == 2.0
 
 
 def test_word_decomposition_roundtrip():

@@ -98,8 +98,6 @@ def test_cyclic_reduction_and_translation_length():
     assert res.length == 1.0 and res.conjugator == W("aaa") and res.exact
     res2 = model.conjugacy_min_length(W("ab"))
     assert res2.length == 2.0 and res2.conjugator.is_identity()
-    with pytest.raises(ValueError):
-        model.translation_length(W("a"), horizon=0)
 
 
 @settings(max_examples=200, deadline=None)

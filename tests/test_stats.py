@@ -181,12 +181,20 @@ def test_translation_decay_farey_exact_classifier():
     assert res.series.probabilities[0] == direct / 500
 
 
-def test_translation_decay_farey_positive_B_conservative_counting():
-    d = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
-    res = stats.translation_decay(farey, d, B=1.0, n_grid=[4], samples=40,
-                                  seed=4, horizon=32)
-    assert 0.0 <= res.series.probabilities[0] <= 1.0
-    assert "non_stabilized" in res.diagnostics
+def test_translation_decay_farey_positive_B_exact_counting():
+    # a non-uniform law: every grid point is read off one walk of max(n_grid)
+    # steps, and each count is exact, not bounded
+    d = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
+                         [0.3, 0.2, 0.2, 0.2, 0.1])
+    n_grid, samples, seed = [4, 8, 12], 80, 4
+    walks = [sample_walk(farey, d, max(n_grid), seed=seed, stream=i).locations
+             for i in range(samples)]
+    for B in (0.5, 1.0, 2.0):
+        res = stats.translation_decay(farey, d, B=B, n_grid=n_grid, samples=samples,
+                                      seed=seed)
+        direct = [sum(farey.translation_length(w[n]) <= B for w in walks) for n in n_grid]
+        assert res.series.probabilities == tuple(k / samples for k in direct), B
+        assert res.diagnostics == {"B": B}
 
 
 def test_shadow_decay_trivial_radii():
