@@ -17,7 +17,6 @@ from .errors import (
 from .hypgeom import (
     QuasiGeodesicParams,
     Shadow,
-    SpaceDescriptor,
     estimate_delta,
     gromov_product,
     in_shadow,
@@ -65,7 +64,6 @@ __all__ = [
     "QuasiGeodesicParams",
     "Shadow",
     "Slope",
-    "SpaceDescriptor",
     "StepDistribution",
     "TailEstimate",
     "UnsatisfiableConfigError",

@@ -27,22 +27,6 @@ from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
-class SpaceDescriptor:
-    """Hyperbolicity constant and basepoint label of a model's space."""
-
-    delta: float
-    basepoint_label: str
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-
-
-def describe(model) -> SpaceDescriptor:
-    return SpaceDescriptor(delta=model.delta, basepoint_label=model.basepoint_label)
-
-
-@dataclass(frozen=True)
 class Shadow:
     """S_viewpoint(center, radius) = {y : (center . y)_viewpoint >= radius}.
 

@@ -10,6 +10,7 @@ that surface only.
 from __future__ import annotations
 
 from ..errors import PreconditionError
+from ..hypgeom import gromov_product
 from .farey import (
     INFINITY,
     L,
@@ -94,11 +95,6 @@ def check_conjugacy_shadow_conditions(model, g, v, s, slack: float):
     dv = model.distance(one, v)
     dg = model.distance(one, g)
     cond1 = dv >= 0.5 * dg - slack
-
-    def gp(z, x, y):
-        return 0.5 * (model.distance(z, x) + model.distance(z, y) - model.distance(x, y))
-
-    cond2 = gp(one, v, g) >= dv - slack
-    gv = model.multiply(g, v)
-    cond3 = gp(g, gv, one) >= dv - slack
+    cond2 = gromov_product(model, one, v, g) >= dv - slack
+    cond3 = gromov_product(model, g, model.multiply(g, v), one) >= dv - slack
     return cond1, cond2, cond3

@@ -19,12 +19,15 @@ to x must therefore pass through m or m+1, giving the exact recursion
 after renormalizing each neighbour to infinity.  With runs of subtractive
 steps collapsed in closed form, the recursion is a ladder two states wide
 over the Euclidean remainders of the target, walked once per slope
-(`dist_to_infinity`).  The same ladder over one period of the eventually
-periodic continued fraction of a hyperbolic element's attracting fixed
-point gives its exact translation length (`translation_length`).  A
-brute-force breadth-first search over a denominator-bounded subgraph
-(`bounded_bfs_distances`) and the horizon estimate
-`translation_length_detail` are the independent desk-scale oracles.
+(`dist_to_infinity`).  The model distance d(g, h) = d(g*inf, h*inf) is the
+ladder on the first column of g^-1 h, the slope g^-1 h*inf, so it needs no
+Mobius normalisation (`slope_distance` does that for two arbitrary slopes).
+The same ladder over one period of the eventually periodic continued
+fraction of a hyperbolic element's attracting fixed point gives its exact
+translation length (`translation_length`).  A brute-force breadth-first
+search over a denominator-bounded subgraph (`bounded_bfs_distances`) and
+the horizon estimate `translation_length_detail` are the independent
+desk-scale oracles.
 
 `FareyElement` entries are Python ints, so the scalar API never overflows
 however long a walk runs.  The batch engine (`engines._farey_steps`) keeps
@@ -422,7 +425,6 @@ class FareyModel:
     """
 
     name = "farey"
-    basepoint_label = "1/0"
 
     def __init__(self, delta: float = 0.5):
         self.delta = delta
@@ -437,7 +439,8 @@ class FareyModel:
         return g.inverse()
 
     def distance(self, g: FareyElement, h: FareyElement) -> int:
-        return slope_distance(g.apply(INFINITY), h.apply(INFINITY))
+        # d(g*inf, h*inf) = d(inf, g^-1 h*inf): the first column of g^-1 h
+        return dist_to_infinity(g.d * h.a - g.b * h.c, g.a * h.c - g.c * h.a)
 
     def parse(self, text: str) -> FareyElement:
         return FareyElement.from_str(text)
@@ -450,9 +453,6 @@ class FareyModel:
 
     def conjugacy_min_length(self, g: FareyElement) -> ConjugacyResult:
         return conjugacy_min_length(g)
-
-    def classify(self, g: FareyElement) -> str:
-        return classify(g)
 
     def sample_element(self, rng, radius: int) -> FareyElement:
         """A random product of at most `radius` generators (improper distance

@@ -124,7 +124,6 @@ class FreeGroupModel:
 
     name = "free"
     delta = 0.0
-    basepoint_label = "root"
 
     def identity(self) -> FreeWord:
         return FreeWord()

@@ -1,20 +1,26 @@
 """Randomized verification suites for the shadow-geometry predicates.
 
-Each suite draws seeded valid instances of one inclusion/separation
-statement and counts failures; a statement's slack constants are
-existential, so `calibrate_constants` first searches for the smallest
-values (on a half-integer grid, matching the value lattice of both
-models) that produce no counterexample, and the suites then verify at
-those fitted values.
+Each suite is one `trial()` that draws a seeded instance of one
+inclusion/separation statement and returns None for an invalid instance,
+otherwise whether the statement held; `_tally` runs it until it has the
+requested number of valid instances or its draw budget is spent.  A
+statement's slack constants are existential, so `calibrate_constants`
+first searches for the smallest values (on a half-integer grid, matching
+the value lattice of both models) that produce no counterexample, and the
+suites then verify at those fitted values.
 
+Everything that differs between the models is one `_Shape` in `_SHAPES`.
 Free-model instances are built by word surgery (exact membership by
 construction); Farey instances are built by rejection sampling against
 the exact improper metric, with small radii so acceptance stays usable.
+The conjugator suites need the tree's exact conjugacy and run on F2 only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +31,10 @@ from .models import check_conjugacy_shadow_conditions, random_conjugacy_instance
 from .models.free import FreeWord
 
 SLACK_GRID = tuple(x / 2.0 for x in range(0, 13))
+# conjugacy instances g = v s v^-1: |s| in 1..CORE_MAX, |v| in 0..CONJ_MAX
+CORE_MAX = 3
+CONJ_MAX = 20
+_TREE_RADIUS = 20
 
 
 @dataclass
@@ -42,31 +52,23 @@ class SuiteResult:
 # --- instance construction helpers ---
 
 
-def _free_extend(rng, word: FreeWord, extra: int) -> FreeWord:
-    """Append `extra` random letters without cancelling into `word`."""
-    letters = list(word.letters)
-    for _ in range(extra):
-        choices = [x for x in (1, -1, 2, -2) if not letters or x != -letters[-1]]
-        letters.append(choices[int(rng.integers(0, len(choices)))])
-    return FreeWord(letters, _reduced=True)
-
-
-def _shadow_member_free(model, rng, z, x, r: float, noise: int = 6):
+def _shadow_member_tree(model, rng, z, x, r: float):
     """A point of S_z(x, r) in the tree: follow the geodesic z -> x past
-    depth r, then wander without cancelling."""
+    depth r, then wander up to 6 letters without cancelling."""
     u = model.multiply(model.invert(z), x)
     lo = int(np.ceil(max(r, 0.0)))
     if lo > len(u):
         raise UnsatisfiableConfigError("radius exceeds d(z, x); shadow has no such member")
-    depth = int(rng.integers(lo, len(u) + 1))
-    tail = _free_extend(rng, FreeWord(u.letters[:depth], _reduced=True),
-                        int(rng.integers(0, noise + 1)))
-    member = model.multiply(z, tail)
-    return member
+    letters = list(u.letters[:int(rng.integers(lo, len(u) + 1))])
+    for _ in range(int(rng.integers(0, 7))):
+        choices = [x for x in (1, -1, 2, -2) if not letters or x != -letters[-1]]
+        letters.append(choices[int(rng.integers(0, len(choices)))])
+    return model.multiply(z, FreeWord(letters, _reduced=True))
 
 
-def _shadow_member_farey(model, rng, z, x, r: float, tries: int = 40):
-    for t in range(tries):
+def _shadow_member_farey(model, rng, z, x, r: float):
+    """A point of S_z(x, r) by rejection: 40 tries, two of three near x."""
+    for t in range(40):
         if t % 3 < 2:
             # points near x have product against x close to d(z, x)
             y = model.multiply(x, model.sample_element(rng, 3))
@@ -77,31 +79,17 @@ def _shadow_member_farey(model, rng, z, x, r: float, tries: int = 40):
     raise UnsatisfiableConfigError("rejection sampling found no shadow member")
 
 
-def shadow_member(model, rng, z, x, r: float):
-    if model.name == "free":
-        return _shadow_member_free(model, rng, z, x, r)
-    return _shadow_member_farey(model, rng, z, x, r)
+def _far_pair_tree(model, rng, min_d: float):
+    """(z, x) with d(z, x) >= min_d, exactly: x = z u with |u| >= min_d."""
+    z = model.sample_element(rng, _TREE_RADIUS)
+    gap = int(np.ceil(min_d))
+    u = model.sample_word(rng, int(rng.integers(gap, max(gap + 1, _TREE_RADIUS + 1))))
+    return z, model.multiply(z, u)
 
 
-def _suite_radius(model, radius: int) -> int:
-    # Farey instances stay within radius 8: rejection sampling against the
-    # improper metric is only practical at small radii
-    return radius if model.name == "free" else 8
-
-
-def _draw_shadow_radius(model, rng, d: float) -> float:
-    cap = int(d) if model.name == "free" else min(int(d), 4)
-    return float(rng.integers(0, cap + 1))
-
-
-def _random_pair_at_distance(model, rng, min_d: float, radius: int):
-    """(z, x) with d(z, x) >= min_d; exact in the tree, an outward random
-    product in the Farey model (positive drift reaches min_d quickly)."""
-    if model.name == "free":
-        z = model.sample_element(rng, radius)
-        gap = int(np.ceil(min_d))
-        u = model.sample_word(rng, int(rng.integers(gap, max(gap + 1, radius + 1))))
-        return z, model.multiply(z, u)
+def _far_pair_farey(model, rng, min_d: float):
+    """(z, x) with d(z, x) >= min_d by an outward random product (positive
+    drift reaches min_d quickly)."""
     for _ in range(40):
         z = model.sample_element(rng, 4)
         x = z
@@ -112,16 +100,64 @@ def _random_pair_at_distance(model, rng, min_d: float, radius: int):
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
 
 
+class _Shape(NamedTuple):
+    """What the suites draw on one model."""
+
+    radius: int  # instance elements lie within this radius of 1
+    shadow_cap: float  # drawn shadow radii are at most this
+    viewpoint_radius: int  # product-bound viewpoints
+    nest_r_hi: int  # nested-separation radii are drawn below this
+    complement_span: int  # shadow-complement radii span this many values
+    defect_radius: int  # four-point-defect quadruples
+    member: Callable  # (model, rng, z, x, r) -> a point of S_z(x, r)
+    far_pair: Callable  # (model, rng, min_d) -> (z, x), d(z, x) >= min_d
+    tree: bool  # run the conjugator suites
+
+
+_SHAPES = {
+    "free": _Shape(_TREE_RADIUS, math.inf, _TREE_RADIUS, 6, 5, 16,
+                   _shadow_member_tree, _far_pair_tree, True),
+    "farey": _Shape(8, 4, 4, 4, 4, 8, _shadow_member_farey, _far_pair_farey, False),
+}
+
+
+def shadow_member(model, rng, z, x, r: float):
+    return _SHAPES[model.name].member(model, rng, z, x, r)
+
+
+def _draw_shadow_radius(shape: _Shape, rng, d: float) -> float:
+    return float(rng.integers(0, min(int(d), shape.shadow_cap) + 1))
+
+
+def _tally(name: str, instances: int, trial, budget: int, fitted=None) -> SuiteResult:
+    """Run `trial` at most `budget * instances` times, stopping at
+    `instances` valid instances; None from a trial marks an invalid one."""
+    produced = failures = 0
+    for _ in range(budget * instances):
+        if produced == instances:
+            break
+        held = trial()
+        if held is not None:
+            produced += 1
+            failures += not held
+    return SuiteResult(name, produced, failures, fitted or {})
+
+
+def _require_tree(model, suite: str) -> None:
+    if not _SHAPES[model.name].tree:
+        raise UnsatisfiableConfigError(f"{suite} suite runs on the free model")
+
+
 # --- suites ---
 
 
-def gromov_product_suite(model, instances: int, rng, radius: int = 20) -> SuiteResult:
+def gromov_product_suite(model, instances: int, rng) -> SuiteResult:
     """Symmetry, range bounds, the 2*delta inequality, isometry invariance,
     and left-invariance of the metric."""
-    failures = 0
-    radius = _suite_radius(model, radius)
+    radius = _SHAPES[model.name].radius
     two_delta = 2.0 * model.delta
-    for _ in range(instances):
+
+    def trial():
         g, z, x, y, w = (model.sample_element(rng, radius) for _ in range(5))
         gp_xy = gromov_product(model, z, x, y)
         gp_yx = gromov_product(model, z, y, x)
@@ -134,235 +170,207 @@ def gromov_product_suite(model, instances: int, rng, radius: int = 20) -> SuiteR
         ok &= model.distance(x, y) == model.distance(
             model.identity(), model.multiply(model.invert(x), y)
         )
-        failures += not ok
-    return SuiteResult("gromov_product", instances, failures)
+        return ok
+
+    return _tally("gromov_product", instances, trial, 1)
 
 
-def shadow_monotonicity_suite(model, instances: int, rng, radius: int = 20) -> SuiteResult:
-    failures = 0
-    radius = _suite_radius(model, radius)
+def shadow_monotonicity_suite(model, instances: int, rng) -> SuiteResult:
+    shape = _SHAPES[model.name]
     one = model.identity()
-    for _ in range(instances):
-        x = model.sample_element(rng, radius)
+
+    def trial():
+        x = model.sample_element(rng, shape.radius)
         d = model.distance(one, x)
-        r = _draw_shadow_radius(model, rng, d) if d else 0.0
+        r = _draw_shadow_radius(shape, rng, d) if d else 0.0
         try:
-            y = shadow_member(model, rng, one, x, r)
+            y = shape.member(model, rng, one, x, r)
         except UnsatisfiableConfigError:
-            continue
+            return None
         ok = hypgeom.in_shadow(model, Shadow(one, x, r), y)
         r_lower = r - float(rng.integers(0, 4))
         ok &= hypgeom.in_shadow(model, Shadow(one, x, r_lower), y)
-        ok &= hypgeom.in_shadow(model, Shadow(one, x, -1.0), model.sample_element(rng, radius))
-        failures += not ok
-    return SuiteResult("shadow_monotonicity", instances, failures)
+        ok &= hypgeom.in_shadow(model, Shadow(one, x, -1.0),
+                                model.sample_element(rng, shape.radius))
+        return ok
+
+    return _tally("shadow_monotonicity", instances, trial, 1)
 
 
-def product_bound_suite(model, instances: int, rng, radius: int = 20) -> SuiteResult:
+def product_bound_suite(model, instances: int, rng) -> SuiteResult:
     """Two members of a shadow have mutual product >= radius - 2*delta."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
-    viewpoint_radius = radius if model.name == "free" else 4
-    while produced < instances and attempts < 60 * instances:
-        attempts += 1
-        z = model.sample_element(rng, viewpoint_radius)
-        x = model.sample_element(rng, radius)
+    shape = _SHAPES[model.name]
+
+    def trial():
+        z = model.sample_element(rng, shape.viewpoint_radius)
+        x = model.sample_element(rng, shape.radius)
         d = model.distance(z, x)
         if d < 1:
-            continue
-        r = _draw_shadow_radius(model, rng, d)
+            return None
+        r = _draw_shadow_radius(shape, rng, d)
         try:
-            y = shadow_member(model, rng, z, x, r)
-            y2 = shadow_member(model, rng, z, x, r)
+            y = shape.member(model, rng, z, x, r)
+            y2 = shape.member(model, rng, z, x, r)
         except UnsatisfiableConfigError:
-            continue
-        produced += 1
-        failures += not hypgeom.shadow_product_bound_check(model, Shadow(z, x, r), y, y2)
-    return SuiteResult("product_bound", produced, failures)
+            return None
+        return hypgeom.shadow_product_bound_check(model, Shadow(z, x, r), y, y2)
+
+    return _tally("product_bound", instances, trial, 60)
 
 
-def metric_nest_suite(model, instances: int, rng, radius: int = 20) -> SuiteResult:
+def metric_nest_suite(model, instances: int, rng) -> SuiteResult:
     """D-neighbourhood of an r-shadow sits inside the (r - D)-shadow."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
+    shape = _SHAPES[model.name]
     one = model.identity()
-    while produced < instances and attempts < 60 * instances:
-        attempts += 1
-        centers = [model.sample_element(rng, radius)
+
+    def trial():
+        centers = [model.sample_element(rng, shape.radius)
                    for _ in range(int(rng.integers(1, 4)))]
         t = centers[int(rng.integers(0, len(centers)))]
         d = model.distance(one, t)
         if d < 1:
-            continue
-        r = _draw_shadow_radius(model, rng, d)
+            return None
+        r = _draw_shadow_radius(shape, rng, d)
         try:
-            h = shadow_member(model, rng, one, t, r)
+            h = shape.member(model, rng, one, t, r)
         except UnsatisfiableConfigError:
-            continue
+            return None
         hop = int(rng.integers(0, 4))
         probe = model.multiply(h, model.sample_element(rng, hop) if hop else one)
         reach = model.distance(h, probe)
-        produced += 1
-        failures += not hypgeom.verify_metric_nest(model, centers, r, float(reach), probe)
-    return SuiteResult("metric_nest", produced, failures)
+        return hypgeom.verify_metric_nest(model, centers, r, float(reach), probe)
+
+    return _tally("metric_nest", instances, trial, 60)
 
 
-def composition_suite(model, instances: int, rng, radius: int = 20) -> SuiteResult:
+def composition_suite(model, instances: int, rng) -> SuiteResult:
     """The r-shadow of an s-shadow sits inside the min(r,s) - 2*delta shadow."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
+    shape = _SHAPES[model.name]
     one = model.identity()
-    while produced < instances and attempts < 60 * instances:
-        attempts += 1
-        centers = [model.sample_element(rng, radius)
+
+    def trial():
+        centers = [model.sample_element(rng, shape.radius)
                    for _ in range(int(rng.integers(1, 4)))]
         t = centers[int(rng.integers(0, len(centers)))]
         d = model.distance(one, t)
         if d < 1:
-            continue
-        s = _draw_shadow_radius(model, rng, d)
+            return None
+        s = _draw_shadow_radius(shape, rng, d)
         try:
-            mid = shadow_member(model, rng, one, t, s)
-            r = _draw_shadow_radius(model, rng, model.distance(one, mid))
-            probe = shadow_member(model, rng, one, mid, r)
+            mid = shape.member(model, rng, one, t, s)
+            r = _draw_shadow_radius(shape, rng, model.distance(one, mid))
+            probe = shape.member(model, rng, one, mid, r)
         except UnsatisfiableConfigError:
-            continue
-        produced += 1
-        failures += not hypgeom.shadow_composition_check(model, centers, s, r, probe)
-    return SuiteResult("shadow_composition", produced, failures)
+            return None
+        return hypgeom.shadow_composition_check(model, centers, s, r, probe)
+
+    return _tally("shadow_composition", instances, trial, 60)
 
 
-def nested_separation_suite(model, instances: int, rng, slack: float,
-                            radius: int = 20) -> SuiteResult:
+def nested_separation_suite(model, instances: int, rng, slack: float) -> SuiteResult:
     """Members of S_z(x, r) sit at distance >= gap from non-members of
     S_z(x, r - gap - slack)."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
-    r_hi = 6 if model.name == "free" else 4
-    while produced < instances and attempts < 120 * instances:
-        attempts += 1
+    shape = _SHAPES[model.name]
+
+    def trial():
         gap = float(rng.integers(1, 4))
-        r = float(rng.integers(1, r_hi))
+        r = float(rng.integers(1, shape.nest_r_hi))
         try:
-            z, x = _random_pair_at_distance(model, rng, gap + r + 2 * slack, radius)
-            a_pt = shadow_member(model, rng, z, x, r)
+            z, x = shape.far_pair(model, rng, gap + r + 2 * slack)
+            a_pt = shape.member(model, rng, z, x, r)
         except UnsatisfiableConfigError:
-            continue
-        b_pt = model.sample_element(rng, radius)
+            return None
+        b_pt = model.sample_element(rng, shape.radius)
         try:
-            ok = hypgeom.verify_nested_shadow_separation(
+            return hypgeom.verify_nested_shadow_separation(
                 model, z, x, r, gap, a_pt, b_pt, slack=slack
             )
         except PreconditionError:
-            continue  # b_pt landed inside the inner shadow; not a valid instance
-        produced += 1
-        failures += not ok
-    return SuiteResult("nested_separation", produced, failures, fitted={"slack": slack})
+            return None  # b_pt landed inside the inner shadow
+
+    return _tally("nested_separation", instances, trial, 120, fitted={"slack": slack})
 
 
 def basepoint_change_suite(model, instances: int, rng, product_slack: float,
-                           radius_slack: float, radius: int = 20) -> SuiteResult:
+                           radius_slack: float) -> SuiteResult:
     """S_z(x, r) lands inside S_y(x, d(x,y) - d(x,z) + r - radius_slack)
     whenever (x . y)_z <= r - product_slack."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
-    while produced < instances and attempts < 120 * instances:
-        attempts += 1
-        z = model.sample_element(rng, radius)
-        x = model.sample_element(rng, radius)
-        y = model.sample_element(rng, radius)
+    shape = _SHAPES[model.name]
+
+    def trial():
+        z, x, y = (model.sample_element(rng, shape.radius) for _ in range(3))
         d = model.distance(z, x)
         if d < 1:
-            continue
-        r = max(1.0, _draw_shadow_radius(model, rng, d))
+            return None
+        r = max(1.0, _draw_shadow_radius(shape, rng, d))
         if gromov_product(model, z, x, y) > r - product_slack:
-            continue
+            return None
         try:
-            probe = shadow_member(model, rng, z, x, r)
-            ok = hypgeom.verify_basepoint_change(
+            probe = shape.member(model, rng, z, x, r)
+            return hypgeom.verify_basepoint_change(
                 model, x, y, z, r, probe,
                 product_slack=product_slack, radius_slack=radius_slack,
             )
         except (UnsatisfiableConfigError, PreconditionError):
-            continue
-        produced += 1
-        failures += not ok
-    return SuiteResult("basepoint_change", produced, failures,
-                       fitted={"product_slack": product_slack,
-                               "radius_slack": radius_slack})
+            return None
+
+    return _tally("basepoint_change", instances, trial, 120,
+                  fitted={"product_slack": product_slack, "radius_slack": radius_slack})
 
 
-def shadow_complement_suite(model, instances: int, rng, slack: float,
-                            radius: int = 20) -> SuiteResult:
+def shadow_complement_suite(model, instances: int, rng, slack: float) -> SuiteResult:
     """The complement of S_z(x, r) is squeezed between two shadows from x."""
-    failures = 0
-    produced = 0
-    attempts = 0
-    radius = _suite_radius(model, radius)
-    r_span = 5 if model.name == "free" else 4
-    while produced < instances and attempts < 120 * instances:
-        attempts += 1
-        r = float(rng.integers(int(np.ceil(slack)), int(np.ceil(slack)) + r_span))
+    shape = _SHAPES[model.name]
+    r_lo = int(np.ceil(slack))
+
+    def trial():
+        r = float(rng.integers(r_lo, r_lo + shape.complement_span))
         try:
-            z, x = _random_pair_at_distance(model, rng, r + 2 * slack, radius)
+            z, x = shape.far_pair(model, rng, r + 2 * slack)
         except UnsatisfiableConfigError:
-            continue
-        probe = model.sample_element(rng, radius)
+            return None
+        probe = model.sample_element(rng, shape.radius)
         try:
-            ok = hypgeom.verify_shadow_complement(model, x, z, r, probe, slack=slack)
+            return hypgeom.verify_shadow_complement(model, x, z, r, probe, slack=slack)
         except PreconditionError:
-            continue
-        produced += 1
-        failures += not ok
-    return SuiteResult("shadow_complement", produced, failures, fitted={"slack": slack})
+            return None
+
+    return _tally("shadow_complement", instances, trial, 120, fitted={"slack": slack})
 
 
-def quasigeodesic_suite(model, instances: int, rng, core_max: int = 3,
-                        conj_max: int = 20) -> SuiteResult:
+def _prefixes(w: FreeWord) -> list[FreeWord]:
+    return [FreeWord(w.letters[:i], _reduced=True) for i in range(1, len(w) + 1)]
+
+
+def quasigeodesic_suite(model, instances: int, rng) -> SuiteResult:
     """Shortest-conjugator paths 1 -> v -> vs -> vsv^-1 are quasigeodesics;
     in the tree they are genuine geodesics, so (K, c) = (1, 0) fits."""
-    if model.name != "free":
-        raise UnsatisfiableConfigError("quasigeodesic suite runs on the free model")
+    _require_tree(model, "quasigeodesic")
     params = QuasiGeodesicParams(K=1.0, c=0.0)
-    failures = 0
-    for _ in range(instances):
-        g, v, s = random_conjugacy_instance(model, rng, core_max, conj_max)
-        path = [model.identity()]
-        for i in range(1, len(v) + 1):
-            path.append(FreeWord(v.letters[:i], _reduced=True))
+
+    def trial():
+        g, v, s = random_conjugacy_instance(model, rng, CORE_MAX, CONJ_MAX)
         vs = model.multiply(v, s)
-        for i in range(1, len(s) + 1):
-            path.append(model.multiply(v, FreeWord(s.letters[:i], _reduced=True)))
-        vinv = model.invert(v)
-        for i in range(1, len(v) + 1):
-            path.append(model.multiply(vs, FreeWord(vinv.letters[:i], _reduced=True)))
-        failures += not hypgeom.quasigeodesic_check(model, path, params)
-    return SuiteResult("quasigeodesic_conjugator", instances, failures,
-                       fitted={"K": 1.0, "c": 0.0})
+        path = [model.identity(), *_prefixes(v),
+                *(model.multiply(v, p) for p in _prefixes(s)),
+                *(model.multiply(vs, p) for p in _prefixes(model.invert(v)))]
+        return hypgeom.quasigeodesic_check(model, path, params)
+
+    return _tally("quasigeodesic_conjugator", instances, trial, 1,
+                  fitted={"K": 1.0, "c": 0.0})
 
 
-def conjugacy_suite(model, instances: int, rng, slack: float = 2.0,
-                    core_max: int = 3, conj_max: int = 20) -> SuiteResult:
+def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResult:
     """tau = conjugacy-minimal length exactly in the tree, and the three
     conjugator shadow conditions hold at the given slack.  Also reports the
     smallest slack that would have sufficed for the sampled instances."""
-    if model.name != "free":
-        raise UnsatisfiableConfigError("conjugacy suite runs on the free model")
-    failures = 0
-    needed = 0.0
+    _require_tree(model, "conjugacy")
     one = model.identity()
-    for _ in range(instances):
-        g, v, s = random_conjugacy_instance(model, rng, core_max, conj_max)
+    needed = 0.0
+
+    def trial():
+        nonlocal needed
+        g, v, s = random_conjugacy_instance(model, rng, CORE_MAX, CONJ_MAX)
         res = model.conjugacy_min_length(g)
         ok = res.length == model.translation_length(g)
         ok &= res.length == len(s)
@@ -376,9 +384,11 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0,
             dv - gromov_product(model, one, v, g),
             dv - gromov_product(model, g, model.multiply(g, v), one),
         )
-        failures += not ok
-    return SuiteResult("conjugacy_shadow_conditions", instances, failures,
-                       fitted={"slack": slack, "smallest_sufficient": max(0.0, needed)})
+        return ok
+
+    result = _tally("conjugacy_shadow_conditions", instances, trial, 1)
+    result.fitted = {"slack": slack, "smallest_sufficient": max(0.0, needed)}
+    return result
 
 
 # --- calibration ---
@@ -387,44 +397,36 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0,
 def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, float]:
     """Smallest slack values on the half-integer grid at which each suite
     has zero failures over `instances` seeded trials."""
-    fitted: dict[str, float] = {}
 
-    def search(name, run_at):
+    def search(name, run_at) -> float:
         for slack in SLACK_GRID:
-            rng = np.random.default_rng(seed)
             try:
-                result = run_at(slack, rng)
+                result = run_at(slack, np.random.default_rng(seed))
             except UnsatisfiableConfigError:
                 continue
             if result.passed:
-                fitted[name] = slack
-                return
+                return slack
         raise UnsatisfiableConfigError(f"no slack on {SLACK_GRID} fits {name}")
 
-    search("nested_separation",
-           lambda s, rng: nested_separation_suite(model, instances, rng, slack=s))
-    search("shadow_complement",
-           lambda s, rng: shadow_complement_suite(model, instances, rng, slack=s))
-
-    for slack in SLACK_GRID:
-        rng = np.random.default_rng(seed)
-        result = basepoint_change_suite(model, instances, rng,
-                                        product_slack=slack, radius_slack=slack)
-        if result.passed:
-            fitted["basepoint_product_slack"] = slack
-            fitted["basepoint_radius_slack"] = slack
-            break
-    else:
-        raise UnsatisfiableConfigError("no slack fits basepoint change")
-
+    shape = _SHAPES[model.name]
+    fitted = {
+        "nested_separation": search(
+            "nested_separation",
+            lambda s, rng: nested_separation_suite(model, instances, rng, slack=s)),
+        "shadow_complement": search(
+            "shadow_complement",
+            lambda s, rng: shadow_complement_suite(model, instances, rng, slack=s)),
+    }
+    fitted["basepoint_product_slack"] = fitted["basepoint_radius_slack"] = search(
+        "basepoint_change",
+        lambda s, rng: basepoint_change_suite(model, instances, rng,
+                                              product_slack=s, radius_slack=s))
     fitted["four_point_defect"] = hypgeom.estimate_delta(
-        model, max(1000, instances), radius=8 if model.name == "farey" else 16,
-        seed=seed,
+        model, max(1000, instances), radius=shape.defect_radius, seed=seed,
     )
-    if model.name == "free":
-        rng = np.random.default_rng(seed)
+    if shape.tree:
         fitted["conjugator_slack"] = conjugacy_suite(
-            model, instances, rng, slack=6.0
+            model, instances, np.random.default_rng(seed), slack=6.0
         ).fitted["smallest_sufficient"]
     return fitted
 
@@ -450,7 +452,7 @@ def run_all_suites(model, instances: int, seed: int,
         shadow_complement_suite(model, instances, rng,
                                 slack=constants["shadow_complement"]),
     ]
-    if model.name == "free":
+    if _SHAPES[model.name].tree:
         results.append(quasigeodesic_suite(model, instances, rng))
         results.append(conjugacy_suite(model, instances, rng, slack=2.0))
     return results

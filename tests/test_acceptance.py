@@ -85,8 +85,8 @@ def test_criterion_02_translation_conjugacy_identity():
             if free.distance(one, p) != 2 * tau + 2 * len(res.conjugator):
                 mismatches += 1
 
-    conj = suites.conjugacy_suite(free, 10_000, np.random.default_rng(2025),
-                                  slack=2.0, core_max=3, conj_max=20)
+    assert (suites.CORE_MAX, suites.CONJ_MAX) == (3, 20)
+    conj = suites.conjugacy_suite(free, 10_000, np.random.default_rng(2025), slack=2.0)
     fitted = conj.fitted["smallest_sufficient"]
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and conj.failures == 0 and fitted <= 2.0

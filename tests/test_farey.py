@@ -200,6 +200,25 @@ def test_exact_translation_length_properties(g, h, k):
     assert model.translation_length(g) == tau
 
 
+# products of up to 6 powers R^k, L^k (|k| < 2^40) and S: entries run far past 2^63
+wide_elements = st.lists(
+    st.one_of(st.integers(-2**40, 2**40).map(lambda k: FareyElement(1, k, 0, 1)),
+              st.integers(-2**40, 2**40).map(lambda k: FareyElement(1, 0, k, 1)),
+              st.just(S)),
+    max_size=6,
+).map(lambda gens: reduce(FareyElement.__mul__, gens, IDENTITY))
+BIG = FareyElement(1, 0, 2**70, 1) * FareyElement(1, 3**50, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(elements, wide_elements), st.one_of(elements, wide_elements))
+@example(IDENTITY, R)  # the improper zero d(1, R) = 0
+@example(BIG, BIG * R)
+@example(BIG, CAT * BIG.inverse())
+def test_model_distance_is_the_slope_distance(g, h):
+    assert model.distance(g, h) == slope_distance(g.apply(INFINITY), h.apply(INFINITY))
+
+
 def test_exact_translation_length_known_values():
     assert translation_length(S) == 0.0
     assert translation_length(R) == 0.0

@@ -140,10 +140,3 @@ def test_estimate_delta_deterministic():
     a = hypgeom.estimate_delta(farey, 400, 6, seed=7)
     b = hypgeom.estimate_delta(farey, 400, 6, seed=7)
     assert a == b
-
-
-def test_space_descriptor():
-    d = hypgeom.describe(free)
-    assert d.delta == 0.0 and d.basepoint_label == "root"
-    with pytest.raises(ValueError):
-        hypgeom.SpaceDescriptor(delta=-1.0, basepoint_label="x")

@@ -16,6 +16,145 @@ from hypwalk.suites import (
 free = get_model("free")
 farey = get_model("farey")
 
+# (name, instances, failures, fitted) of run_all_suites(model, 150, seed) and
+# calibrate_constants(model, seed, 150), recorded before the suites were
+# rewritten as trials; failure counts are pinned as they came
+SUITE_PINS = {
+    ('free', 3): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 0, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+            ("quasigeodesic_conjugator", 150, 0, {"K": 1.0, "c": 0.0}),
+            ("conjugacy_shadow_conditions", 150, 0, {"slack": 2.0, "smallest_sufficient": 1.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 0.5,
+            "basepoint_radius_slack": 0.5,
+            "four_point_defect": 0.0,
+            "conjugator_slack": 1.5,
+        },
+    ),
+    ('farey', 3): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 2, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 0.5,
+            "basepoint_radius_slack": 0.5,
+            "four_point_defect": 0.5,
+        },
+    ),
+    ('free', 7): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 0, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+            ("quasigeodesic_conjugator", 150, 0, {"K": 1.0, "c": 0.0}),
+            ("conjugacy_shadow_conditions", 150, 0, {"slack": 2.0, "smallest_sufficient": 1.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 0.5,
+            "basepoint_radius_slack": 0.5,
+            "four_point_defect": 0.0,
+            "conjugator_slack": 1.5,
+        },
+    ),
+    ('farey', 7): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 0, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 1.0,
+            "basepoint_radius_slack": 1.0,
+            "four_point_defect": 0.5,
+        },
+    ),
+    ('free', 11): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 1, {"product_slack": 0.0, "radius_slack": 0.0}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+            ("quasigeodesic_conjugator", 150, 0, {"K": 1.0, "c": 0.0}),
+            ("conjugacy_shadow_conditions", 150, 0, {"slack": 2.0, "smallest_sufficient": 1.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 0.0,
+            "basepoint_radius_slack": 0.0,
+            "four_point_defect": 0.0,
+            "conjugator_slack": 1.5,
+        },
+    ),
+    ('farey', 11): (
+        [
+            ("gromov_product", 150, 0, {}),
+            ("shadow_monotonicity", 150, 0, {}),
+            ("product_bound", 150, 0, {}),
+            ("metric_nest", 150, 0, {}),
+            ("shadow_composition", 150, 0, {}),
+            ("nested_separation", 150, 0, {"slack": 0.0}),
+            ("basepoint_change", 150, 0, {"product_slack": 1.0, "radius_slack": 1.0}),
+            ("shadow_complement", 150, 0, {"slack": 0.5}),
+        ],
+        {
+            "nested_separation": 0.0,
+            "shadow_complement": 0.5,
+            "basepoint_product_slack": 0.5,
+            "basepoint_radius_slack": 0.5,
+            "four_point_defect": 0.5,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(SUITE_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_suites_and_calibration_match_recorded_results(key):
+    name, seed = key
+    model = get_model(name)
+    battery, constants = SUITE_PINS[key]
+    results = run_all_suites(model, 150, seed=seed)
+    assert [(r.name, r.instances, r.failures, r.fitted) for r in results] == battery
+    assert calibrate_constants(model, seed=seed, instances=150) == constants
+
 
 def test_calibration_deterministic_and_exact_for_tree():
     c1 = calibrate_constants(free, seed=33, instances=300)
