@@ -151,6 +151,35 @@ R = FareyElement(1, 1, 0, 1)
 L = FareyElement(1, 0, 1, 1)
 
 
+def random_product_entries(rng, radius: int,
+                           entries: tuple[int, int, int, int] = (1, 0, 0, 1)
+                           ) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of [[a, b], [c, d]] times a product of
+    `rng.integers(0, radius + 1)` generators, each drawn by one scalar
+    `rng.integers(0, 4)` from (R, L, R^-1, L^-1).
+
+    The product is kept in four Python ints and checks no determinant; the
+    caller builds one `FareyElement` from the result.
+    """
+    a, b, c, d = entries
+    integers = rng.integers
+    for _ in range(int(integers(0, radius + 1))):
+        k = int(integers(0, 4))
+        if k == 0:  # times R = [[1, 1], [0, 1]]
+            b += a
+            d += c
+        elif k == 1:  # times L = [[1, 0], [1, 1]]
+            a += b
+            c += d
+        elif k == 2:  # times R^-1
+            b -= a
+            d -= c
+        else:  # times L^-1
+            a -= b
+            c -= d
+    return a, b, c, d
+
+
 def dist_to_infinity(p: int, q: int) -> int:
     """Exact Farey-graph distance from infinity to the slope p/q (p, q coprime).
 
@@ -456,12 +485,8 @@ class FareyModel:
 
     def sample_element(self, rng, radius: int) -> FareyElement:
         """A random product of at most `radius` generators (improper distance
-        from the identity is then at most `radius`)."""
+        from the identity is then at most `radius`), multiplied in four
+        Python ints (`random_product_entries`) and checked once."""
         if radius < 1:
             raise ValueError("radius must be >= 1")
-        gens = (R, L, R.inverse(), L.inverse())
-        length = int(rng.integers(0, radius + 1))
-        out = IDENTITY
-        for _ in range(length):
-            out = out * gens[int(rng.integers(0, 4))]
-        return out
+        return FareyElement(*random_product_entries(rng, radius))

@@ -17,6 +17,35 @@ _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
 GENERATOR_LETTERS = (1, -1, 2, -2)
 
 
+# _FOLLOWERS[x][k]: the k-th letter of GENERATOR_LETTERS that does not cancel x
+_FOLLOWERS = {x: tuple(y for y in GENERATOR_LETTERS if y != -x) for x in GENERATOR_LETTERS}
+
+
+def random_reduced_letters(rng, length: int, last: int | None = None) -> list[int]:
+    """`length` letters of a uniform non-backtracking walk after the letter
+    `last` (None: from the identity).
+
+    A walk from the identity draws its first letter with one scalar
+    `rng.integers(0, 4)`; every further letter is one of the three that do
+    not cancel its predecessor, all drawn by one `rng.integers(0, 3,
+    size=...)`.  numpy's bounded draw takes one 32-bit word per value in
+    both forms, so this gives the same letters and leaves the same generator
+    state as one scalar call per letter.
+    """
+    letters: list[int] = []
+    if length <= 0:
+        return letters
+    if last is None:
+        last = GENERATOR_LETTERS[int(rng.integers(0, 4))]
+        letters.append(last)
+        length -= 1
+    if length:
+        for k in rng.integers(0, 3, size=length).tolist():
+            last = _FOLLOWERS[last][k]
+            letters.append(last)
+    return letters
+
+
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence (cancel adjacent inverse pairs)."""
     out: list[int] = []
@@ -161,14 +190,9 @@ class FreeGroupModel:
         return self.sample_word(rng, length)
 
     def sample_word(self, rng, length: int) -> FreeWord:
-        """A uniformly random reduced word of exactly the given length."""
-        if length == 0:
-            return FreeWord()
-        letters = [GENERATOR_LETTERS[int(rng.integers(0, 4))]]
-        for _ in range(length - 1):
-            choices = [x for x in GENERATOR_LETTERS if x != -letters[-1]]
-            letters.append(choices[int(rng.integers(0, 3))])
-        return FreeWord(letters, _reduced=True)
+        """A uniformly random reduced word of exactly the given length, drawn
+        in at most two RNG calls (`random_reduced_letters`)."""
+        return FreeWord(random_reduced_letters(rng, length), _reduced=True)
 
 
 def random_conjugacy_instance(model: FreeGroupModel, rng, core_max: int, conj_max: int):
@@ -196,5 +220,5 @@ def words_of_length(length: int) -> Sequence[FreeWord]:
         return [FreeWord()]
     out = [(x,) for x in GENERATOR_LETTERS]
     for _ in range(length - 1):
-        out = [w + (x,) for w in out for x in GENERATOR_LETTERS if x != -w[-1]]
+        out = [w + (x,) for w in out for x in _FOLLOWERS[w[-1]]]
     return [FreeWord(w, _reduced=True) for w in out]

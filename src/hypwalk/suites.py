@@ -14,6 +14,12 @@ Free-model instances are built by word surgery (exact membership by
 construction); Farey instances are built by rejection sampling against
 the exact improper metric, with small radii so acceptance stays usable.
 The conjugator suites need the tree's exact conjugacy and run on F2 only.
+
+Instances come from the models' scalar samplers, which draw a free word
+in two RNG calls and a Farey product in four Python ints; the helpers
+here continue those walks the same way (the tree wander, the Farey far
+pair), so every draw matches the per-letter, per-generator samplers of
+`tests/scalar_samplers.py` value for value.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from . import hypgeom
 from .errors import PreconditionError, UnsatisfiableConfigError
 from .hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from .models import check_conjugacy_shadow_conditions, random_conjugacy_instance
-from .models.free import FreeWord
+from .models.farey import FareyElement, dist_to_infinity, random_product_entries
+from .models.free import FreeWord, random_reduced_letters
 
 SLACK_GRID = tuple(x / 2.0 for x in range(0, 13))
 # conjugacy instances g = v s v^-1: |s| in 1..CORE_MAX, |v| in 0..CONJ_MAX
@@ -60,9 +67,8 @@ def _shadow_member_tree(model, rng, z, x, r: float):
     if lo > len(u):
         raise UnsatisfiableConfigError("radius exceeds d(z, x); shadow has no such member")
     letters = list(u.letters[:int(rng.integers(lo, len(u) + 1))])
-    for _ in range(int(rng.integers(0, 7))):
-        choices = [x for x in (1, -1, 2, -2) if not letters or x != -letters[-1]]
-        letters.append(choices[int(rng.integers(0, len(choices)))])
+    wander = int(rng.integers(0, 7))
+    letters += random_reduced_letters(rng, wander, letters[-1] if letters else None)
     return model.multiply(z, FreeWord(letters, _reduced=True))
 
 
@@ -89,14 +95,19 @@ def _far_pair_tree(model, rng, min_d: float):
 
 def _far_pair_farey(model, rng, min_d: float):
     """(z, x) with d(z, x) >= min_d by an outward random product (positive
-    drift reaches min_d quickly)."""
+    drift reaches min_d quickly).
+
+    x = z u grows u by one `sample_element(rng, 2)` product a step, kept
+    as four ints; d(z, x) is the ladder on u's first column, the value
+    `FareyModel.distance(z, x)` computes, and x is built once.
+    """
     for _ in range(40):
         z = model.sample_element(rng, 4)
-        x = z
+        u = (1, 0, 0, 1)
         for _ in range(12 * max(1, int(min_d))):
-            x = model.multiply(x, model.sample_element(rng, 2))
-            if model.distance(z, x) >= min_d:
-                return z, x
+            u = random_product_entries(rng, 2, u)
+            if dist_to_infinity(u[0], u[2]) >= min_d:
+                return z, model.multiply(z, FareyElement(*u))
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
 
 

@@ -13,6 +13,12 @@ translation length replaced the horizon estimate: their summaries lost the
 `non_stabilized` diagnostic and are otherwise equal, and their series
 digests are the original ones.  The package version is masked in
 summary.json, so a version bump alone does not break the pins.
+
+`SUITE_GOLDENS` pin `props` and `calibrate` on both models the same way.
+They were recorded while the instance samplers still drew one RNG value
+per letter or generator step, before those draws were batched; the two
+`props` seeds are ones where a suite fails, so the pins also hold the
+failure counts and the exit code 4.
 """
 
 import hashlib
@@ -137,16 +143,39 @@ GOLDENS = [
 ]
 
 
+# (id, subcommand, config without output_path, exit code, series digest,
+# summary digest); props and calibrate read only the model from the law
+SUITE_GOLDENS = [
+    ("props-free", "props",
+     {"model": "free", "distribution": FREE_UNIFORM, "seed": 12345678901234567,
+      "samples": 200}, 4,
+     "453e2655a328a64d0631ed25dbef734bec587e21cdf49644f45506bfeb7c4b22",
+     "d163e2b7333a3bb8acd0a78e674f7fddea34f76f94c1a7a1de7d28fffbb45516"),
+    ("props-farey", "props",
+     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 34, "samples": 200}, 4,
+     "e21a36cdddc053b074cb0c585cbeeee6826822f172240061712377735da2f63b",
+     "b7672785af24d4d064d3d10fe4c7f5cf154a02164e8a3579e819370843c832eb"),
+    ("calibrate-free", "calibrate",
+     {"model": "free", "distribution": FREE_UNIFORM, "seed": 33, "samples": 200}, 0,
+     "b7b547cedb9b880fd4db9e00b749dcbf1c4dfd5ddf25811897df3bc719c0edd2",
+     "97e62ce4465fb421d86c3e3a0bf0b5640307219d1a399173037d12cd5b450a6c"),
+    ("calibrate-farey", "calibrate",
+     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 35, "samples": 200}, 0,
+     "7d85bb1bfacf64eff9a90688e318b9be76c880207973651854c37759b25b1f3c",
+     "706ee8379ec5a3d8ef2b60a46943a8c1df3e09c0d2c3538e2d607158e31b3acb"),
+]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_config(subcommand: str, config: dict) -> tuple[str, str]:
+def run_config(subcommand: str, config: dict, exit_code: int = 0) -> tuple[str, str]:
     """(series digest, summary digest) of one CLI run in the working
     directory; the relative output_path keeps the config digest fixed."""
     with open("cfg.json", "w") as fh:
         json.dump(dict(config, output_path="out"), fh)
-    assert cli.main([subcommand, "--config", "cfg.json"]) == 0
+    assert cli.main([subcommand, "--config", "cfg.json"]) == exit_code
     with open("out/series.csv") as fh:
         series = fh.read()
     with open("out/summary.json") as fh:
@@ -162,3 +191,11 @@ def test_cli_output_unchanged(name, subcommand, config, series, summary, tmp_pat
                               monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_config(subcommand, config) == (series, summary)
+
+
+@pytest.mark.parametrize("name,subcommand,config,exit_code,series,summary", SUITE_GOLDENS,
+                         ids=[g[0] for g in SUITE_GOLDENS])
+def test_suite_cli_output_unchanged(name, subcommand, config, exit_code, series, summary,
+                                    tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_config(subcommand, config, exit_code) == (series, summary)
