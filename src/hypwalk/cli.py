@@ -11,10 +11,12 @@ config's output_path:
                  (wall time varies, so the manifest is excluded from the
                  reproducibility contract)
 
-Exit codes: 0 success, 2 malformed config or --threads below 1, 3
-precondition failure (for example an elementary step distribution), 4
-statistical assertion failure when --assert is passed.  Errors print one
-machine-parsable line to stderr: "hypwalk: error code=<n> reason=<text>".
+Exit codes: 0 success, 2 malformed config (including NaN, Infinity or
+an out-of-range number such as 1e400 anywhere in it, or samples above
+2^48) or --threads below 1, 3 precondition failure (for example an
+elementary step distribution), 4 statistical assertion failure when
+--assert is passed.  Errors print one machine-parsable line to stderr:
+"hypwalk: error code=<n> reason=<text>".
 
 CSV schemas (floats printed with 17 significant digits):
   drift                n,rate,ci_low,ci_high

@@ -8,9 +8,10 @@ reruns.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
 from typing import Any
 
 from .errors import ConfigError
@@ -48,9 +49,10 @@ REQUIRED_FIELDS = {
 }
 
 _MAX_SEED = (1 << 64) - 1
+_MAX_SAMPLES = 1 << 48  # sample indices have 48 bits in walk._stream_key
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     model: str
     distribution: list[tuple[str, float]]
@@ -74,24 +76,10 @@ class ExperimentConfig:
     confidence: float = 0.95
     assert_rate: float | None = None
     assert_rate_tol: float | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     def canonical_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "model": self.model,
-            "distribution": [[e, w] for e, w in self.distribution],
-            "seed": self.seed,
-            "samples": self.samples,
-            "output_path": self.output_path,
-            "horizon": self.horizon,
-            "confidence": self.confidence,
-        }
-        for key in ("n", "n_grid", "k", "B", "L", "L_factor", "epsilon",
-                    "epsilon_factor", "r_grid", "t_grid", "rate_mean",
-                    "center_distance", "assert_rate", "assert_rate_tol"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        out = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        out["distribution"] = [[e, w] for e, w in self.distribution]
         return out
 
     def canonical_text(self) -> str:
@@ -130,19 +118,57 @@ class ExperimentConfig:
             raise ConfigError(violations)
 
 
-def _check_grid(errors: list[str], name: str, grid, numeric=(int, float)) -> list | None:
-    if grid is None:
+def _number(value, kind):
+    """`value` as a finite `kind` (int or float), or None if it is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
         return None
-    if not isinstance(grid, list) or not grid:
-        errors.append(f"{name} must be a non-empty list")
+    try:
+        value = kind(value)
+    except OverflowError:  # an int beyond the float range
         return None
-    if not all(isinstance(x, numeric) and not isinstance(x, bool) for x in grid):
-        errors.append(f"{name} entries must be numbers")
-        return None
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        errors.append(f"{name} must be strictly ascending")
-        return None
-    return list(grid)
+    return value if kind is int or math.isfinite(value) else None
+
+
+# The optional fields in the order their violations are reported: name ->
+# (type, condition or None, violation).  A type in a list is a grid: a
+# non-empty, strictly ascending list of such numbers, whose condition reads
+# the whole list.  Every number must be finite.
+_OPTIONAL = {
+    "n_grid": ([int], lambda g: g[0] >= 1, "entries must be positive"),
+    "r_grid": ([float], None, None),
+    "t_grid": ([float], None, None),
+    "n": (int, lambda v: v >= 1, "must be a positive integer"),
+    "k": (int, lambda v: v >= 1, "must be a positive integer"),
+    "B": (float, lambda v: v >= 0, "must be >= 0"),
+    "L": (float, None, "must be a number"),
+    "L_factor": (float, lambda v: v > 0, "must be > 0"),
+    "epsilon": (float, lambda v: v > 0, "must be > 0"),
+    "epsilon_factor": (float, lambda v: v > 0, "must be > 0"),
+    "rate_mean": (float, lambda v: v > 0, "must be > 0"),
+    "center_distance": (int, lambda v: v >= 1, "must be a positive integer"),
+    "horizon": (int, lambda v: v >= 1, "must be a positive integer"),
+    "confidence": (float, lambda v: 0 < v < 1, "must be in (0, 1)"),
+    "assert_rate": (float, None, "must be a number"),
+    "assert_rate_tol": (float, lambda v: v > 0, "must be > 0"),
+}
+_REQUIRED = ("model", "distribution", "seed", "samples", "output_path")
+
+
+def _optional(value, kind, ok, reason):
+    """(`value` converted, None) if it is valid, else (None, the violation)."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            return None, "must be a non-empty list"
+        grid = [_number(x, kind[0]) for x in value]
+        if None in grid:
+            return None, "entries must be numbers"
+        if any(b <= a for a, b in zip(value, value[1:])):
+            return None, "must be strictly ascending"
+        value = grid
+    else:
+        value = _number(value, kind)
+    valid = value is not None and (ok is None or ok(value))
+    return (value, None) if valid else (None, reason)
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -168,14 +194,13 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(dist_raw, list) or not dist_raw:
         errors.append("distribution must be a non-empty list of [element, weight] pairs")
     else:
-        total = 0.0
         seen = set()
         for i, pair in enumerate(dist_raw):
             if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
                 errors.append(f"distribution[{i}] must be an [element, weight] pair")
                 continue
-            elt_text, weight = pair
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight <= 0:
+            elt_text, weight = pair[0], _number(pair[1], float)
+            if weight is None or weight <= 0:
                 errors.append(f"distribution[{i}] weight must be a positive number")
                 continue
             canon = elt_text
@@ -189,93 +214,33 @@ def validate_config(text: str) -> ExperimentConfig:
                 errors.append(f"distribution[{i}] duplicates element {canon!r}")
                 continue
             seen.add(canon)
-            total += float(weight)
-            distribution.append((canon, float(weight)))
-        if distribution and abs(total - 1.0) > 1e-12:
+            distribution.append((canon, weight))
+        if distribution and abs(sum(w for _, w in distribution) - 1.0) > 1e-12:
             errors.append("weights must sum to 1 (within 1e-12)")
 
     seed = raw.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
         errors.append("seed must be an integer in [0, 2^64)")
-        seed = 0
 
     samples = raw.get("samples", 1)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         errors.append("samples must be a positive integer")
-        samples = 1
+    elif samples > _MAX_SAMPLES:
+        errors.append("samples must be at most 2^48, the number of sample streams")
 
     output_path = raw.get("output_path")
     if not isinstance(output_path, str) or not output_path:
         errors.append("output_path must be a non-empty string")
-        output_path = "."
 
-    n_grid = _check_grid(errors, "n_grid", raw.get("n_grid"), numeric=(int,))
-    if n_grid is not None and n_grid[0] < 1:
-        errors.append("n_grid entries must be positive")
-        n_grid = None
-    r_grid = _check_grid(errors, "r_grid", raw.get("r_grid"))
-    t_grid = _check_grid(errors, "t_grid", raw.get("t_grid"))
-
-    def _opt_scalar(name, types, cond=lambda v: True, msg=""):
-        v = raw.get(name)
-        if v is None:
-            return None
-        if not isinstance(v, types) or isinstance(v, bool) or not cond(v):
-            errors.append(f"{name} {msg}".strip() or f"{name} is invalid")
-            return None
-        return v
-
-    n = _opt_scalar("n", int, lambda v: v >= 1, "must be a positive integer")
-    k = _opt_scalar("k", int, lambda v: v >= 1, "must be a positive integer")
-    B = _opt_scalar("B", (int, float), lambda v: v >= 0, "must be >= 0")
-    L = _opt_scalar("L", (int, float))
-    L_factor = _opt_scalar("L_factor", (int, float), lambda v: v > 0, "must be > 0")
-    epsilon = _opt_scalar("epsilon", (int, float), lambda v: v > 0, "must be > 0")
-    epsilon_factor = _opt_scalar("epsilon_factor", (int, float), lambda v: v > 0, "must be > 0")
-    rate_mean = _opt_scalar("rate_mean", (int, float), lambda v: v > 0, "must be > 0")
-    center_distance = _opt_scalar("center_distance", int, lambda v: v >= 1,
-                                  "must be a positive integer")
-    horizon = _opt_scalar("horizon", int, lambda v: v >= 1, "must be a positive integer")
-    confidence = _opt_scalar("confidence", (int, float), lambda v: 0 < v < 1,
-                             "must be in (0, 1)")
-    assert_rate = _opt_scalar("assert_rate", (int, float))
-    assert_rate_tol = _opt_scalar("assert_rate_tol", (int, float), lambda v: v > 0,
-                                  "must be > 0")
-
-    known = {
-        "model", "distribution", "seed", "samples", "output_path", "n", "n_grid",
-        "k", "B", "L", "L_factor", "epsilon", "epsilon_factor", "r_grid",
-        "t_grid", "rate_mean", "center_distance", "horizon", "confidence",
-        "assert_rate", "assert_rate_tol",
-    }
-    for key in raw:
-        if key not in known:
-            errors.append(f"unknown config field {key!r}")
-
+    options = {}
+    for name, row in _OPTIONAL.items():
+        if raw.get(name) is not None:
+            options[name], violation = _optional(raw[name], *row)
+            if violation is not None:
+                errors.append(f"{name} {violation}")
+    errors += [f"unknown config field {key!r}" for key in raw
+               if key not in _OPTIONAL and key not in _REQUIRED]
     if errors:
         raise ConfigError(errors)
-
-    return ExperimentConfig(
-        model=model_name,
-        distribution=distribution,
-        seed=seed,
-        samples=samples,
-        output_path=output_path,
-        n=n,
-        n_grid=n_grid,
-        k=k,
-        B=float(B) if B is not None else None,
-        L=float(L) if L is not None else None,
-        L_factor=float(L_factor) if L_factor is not None else None,
-        epsilon=float(epsilon) if epsilon is not None else None,
-        epsilon_factor=float(epsilon_factor) if epsilon_factor is not None else None,
-        r_grid=[float(x) for x in r_grid] if r_grid is not None else None,
-        t_grid=[float(x) for x in t_grid] if t_grid is not None else None,
-        rate_mean=float(rate_mean) if rate_mean is not None else None,
-        center_distance=center_distance,
-        horizon=horizon if horizon is not None else 64,
-        confidence=float(confidence) if confidence is not None else 0.95,
-        assert_rate=float(assert_rate) if assert_rate is not None else None,
-        assert_rate_tol=float(assert_rate_tol) if assert_rate_tol is not None else None,
-        raw=raw,
-    )
+    return ExperimentConfig(model=model_name, distribution=distribution, seed=seed,
+                            samples=samples, output_path=output_path, **options)

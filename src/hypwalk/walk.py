@@ -16,6 +16,7 @@ and recheck them against this path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +78,8 @@ class StepDistribution:
             raise ValueError("support must be non-empty")
         if len(support) != len(weights):
             raise ValueError("support and weights must have equal length")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         if len(set(support)) != len(support):
@@ -197,51 +198,40 @@ def diagonal_shadow_event(model, v_walk: WalkSample, w_walk: WalkSample, r: floa
     )
 
 
-def find_independent_loxodromics(model, dist: StepDistribution,
-                                 max_length: int = 6, cap: int = 4096):
-    """Search semigroup products of the support (lengths 1..max_length) for
-    a pair of loxodromic elements with distinct axes; returns the pair or
-    None.
+_SEARCH_LENGTH, _SEARCH_CAP = 6, 4096  # longest product and most products searched
 
-    Free model: every nontrivial element is loxodromic and two of them share
-    an axis iff they commute, so any non-commuting pair is a witness.  Farey
-    model: |trace| > 2 elements are loxodromic and share their fixed-point
-    pair iff they commute in PSL(2,Z), so a pair with |trace| > 2 and
-    commutator != +-identity is a witness.
-    """
+
+def _products(model, dist: StepDistribution):
+    """Products of the support, breadth first by length 1.._SEARCH_LENGTH."""
     frontier = [model.identity()]
-    seen = []
-    for _ in range(max_length):
-        nxt = []
+    for _ in range(_SEARCH_LENGTH):
+        layer = []
         for g in frontier:
             for s in dist.support:
-                h = model.multiply(g, s)
-                nxt.append(h)
-        frontier = nxt[:cap]
-        seen.extend(frontier)
-        if len(seen) >= cap:
-            seen = seen[:cap]
-            break
+                layer.append(model.multiply(g, s))
+                yield layer[-1]
+        frontier = layer
 
-    one = model.identity()
-    if model.name == "farey":
-        loxo = [g for g in seen if abs(g.trace()) > 2]
-    else:
-        loxo = [g for g in seen if g != one]
-    neg_one = None
-    if model.name == "farey":
-        neg_one_entries = (-1, 0, 0, -1)
-    for i, g in enumerate(loxo):
-        for h in loxo[i + 1:]:
-            gh = model.multiply(g, h)
-            hg = model.multiply(h, g)
-            if gh == hg:
-                continue
-            if model.name == "farey":
-                comm = model.multiply(gh, model.invert(hg))
-                if comm.entries() == neg_one_entries:
-                    continue
-            return g, h
+
+def find_independent_loxodromics(model, dist: StepDistribution):
+    """The first loxodromic among the first _SEARCH_CAP products of the
+    support and the first later one with another axis, or None.
+
+    Loxodromic means positive translation length.  Two loxodromics share an
+    axis iff gh = +-hg, and gh = -hg cannot hold: it would give
+    tr h = tr(-g^-1 h g) = -tr h, so tr h = 0.  Commuting is transitive
+    among loxodromics (a centralizer in F2 is cyclic, that of a hyperbolic
+    element of SL(2,Z) abelian): if the first commutes with every later
+    one, all commute pairwise.  So testing each product against the
+    first finds the pair a scan of all pairs i < j would find first.
+    """
+    first = None
+    for h in islice(_products(model, dist), _SEARCH_CAP):
+        if model.translation_length(h) > 0:
+            if first is None:
+                first = h
+            elif model.multiply(first, h) != model.multiply(h, first):
+                return first, h
     return None
 
 
@@ -251,7 +241,7 @@ def assert_nonelementary(model, dist: StepDistribution) -> None:
     if find_independent_loxodromics(model, dist) is None:
         raise ElementaryDistributionError(
             "support generates an elementary subgroup: no pair of "
-            "independent loxodromic elements among products of length <= 6"
+            f"independent loxodromic elements among products of length <= {_SEARCH_LENGTH}"
         )
 
 

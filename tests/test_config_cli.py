@@ -80,6 +80,100 @@ def test_unknown_field_rejected():
         validate_config(cfg_text(bogus=1))
 
 
+# one invalid value per optional field, and the violation it must report
+FIELD_VIOLATIONS = [
+    ("n_grid", [0, 2], "n_grid entries must be positive"),
+    ("n_grid", [1.5, 2], "n_grid entries must be numbers"),
+    ("r_grid", [], "r_grid must be a non-empty list"),
+    ("t_grid", [1.0, 1.0], "t_grid must be strictly ascending"),
+    ("n", 0, "n must be a positive integer"),
+    ("k", 2.0, "k must be a positive integer"),
+    ("B", -1, "B must be >= 0"),
+    ("L", "x", "L must be a number"),
+    ("L_factor", 0, "L_factor must be > 0"),
+    ("epsilon", True, "epsilon must be > 0"),
+    ("epsilon_factor", -2.5, "epsilon_factor must be > 0"),
+    ("rate_mean", [1], "rate_mean must be > 0"),
+    ("center_distance", 0, "center_distance must be a positive integer"),
+    ("horizon", "64", "horizon must be a positive integer"),
+    ("confidence", 1, "confidence must be in (0, 1)"),
+    ("assert_rate", {}, "assert_rate must be a number"),
+    ("assert_rate_tol", 0.0, "assert_rate_tol must be > 0"),
+]
+
+
+@pytest.mark.parametrize("name,value,violation", FIELD_VIOLATIONS)
+def test_optional_field_violation_text(name, value, violation):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg_text(**{name: value}))
+    assert exc.value.violations == [violation]
+
+
+def test_every_field_has_one_schema_row():
+    from dataclasses import fields
+
+    from hypwalk.config import _OPTIONAL, _REQUIRED, ExperimentConfig
+
+    assert set(_OPTIONAL) | set(_REQUIRED) == {f.name for f in fields(ExperimentConfig)}
+    assert {name for name, _, _ in FIELD_VIOLATIONS} == set(_OPTIONAL)
+
+
+def test_canonical_text_of_every_field():
+    cfg = validate_config(cfg_text(
+        n=3, n_grid=[2, 4], k=2, B=1, L=0, L_factor=2, epsilon=1, epsilon_factor=3,
+        r_grid=[-1, 0.5], t_grid=[0, 2], rate_mean=1, center_distance=4, horizon=32,
+        confidence=0.5, assert_rate=-1, assert_rate_tol=1))
+    assert cfg.canonical_text() == (
+        '{"B":1.0,"L":0.0,"L_factor":2.0,"assert_rate":-1.0,"assert_rate_tol":1.0,'
+        '"center_distance":4,"confidence":0.5,"distribution":[["a",0.25],["A",0.25],'
+        '["b",0.25],["B",0.25]],"epsilon":1.0,"epsilon_factor":3.0,"horizon":32,"k":2,'
+        '"model":"free","n":3,"n_grid":[2,4],"output_path":"out","r_grid":[-1.0,0.5],'
+        '"rate_mean":1.0,"samples":50,"seed":7,"t_grid":[0.0,2.0]}')
+    # absent optional fields are left out; horizon and confidence have defaults
+    assert validate_config(cfg_text()).canonical_text() == (
+        '{"confidence":0.95,"distribution":[["a",0.25],["A",0.25],["b",0.25],["B",0.25]],'
+        '"horizon":64,"model":"free","output_path":"out","samples":50,"seed":7}')
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name,violation", [
+    ("B", "B must be >= 0"),
+    ("L", "L must be a number"),
+    ("confidence", "confidence must be in (0, 1)"),
+    ("assert_rate", "assert_rate must be a number"),
+    ("r_grid", "r_grid entries must be numbers"),
+    ("t_grid", "t_grid entries must be numbers"),
+])
+def test_non_finite_numbers_rejected(name, violation, bad):
+    value = [0.5, bad] if name.endswith("_grid") else bad
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg_text(**{name: value}))
+    assert exc.value.violations == [violation]
+
+
+def test_non_finite_literals_rejected():
+    # NaN, Infinity and numbers beyond the float range, as a JSON text has them
+    text = cfg_text(distribution=[["a", "@"], ["A", 0.5], ["b", 0.5]], r_grid=[1.0, "@"], L="@")
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(text.replace('"@"', literal))
+        assert exc.value.violations == [
+            "distribution[0] weight must be a positive number",
+            "r_grid entries must be numbers",
+            "L must be a number",
+        ], literal
+
+
+def test_samples_bound():
+    assert validate_config(cfg_text(samples=2 ** 48)).samples == 2 ** 48
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg_text(samples=2 ** 48 + 1))
+    assert exc.value.violations == ["samples must be at most 2^48, the number of sample streams"]
+
+
 def test_duplicate_support_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg_text(distribution=[["a", 0.5], ["a", 0.5]]))
@@ -148,6 +242,11 @@ def test_cli_free_only_subcommand_on_farey_exit_2(subcommand, fields, tmp_path, 
     ("drift", {"n": 5, "samples": 1}, "drift requires samples >= 2"),
     ("midpoint", {"n_grid": [4, 7]}, "n_grid entries must be even"),
     ("backtrack", {"k": 5, "n": 3}, "backtrack requires n >= k"),
+    # json.dumps writes the NaN literal, which json.loads reads back
+    ("drift", {"n": 5, "distribution": [["a", float("nan")], ["A", 0.5], ["b", 0.5]]},
+     "distribution[0] weight must be a positive number"),
+    ("chernoff", {"t_grid": [1.0], "n_grid": [5], "rate_mean": 1.0, "samples": 2 ** 48 + 1},
+     "samples must be at most 2^48"),
 ])
 def test_cli_invalid_experiment_input_exit_2(subcommand, fields, message, tmp_path, capsys):
     from hypwalk import cli

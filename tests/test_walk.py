@@ -5,7 +5,7 @@ import pytest
 
 from hypwalk import engines
 from hypwalk.errors import ElementaryDistributionError, PreconditionError
-from hypwalk.models.farey import FareyModel, L, R
+from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
 from hypwalk.stats import _iterated_increments
 from hypwalk.walk import (
@@ -43,6 +43,9 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         StepDistribution([W("a"), W("a")], [0.5, 0.5])
     StepDistribution([W("a"), W("b")], [0.5, 0.5 + 1e-13])  # inside tolerance
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            StepDistribution([W("a"), W("A"), W("b")], [bad, 0.5, 0.5])
 
 
 def test_reflected():
@@ -163,6 +166,76 @@ def test_nonelementarity_check():
         assert_nonelementary(farey, only_r)
     # parabolic pair still generates a non-elementary group
     assert_nonelementary(farey, uniform_farey())
+
+
+M = FareyElement(2, 1, 1, 1)  # hyperbolic: trace 3
+
+
+@pytest.mark.parametrize("model,support", [
+    (farey, [M, M * M, M.inverse()]),  # powers of one hyperbolic
+    (farey, [M, FareyElement(-2, -1, -1, -1)]),  # M and -M share an axis
+    (free, [W("ab"), W("abab"), W("BA")]),
+], ids=["farey-powers", "farey-sign", "free-powers"])
+def test_elementary_laws_with_loxodromic_support(model, support):
+    dist = StepDistribution(support, [1 / len(support)] * len(support))
+    assert find_independent_loxodromics(model, dist) is None
+    with pytest.raises(ElementaryDistributionError):
+        assert_nonelementary(model, dist)
+
+
+def _pair_scan(model, dist):
+    """The search find_independent_loxodromics shortcuts: the first pair i < j
+    among the first 4096 products of length <= 6 (breadth first) that are
+    both loxodromic and do not commute, exactly or up to sign."""
+    products, layer = [], [model.identity()]
+    for _ in range(6):
+        layer = [model.multiply(g, s) for g in layer for s in dist.support]
+        products += layer
+        if len(products) >= 4096:
+            break
+    if model is farey:
+        loxo = [g for g in products[:4096] if abs(g.trace()) > 2]
+        minus_one = FareyElement(-1, 0, 0, -1)
+    else:
+        loxo = [g for g in products[:4096] if g != free.identity()]
+        minus_one = free.identity()
+    for i, g in enumerate(loxo):
+        for h in loxo[i + 1:]:
+            gh, hg = model.multiply(g, h), model.multiply(h, g)
+            if gh != hg and model.multiply(gh, model.invert(hg)) != minus_one:
+                return g, h
+    return None
+
+
+def _random_support(model, rng):
+    if model is free:
+        words = {free.sample_element(rng, 3) for _ in range(rng.integers(1, 5))}
+        return sorted(words, key=lambda w: w.to_str())
+    gens = [R, L, R.inverse(), L.inverse(), FareyElement(0, -1, 1, 0), FareyElement(-1, 0, 0, -1)]
+    support = set()
+    for _ in range(rng.integers(1, 4)):
+        g = farey.identity()
+        for j in rng.integers(0, len(gens), size=rng.integers(0, 4)):
+            g = g * gens[j]
+        support.add(g)
+    return sorted(support, key=lambda g: g.entries())
+
+
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+def test_independent_loxodromics_match_pair_scan(model):
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(60):
+        support = _random_support(model, rng)
+        dist = StepDistribution(support, [1 / len(support)] * len(support))
+        pair = find_independent_loxodromics(model, dist)
+        assert pair == _pair_scan(model, dist)
+        if pair is not None:
+            g, h = pair
+            assert model.translation_length(g) > 0 and model.translation_length(h) > 0
+            assert model.multiply(g, h) != model.multiply(h, g)
+            found += 1
+    assert 0 < found < 60  # both outcomes occur
 
 
 def test_alias_sampling_matches_weights():
