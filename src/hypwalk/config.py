@@ -16,21 +16,7 @@ from typing import Any
 
 from .errors import ConfigError
 from .models import MODEL_NAMES, get_model
-
-SUBCOMMANDS = (
-    "drift",
-    "linear-progress",
-    "translation-decay",
-    "shadow-decay",
-    "backtrack",
-    "z-sum",
-    "bernstein",
-    "chernoff",
-    "midpoint",
-    "diagonal",
-    "props",
-    "calibrate",
-)
+from .walk import MAX_SAMPLES, StepDistribution
 
 # fields a subcommand requires beyond (model, distribution, seed, samples)
 REQUIRED_FIELDS = {
@@ -47,9 +33,9 @@ REQUIRED_FIELDS = {
     "props": (),
     "calibrate": (),
 }
+SUBCOMMANDS = tuple(REQUIRED_FIELDS)
 
 _MAX_SEED = (1 << 64) - 1
-_MAX_SAMPLES = 1 << 48  # sample indices have 48 bits in walk._stream_key
 
 
 @dataclasses.dataclass
@@ -89,8 +75,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
     def step_distribution(self):
-        from .walk import StepDistribution
-
         model = get_model(self.model)
         support = [model.parse(text) for text, _ in self.distribution]
         weights = [w for _, w in self.distribution]
@@ -162,7 +146,7 @@ def _optional(value, kind, ok, reason):
         grid = [_number(x, kind[0]) for x in value]
         if None in grid:
             return None, "entries must be numbers"
-        if any(b <= a for a, b in zip(value, value[1:])):
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             return None, "must be strictly ascending"
         value = grid
     else:
@@ -225,7 +209,7 @@ def validate_config(text: str) -> ExperimentConfig:
     samples = raw.get("samples", 1)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         errors.append("samples must be a positive integer")
-    elif samples > _MAX_SAMPLES:
+    elif samples > MAX_SAMPLES:
         errors.append("samples must be at most 2^48, the number of sample streams")
 
     output_path = raw.get("output_path")

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .models.farey import FareyElement, translation_length
-from .walk import _MASK64, StepDistribution, _stream_key, stream_generator
+from .walk import _MASK64, StepDistribution, _stream_key, check_samples, stream_generator
 
 BLOCK_SIZE = 16384
 _INT64_MAX = 2 ** 63 - 1
@@ -239,6 +239,7 @@ def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
     checkpoint, and yields one array per checkpoint with a row per sample.
     walk(law, ensemble) gives the same block of another, independent walk.
     """
+    check_samples(samples)
     checkpoints = sorted(set(int(c) for c in checkpoints))
     geom = _GEOMETRIES[model.name]
 
@@ -444,6 +445,7 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     it does.  One uniform per step, from the
     ENSEMBLE_TILTED stream of each sample.
     """
+    check_samples(samples)
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError("walk length must be even and positive")
     n = two_n // 2

@@ -45,7 +45,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from .free import ConjugacyResult
 
 @dataclass(frozen=True)
 class Slope:
@@ -387,63 +386,6 @@ def translation_length(m: FareyElement) -> float:
     return float(j * min(a00, a11, (a01 + a10) / 2))
 
 
-def matrix_to_generator_word(m: FareyElement) -> list[str]:
-    """Express m as a word in R, L and their inverses (not necessarily
-    geodesic).  Tokens are "R", "L", "r", "l" with lowercase = inverse."""
-    word: list[str] = []
-    a, b, c, d = m.entries()
-    # clear the lower-left entry by Euclid on the first column:
-    # left-multiplying by L^-k subtracts k*a from c; by R^-k subtracts k*c from a
-    while c != 0:
-        if abs(a) > abs(c):
-            k = a // c if c != 0 else 0
-            # a - k*c has |.| <= |c|/..; plain floor keeps it terminating
-            word.extend(["R"] * k if k >= 0 else ["r"] * (-k))
-            a, b = a - k * c, b - k * d
-        else:
-            k = c // a if a != 0 else 0
-            word.extend(["L"] * k if k >= 0 else ["l"] * (-k))
-            c, d = c - k * a, d - k * b
-        if a == 0:
-            # swap rows via S = R^-1 L R^-1 up to sign
-            word.extend(["r", "L", "r"])
-            a, b, c, d = c, d, -a, -b
-    # now the matrix is [[a, b], [0, d]] with a*d = 1
-    if a == 1:
-        word.extend(["R"] * b if b >= 0 else ["r"] * (-b))
-    else:  # a == d == -1: remaining matrix is -R^(-b); -I = S^2 = (r L r)^2
-        word.extend(["R"] * (-b) if -b >= 0 else ["r"] * b)
-        word.extend(["r", "L", "r", "r", "L", "r"])
-    return word
-
-
-_TOKEN_TO_MATRIX = {"R": R, "L": L, "r": R.inverse(), "l": L.inverse()}
-
-
-def evaluate_generator_word(word: Iterable[str]) -> FareyElement:
-    out = IDENTITY
-    for tok in word:
-        out = out * _TOKEN_TO_MATRIX[tok]
-    return out
-
-
-def conjugacy_min_length(m: FareyElement) -> ConjugacyResult:
-    """Upper bound on the shortest conjugate length, via conjugation by the
-    prefix matrices of a generator-word expression of m.  Flagged inexact."""
-    word = matrix_to_generator_word(m)
-    best_len = dist_to_infinity(m.a, m.c)
-    best_conj = IDENTITY
-    prefix = IDENTITY
-    for tok in word:
-        prefix = prefix * _TOKEN_TO_MATRIX[tok]
-        cand = prefix.inverse() * m * prefix
-        d = dist_to_infinity(cand.a, cand.c)
-        if d < best_len:
-            best_len = d
-            best_conj = prefix
-    return ConjugacyResult(length=float(best_len), conjugator=best_conj, exact=False)
-
-
 class FareyModel:
     """SL(2,Z) with the improper metric from its action on the Farey graph.
 
@@ -479,9 +421,6 @@ class FareyModel:
 
     def translation_length(self, g: FareyElement) -> float:
         return translation_length(g)
-
-    def conjugacy_min_length(self, g: FareyElement) -> ConjugacyResult:
-        return conjugacy_min_length(g)
 
     def sample_element(self, rng, radius: int) -> FareyElement:
         """A random product of at most `radius` generators (improper distance

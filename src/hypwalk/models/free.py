@@ -8,7 +8,6 @@ coarse-geometry statement can be checked with no additive error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 _LETTER_TO_CHAR = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -138,16 +137,6 @@ def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
     )
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
-    """Length of the shortest conjugate, the conjugator realizing it, and
-    whether the length is exact or only an upper bound."""
-
-    length: float
-    conjugator: object
-    exact: bool
-
-
 class FreeGroupModel:
     """F2 with the word metric on its Cayley tree (delta = 0)."""
 
@@ -177,10 +166,6 @@ class FreeGroupModel:
         """Exact: the length of the cyclic reduction."""
         core, _ = cyclic_reduce(g)
         return float(len(core))
-
-    def conjugacy_min_length(self, g: FreeWord) -> ConjugacyResult:
-        core, v = cyclic_reduce(g)
-        return ConjugacyResult(length=float(len(core)), conjugator=v, exact=True)
 
     def sample_element(self, rng, radius: int) -> FreeWord:
         """A random reduced word of random length in [0, radius]."""

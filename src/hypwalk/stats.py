@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import betaincinv, ndtri
 
 from . import engines
-from .walk import StepDistribution, assert_nonelementary, reflected, stream_generator
+from .walk import (StepDistribution, assert_nonelementary, check_samples, reflected,
+                   stream_generator)
 
 DEFAULT_CONFIDENCE = 0.95
 
@@ -361,6 +362,7 @@ def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
                        seed: int, stream: int = 0) -> tuple[float, float]:
     """Empirical P(sum of n exponentials >= (1 + t) * n * mean) next to the
     closed-form bound."""
+    check_samples(samples)
     if rate_mean <= 0:
         raise ValueError("rate_mean must be positive")
     bound = chernoff_bound(t, n)

@@ -25,16 +25,24 @@ from .errors import ElementaryDistributionError, PreconditionError
 from .hypgeom import gromov_product
 
 _MASK64 = (1 << 64) - 1
+MAX_SAMPLES = 1 << 48  # one stream per sample index, and an index has 48 bits
 
 
 def _stream_key(seed: int, sample_index: int, ensemble: int = 0) -> int:
     """The 128-bit Philox key (seed mod 2^64) << 64 | (ensemble << 48 | index),
     so distinct (seed, ensemble, index) triples never share a stream."""
-    if not 0 <= sample_index < (1 << 48):
+    if not 0 <= sample_index < MAX_SAMPLES:
         raise ValueError("sample_index out of range")
     if not 0 <= ensemble < (1 << 16):
         raise ValueError("ensemble out of range")
     return ((seed & _MASK64) << 64) | (ensemble << 48) | sample_index
+
+
+def check_samples(samples: int) -> None:
+    """Raise ValueError unless 1 <= samples <= MAX_SAMPLES, the number of
+    sample streams."""
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [1, 2^48], got {samples}")
 
 
 def stream_generator(seed: int, sample_index: int, ensemble: int = 0) -> np.random.Generator:
@@ -243,11 +251,3 @@ def assert_nonelementary(model, dist: StepDistribution) -> None:
             "support generates an elementary subgroup: no pair of "
             f"independent loxodromic elements among products of length <= {_SEARCH_LENGTH}"
         )
-
-
-def walk_csv_rows(model, walks: Sequence[WalkSample]):
-    """Yield (sample_id, i, step, d(1, w_i)) rows for CSV export."""
-    for sample_id, w in enumerate(walks):
-        d = w.distances
-        for i, step in enumerate(w.steps, start=1):
-            yield (sample_id, i, model.format(step), d[i])

@@ -1,6 +1,9 @@
 """Config validation and the experiment driver's contract: exit codes,
-output files, digests, determinism."""
+output files, digests, determinism, and the names that the benchmark and
+the demos import from hypwalk."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -10,6 +13,8 @@ import pytest
 
 from hypwalk.config import validate_config
 from hypwalk.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "model": "free",
@@ -247,6 +252,11 @@ def test_cli_free_only_subcommand_on_farey_exit_2(subcommand, fields, tmp_path, 
      "distribution[0] weight must be a positive number"),
     ("chernoff", {"t_grid": [1.0], "n_grid": [5], "rate_mean": 1.0, "samples": 2 ** 48 + 1},
      "samples must be at most 2^48"),
+    # distinct ints that convert to equal floats
+    ("shadow-decay", {"n_grid": [4], "center_distance": 2, "r_grid": [2 ** 53, 2 ** 53 + 1]},
+     "r_grid must be strictly ascending"),
+    ("chernoff", {"t_grid": [0, 2 ** 60, 2 ** 60 + 1], "n_grid": [5], "rate_mean": 1.0},
+     "t_grid must be strictly ascending"),
 ])
 def test_cli_invalid_experiment_input_exit_2(subcommand, fields, message, tmp_path, capsys):
     from hypwalk import cli
@@ -350,3 +360,32 @@ def test_cli_threads_flag_deterministic(tmp_path):
     assert _run_cli(["linear-progress", "--config", str(p1), "--threads", "1"]).returncode == 0
     assert _run_cli(["linear-progress", "--config", str(p2), "--threads", "4"]).returncode == 0
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+
+def test_names_imported_from_hypwalk_exist():
+    """Every name that perfbench/*.py and demos/*.py import from hypwalk,
+    inside functions too, and every entry of `hypwalk.__all__` and
+    `hypwalk.models.__all__` resolves."""
+    import hypwalk
+    import hypwalk.models
+
+    wanted = {("hypwalk", name) for name in hypwalk.__all__}
+    wanted |= {("hypwalk.models", name) for name in hypwalk.models.__all__}
+    for path in (*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hypwalk":
+                wanted |= {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                wanted |= {(alias.name, None) for alias in node.names
+                           if alias.name.split(".")[0] == "hypwalk"}
+    # a function-level import of the benchmark's reference gate
+    assert ("hypwalk.models.farey", "translation_length_detail") in wanted
+    missing = []
+    for module, name in wanted:
+        try:
+            found = importlib.import_module(module)
+            if name is not None and not hasattr(found, name):
+                importlib.import_module(f"{module}.{name}")  # a submodule
+        except ImportError:
+            missing.append(f"{module}:{name}")
+    assert not missing, sorted(missing)

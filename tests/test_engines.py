@@ -23,7 +23,15 @@ from hypwalk import engines
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyElement, FareyModel, L, R, dist_to_infinity
 from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
-from hypwalk.walk import StepDistribution, reflected, sample_walk, stream_generator
+from hypwalk.stats import chernoff_empirical
+from hypwalk.walk import (
+    MAX_SAMPLES,
+    StepDistribution,
+    check_samples,
+    reflected,
+    sample_walk,
+    stream_generator,
+)
 
 free = FreeGroupModel()
 farey = FareyModel()
@@ -315,3 +323,19 @@ def test_lockstep_distance_rejects_non_coprime_columns():
         engines._dists_to_infinity(np.array([1, 2]), np.array([3, 4]))
     with pytest.raises(ValueError, match="coprime"):
         dist_to_infinity(2, 4)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_entry_points_reject_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples"):
+        engines.observe(free, UNIFORM, [4], engines.DISTANCE, samples, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        engines.free_midpoint_tilted(UNIFORM, 4, samples, 1, (0.5, 1.0))
+    with pytest.raises(ValueError, match="samples"):
+        chernoff_empirical(1.0, 0.5, 5, samples, seed=1)
+
+
+def test_samples_bound_is_the_number_of_streams():
+    check_samples(MAX_SAMPLES)
+    with pytest.raises(ValueError, match="samples"):
+        check_samples(MAX_SAMPLES + 1)

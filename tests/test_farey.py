@@ -20,10 +20,7 @@ from hypwalk.models.farey import (
     Slope,
     bounded_bfs_distances,
     classify,
-    conjugacy_min_length,
     dist_to_infinity,
-    evaluate_generator_word,
-    matrix_to_generator_word,
     mobius_to_infinity,
     slope_distance,
     translation_length,
@@ -225,31 +222,6 @@ def test_exact_translation_length_known_values():
     assert translation_length(IDENTITY) == translation_length(NEG) == 0.0
     assert translation_length(CAT) == 1.0
     assert translation_length(R * R * L * L) == 2.0
-
-
-def test_word_decomposition_roundtrip():
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        g = model.sample_element(rng, 14)
-        assert evaluate_generator_word(matrix_to_generator_word(g)) == g
-    assert evaluate_generator_word(matrix_to_generator_word(IDENTITY)) == IDENTITY
-    neg = FareyElement(-1, 0, 0, -1)
-    assert evaluate_generator_word(matrix_to_generator_word(neg)) == neg
-
-
-def test_conjugacy_upper_bound():
-    rng = np.random.default_rng(7)
-    one = model.identity()
-    for _ in range(60):
-        v = model.sample_element(rng, 6)
-        s = R * L  # translation length 1, conjugacy length 1
-        g = v * s * v.inverse()
-        res = conjugacy_min_length(g)
-        assert not res.exact
-        assert res.length <= model.distance(one, g)
-        conj = res.conjugator
-        back = conj.inverse() * g * conj
-        assert model.distance(one, back) == res.length
 
 
 def test_determinant_preserved_under_long_products():

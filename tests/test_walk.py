@@ -17,7 +17,6 @@ from hypwalk.walk import (
     midpoint_shadow_event,
     reflected,
     sample_walk,
-    walk_csv_rows,
 )
 
 free = FreeGroupModel()
@@ -246,14 +245,6 @@ def test_alias_sampling_matches_weights():
     idx = d.draw_indices(gen, 200_000)
     freq = np.bincount(idx, minlength=3) / 200_000
     assert np.allclose(freq, [0.6, 0.3, 0.1], atol=0.01)
-
-
-def test_walk_csv_rows():
-    d = StepDistribution([W("a")], [1.0])
-    ws = sample_walk(free, d, 3, seed=0)
-    rows = list(walk_csv_rows(free, [ws]))
-    assert rows[0] == (0, 1, "a", 1.0)
-    assert rows[-1] == (0, 3, "a", 3.0)
 
 
 def test_engine_segment_increments_match_decomposition():
