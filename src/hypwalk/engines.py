@@ -1,8 +1,8 @@
 """Vectorized batch walks (internal): one step kernel per model, plus observers.
 
-A step kernel walks a block of samples, each on its own Philox stream (the
-same steps as per-sample `walk.sample_walk`), and yields the block's state at
-each checkpoint.  `_free_steps` keeps freely reduced words as an int8 letter
+A step kernel walks a block of samples (the same steps as per-sample
+`walk.sample_walk`) and yields the block's state at each checkpoint.
+`_free_steps` keeps freely reduced words as an int8 letter
 stack plus lengths and applies a step as one numpy pass per letter position
 over all rows, reading the letters of each row's drawn word from a
 (support, longest word) table, so its cost does not grow with the support.
@@ -20,14 +20,13 @@ Farey distances run `dist_to_infinity`'s ladder in lockstep over all rows
 `free_midpoint_tilted` keeps its own step law, which depends on the state,
 on its own stream namespace.
 
-Steps come from the streams' raw words: one Philox per call is re-keyed
-for each sample, and numpy's own conversion (Lemire's bounded integers,
-53-bit doubles, then the alias step) is redone in bulk.  Rows numpy would
-have rejected are redrawn through `draw_indices`, and the first row of
-every call is checked against it, so the draws equal the reference path's.
+Steps come from the block's one Philox stream (`walk.block_words`): one
+`random_raw` per step gives that step's word for every row, and
+`StepDistribution.indices` turns the words into support indices with the
+same arithmetic as `sample_walk`.
 
-Work is split into fixed-size sample blocks merged in block order, so a
-thread pool over blocks cannot change any output.
+Work is split into the streams' blocks of `walk.BLOCK_SIZE` samples, merged
+in block order, so a thread pool over blocks cannot change any output.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .models.farey import FareyElement, translation_length
-from .walk import _MASK64, StepDistribution, _stream_key, check_samples, stream_generator
+from .walk import BLOCK_SIZE, StepDistribution, block_words, check_samples, uniforms
 
-BLOCK_SIZE = 16384
 _INT64_MAX = 2 ** 63 - 1
 
 # Stream namespaces.  Sweeps over a grid (shadow-decay n values) or over k
@@ -67,90 +65,14 @@ def _run_blocks(fn, samples: int, threads: int = 1) -> list:
         return [f.result() for f in futures]  # block order, not completion order
 
 
-# Engines draw their steps from each sample's raw Philox words, in chunks
-# of this many samples: one (rows, words) uint64 array per chunk.  Small
-# chunks are as fast and keep the words' memory off the peak (1024-row
-# chunks raised peak RSS on the free-walks benchmark by 9%).
-_CHUNK_ROWS = 256
-_MASK32 = np.uint64(0xFFFFFFFF)
-
-
-def _raw_chunks(seed: int, lo: int, hi: int, ensemble: int, words: int):
-    """Yield (first sample index, raw) per chunk of samples lo..hi-1, where
-    raw[r] holds the first `words` 64-bit outputs of the stream that
-    `stream_generator(seed, first + r, ensemble)` wraps.  One Philox is
-    re-keyed per sample instead of building a Generator per sample."""
-    bitgen = np.random.Philox(0)
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for first in range(lo, hi, _CHUNK_ROWS):
-        raw = np.empty((min(first + _CHUNK_ROWS, hi) - first, words), dtype=np.uint64)
-        for r in range(raw.shape[0]):
-            key = _stream_key(seed, first + r, ensemble)
-            state["state"]["key"] = [key & _MASK64, key >> 64]
-            bitgen.state = state
-            raw[r] = bitgen.random_raw(words)
-        yield first, raw
-
-
-def _index_words(size: int, n: int) -> int:
-    """Raw words `draw_indices` reads for n steps: ceil(n/2) for the column
-    indices (none when size is 1), then n for the uniforms."""
-    return n + ((n + 1) // 2 if size > 1 else 0)
-
-
-def _uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
-    """`Generator.random` on the same words: the top 53 bits over 2^53."""
-    return (raw >> np.uint64(11)) * 2.0 ** -53
-
-
-def _indices_from_raw(raw: np.ndarray, size: int, n: int, threshold: np.ndarray,
-                      alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The alias draw of `StepDistribution.draw_indices` for n steps per
-    row of raw words, and a per-row flag where numpy would have rejected.
-
-    `integers(0, size, n)` splits its ceil(n/2) words low half first into
-    uint32s u and takes (u * size) >> 32 (Lemire), rejecting u when
-    (u * size) mod 2^32 < (2^32 - size) mod size; a rejection pulls extra
-    words, so a flagged row must be drawn again by the reference path.
-    `random(n)` then reads n words as (w >> 11) / 2^53, and u < p is
-    compared as w >> 11 < ceil(p 2^53), `threshold` per column.
-    """
-    rows = raw.shape[0]
-    if size == 1:
-        col = np.zeros((rows, n), dtype=np.intp)
-        rejected = np.zeros(rows, dtype=bool)
-        m = 0
-    else:
-        m = (n + 1) // 2
-        halves = np.empty((rows, 2 * m), dtype=np.uint64)
-        halves[:, 0::2] = raw[:, :m] & _MASK32
-        halves[:, 1::2] = raw[:, :m] >> np.uint64(32)
-        product = halves[:, :n] * np.uint64(size)
-        col = (product >> np.uint64(32)).astype(np.intp)
-        floor = np.uint64((2 ** 32 - size) % size)
-        rejected = ((product & _MASK32) < floor).any(axis=1)
-    keep = (raw[:, m:m + n] >> np.uint64(11)) < threshold[col]
-    return np.where(keep, col, alias[col]), rejected
-
-
 def _draw_index_block(dist: StepDistribution, n: int, lo: int, hi: int,
                       seed: int, ensemble: int) -> np.ndarray:
-    """Row r: `dist.draw_indices(stream_generator(seed, lo + r, ensemble), n)`,
-    converted in bulk from raw words.  int16 up to 32767 support elements."""
-    size = dist.size()
-    out = np.empty((hi - lo, n), dtype=np.int16 if size <= 32767 else np.int32)
-    threshold = np.ceil(dist._prob * 2.0 ** 53).astype(np.uint64)
-    for first, raw in _raw_chunks(seed, lo, hi, ensemble, _index_words(size, n)):
-        idx, rejected = _indices_from_raw(raw, size, n, threshold, dist._alias)
-        for r in np.flatnonzero(rejected):
-            idx[r] = dist.draw_indices(stream_generator(seed, first + int(r), ensemble), n)
-        out[first - lo:first - lo + len(idx)] = idx
-    # a numpy whose conversion differs fails here instead of moving the numbers
-    if hi > lo and not np.array_equal(
-            out[0], dist.draw_indices(stream_generator(seed, lo, ensemble), n)):
-        raise RuntimeError("bulk step draw disagrees with Generator.integers/random; "
-                           "the numpy conversion has changed")
+    """The support indices of steps 0..n-1 of samples lo..hi-1 of one block,
+    step-major: row t holds step t of every sample, as `sample_walk` draws
+    it.  int16 up to 32767 support elements."""
+    out = np.empty((n, hi - lo), dtype=np.int16 if dist.size() <= 32767 else np.int32)
+    for t, words in enumerate(block_words(seed, lo, hi, ensemble, n)):
+        out[t] = dist.indices(words)
     return out
 
 
@@ -183,7 +105,7 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
     flat, base = stack.reshape(-1), np.arange(rows) * cap
     cps = set(checkpoints)
     for i in range(n):
-        for letter in table[idx[:, i]].T:
+        for letter in table[idx[i]].T:
             cancel = (flat.take(base + length - 1) == -letter) & (length > 0)
             flat[base + length] = letter
             length += (letter != 0) - 2 * cancel
@@ -220,7 +142,7 @@ def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi
     table = np.array(entries, dtype=state.dtype)
     cps = set(checkpoints)
     for i in range(n):
-        e, f, g, h = table[idx[:, i]].T
+        e, f, g, h = table[idx[i]].T
         a, b, c, d = state
         state = _widened(np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]),
                          scale)
@@ -442,8 +364,8 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     thetas[0] over the first half; over the second half it is thetas[1]
     while the event does not hold (2j >= |w_n|, with the branch depth
     j = (w_n . x)_1 updated as each letter cancels or is pushed) and 0 once
-    it does.  One uniform per step, from the
-    ENSEMBLE_TILTED stream of each sample.
+    it does.  One uniform per step: `walk.uniforms` of the sample's
+    ENSEMBLE_TILTED words.
     """
     check_samples(samples)
     if two_n < 2 or two_n % 2 != 0:
@@ -469,12 +391,6 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
 
     def run_block(lo: int, hi: int):
         rows = hi - lo
-        u = np.empty((two_n, rows))
-        for first, raw in _raw_chunks(seed, lo, hi, ENSEMBLE_TILTED, two_n):
-            u[:, first - lo:first - lo + len(raw)] = _uniforms_from_raw(raw).T
-        if not np.array_equal(u[:, 0], stream_generator(seed, lo, ENSEMBLE_TILTED).random(two_n)):
-            raise RuntimeError("bulk uniforms disagree with Generator.random; "
-                               "the numpy conversion has changed")
         stack = np.zeros((rows, cap), dtype=np.int8)
         length = np.zeros(rows, dtype=np.int64)
         flat = stack.reshape(-1)
@@ -482,7 +398,8 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
         row_base = row_ids * cap
         log_w = np.zeros(rows)
         tilt = np.ones(rows, dtype=np.int64)
-        for i in range(two_n):
+        for i, words in enumerate(block_words(seed, lo, hi, ENSEMBLE_TILTED, two_n)):
+            u = uniforms(words)
             if i == n:
                 mid_flat, k = flat.copy(), length.copy()
                 j, h = k.copy(), np.zeros(rows, dtype=np.int64)
@@ -493,7 +410,7 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
             cum = weight_table.take(cell)
             for s in range(1, size):
                 cum[s] += cum[s - 1]
-            choice = (cum[:-1] <= u[i] * cum[-1]).sum(axis=0)
+            choice = (cum[:-1] <= u * cum[-1]).sum(axis=0)
             pick = choice * rows + row_ids
             log_w += np.log(cum[-1]) + tilt_d.take(cell.reshape(-1).take(pick))
             # the chosen word cancels c letters, then pushes its remaining

@@ -370,27 +370,27 @@ def quasigeodesic_suite(model, instances: int, rng) -> SuiteResult:
                   fitted={"K": 1.0, "c": 0.0})
 
 
-def check_conjugacy_shadow_conditions(model, g, v, s, slack: float):
-    """For a conjugacy g = v s v^-1, evaluate the three shadow conditions
-    satisfied by shortest conjugators:
+def _conjugacy_shortfalls(model, g, v, s) -> tuple[float, float, float]:
+    """For a conjugacy g = v s v^-1, how far each of the three shadow
+    conditions satisfied by shortest conjugators is from holding at slack 0:
 
-      1. d(1, v) >= d(1, g)/2 - slack
-      2. g lies in the shadow of v based at 1 with radius d(1, v) - slack
-      3. 1 lies in the shadow of g*v based at g with radius d(1, v) - slack
+      1. d(1, g)/2 - d(1, v), for d(1, v) >= d(1, g)/2 - slack
+      2. d(1, v) - (v . g)_1, for g in the shadow of v based at 1 with
+         radius d(1, v) - slack
+      3. d(1, v) - (gv . 1)_g, for 1 in the shadow of g*v based at g with
+         radius d(1, v) - slack
 
-    Raises PreconditionError unless g = v s v^-1 holds exactly.
-    Returns the three booleans.
+    Condition i holds at a slack iff shortfall i <= slack.  Raises
+    PreconditionError unless g = v s v^-1 holds exactly.
     """
     recomposed = model.multiply(model.multiply(v, s), model.invert(v))
     if recomposed != g:
         raise PreconditionError("g != v s v^-1")
     one = model.identity()
     dv = model.distance(one, v)
-    dg = model.distance(one, g)
-    cond1 = dv >= 0.5 * dg - slack
-    cond2 = gromov_product(model, one, v, g) >= dv - slack
-    cond3 = gromov_product(model, g, model.multiply(g, v), one) >= dv - slack
-    return cond1, cond2, cond3
+    return (0.5 * model.distance(one, g) - dv,
+            dv - gromov_product(model, one, v, g),
+            dv - gromov_product(model, g, model.multiply(g, v), one))
 
 
 def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResult:
@@ -399,24 +399,14 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResu
     given slack.  Also reports the smallest slack that would have sufficed
     for the sampled instances."""
     _require_tree(model, "conjugacy")
-    one = model.identity()
     needed = 0.0
 
     def trial():
         nonlocal needed
         g, v, s = random_conjugacy_instance(model, rng, CORE_MAX, CONJ_MAX)
-        ok = cyclic_reduce(g) == (s, v)
-        c1, c2, c3 = check_conjugacy_shadow_conditions(model, g, v, s, slack)
-        ok &= c1 and c2 and c3
-        dv = model.distance(one, v)
-        dg = model.distance(one, g)
-        needed = max(
-            needed,
-            0.5 * dg - dv,
-            dv - gromov_product(model, one, v, g),
-            dv - gromov_product(model, g, model.multiply(g, v), one),
-        )
-        return ok
+        shortfalls = _conjugacy_shortfalls(model, g, v, s)
+        needed = max(needed, *shortfalls)
+        return cyclic_reduce(g) == (s, v) and max(shortfalls) <= slack
 
     result = _tally("conjugacy_shadow_conditions", instances, trial, 1)
     result.fitted = {"slack": slack, "smallest_sufficient": max(0.0, needed)}

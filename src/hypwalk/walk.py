@@ -1,16 +1,21 @@
 """Sampling engine for mu-random walks on a model group.
 
-Randomness discipline: every sample index gets its own counter-based
-Philox stream derived from (master seed, ensemble, sample index), so
-parallel or reordered execution cannot change any draw, and a rerun with
-the same seed is bit-identical.  Step indices are drawn with Walker's
-alias method (a column index and a uniform per step) so arbitrary finite
-distributions cost O(1) per draw.
+Randomness discipline: the samples of an ensemble are split into blocks of
+BLOCK_SIZE, and each block draws from one counter-based Philox stream keyed
+by (master seed, ensemble, block).  Step t of the sample in row r of its
+block reads the stream's 64-bit word t * BLOCK_SIZE + r (step-major), with
+the same stride in a partial last block.  A sample's words therefore depend
+only on its index and ensemble: neither the number of samples nor the walk
+length can move them, so a run of 48 samples gives the first 48 rows of a
+run of 32 768, a walk of n steps is a prefix of a walk of m > n steps, and
+thread count and execution order cannot change any draw.  BLOCK_SIZE is
+part of this contract: changing it moves every sample.
 
-`stream_generator` and `StepDistribution.draw_indices` are the reference
-path, one `Generator` per sample.  The batch engines draw the same indices
-in bulk from the streams' raw 64-bit words (`engines._draw_index_block`)
-and recheck them against this path.
+Each step uses one word, turned into a support index by Walker's alias
+method (`StepDistribution.indices`), so arbitrary finite distributions cost
+O(1) per draw.  `block_words` reads a block a step at a time (one
+`random_raw` per step); `sample_words`, which `sample_walk` uses, reads one
+sample's words, one step at a time, from its block's stream.
 """
 
 from __future__ import annotations
@@ -20,35 +25,92 @@ from itertools import islice
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ElementaryDistributionError, PreconditionError
 from .hypgeom import gromov_product
 
 _MASK64 = (1 << 64) - 1
-MAX_SAMPLES = 1 << 48  # one stream per sample index, and an index has 48 bits
+MAX_SAMPLES = 1 << 48  # sample indices have 48 bits
+BLOCK_SIZE = 16384  # samples per stream; a multiple of Philox's 4 words per counter
 
 
-def _stream_key(seed: int, sample_index: int, ensemble: int = 0) -> int:
+def _stream_key(seed: int, index: int, ensemble: int = 0) -> int:
     """The 128-bit Philox key (seed mod 2^64) << 64 | (ensemble << 48 | index),
     so distinct (seed, ensemble, index) triples never share a stream."""
-    if not 0 <= sample_index < MAX_SAMPLES:
-        raise ValueError("sample_index out of range")
+    if not 0 <= index < MAX_SAMPLES:
+        raise ValueError("stream index out of range")
     if not 0 <= ensemble < (1 << 16):
         raise ValueError("ensemble out of range")
-    return ((seed & _MASK64) << 64) | (ensemble << 48) | sample_index
+    return ((seed & _MASK64) << 64) | (ensemble << 48) | index
 
 
 def check_samples(samples: int) -> None:
     """Raise ValueError unless 1 <= samples <= MAX_SAMPLES, the number of
-    sample streams."""
+    sample indices."""
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [1, 2^48], got {samples}")
 
 
-def stream_generator(seed: int, sample_index: int, ensemble: int = 0) -> np.random.Generator:
-    """Independent Philox stream for one sample of one ensemble, keyed by
-    `_stream_key`."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, sample_index, ensemble)))
+class _Key(ISeedSequence):
+    """Hands Philox a 128-bit key as its two key words.  `Philox(key=...)`
+    would first seed a SeedSequence from OS entropy, only to replace it."""
+
+    def __init__(self, key: int):
+        self.words = [key & _MASK64, key >> 64]
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=dtype)
+
+
+def _philox(key: int, counter: int = 0) -> np.random.Philox:
+    """The Philox stream of `key`, past its first 4 * counter words."""
+    return np.random.Philox(_Key(key), counter=counter)
+
+
+def stream_generator(seed: int, index: int, ensemble: int = 0) -> np.random.Generator:
+    """A Generator on the Philox stream keyed by `_stream_key`."""
+    return np.random.Generator(_philox(_stream_key(seed, index, ensemble)))
+
+
+def sample_words(seed: int, index: int, ensemble: int, n: int) -> np.ndarray:
+    """The n words of sample `index`: word t * BLOCK_SIZE + r of its block's
+    stream for step t, r its row in the block."""
+    block, row = divmod(index, BLOCK_SIZE)
+    # word j is word j % 4 of counter block j // 4, and BLOCK_SIZE % 4 == 0
+    bitgen = _philox(_stream_key(seed, block, ensemble), counter=row // 4)
+    out = np.empty(n, dtype=np.uint64)
+    for t in range(n):
+        out[t] = bitgen.random_raw(row % 4 + 1)[-1]
+        bitgen.advance(BLOCK_SIZE // 4 - 1)
+    return out
+
+
+def block_words(seed: int, lo: int, hi: int, ensemble: int, n: int):
+    """Yield, for each step t < n, the words of samples lo..hi-1 of one
+    block (lo a multiple of BLOCK_SIZE): row r of `sample_words(seed, lo + r,
+    ensemble, n)[t]`, a step at a time so that a block's words are never
+    held at once.  After the last step, row 0 is checked against
+    `sample_words`."""
+    if lo % BLOCK_SIZE or not lo < hi <= lo + BLOCK_SIZE:
+        raise ValueError("lo..hi must be a span of one block")
+    bitgen = _philox(_stream_key(seed, lo // BLOCK_SIZE, ensemble))
+    skip = BLOCK_SIZE // 4 - (hi - lo + 3) // 4  # counters past this step's words
+    first = np.empty(n, dtype=np.uint64)
+    for t in range(n):
+        words = bitgen.random_raw(hi - lo)
+        first[t] = words[0]
+        yield words
+        bitgen.advance(skip)  # also drops the buffered words of a partial row
+    # a numpy whose Philox buffers or advances differently fails here
+    if not np.array_equal(first, sample_words(seed, lo, ensemble, n)):
+        raise RuntimeError("block words disagree with the per-sample reader; "
+                           "numpy's Philox random_raw/advance has changed")
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +138,8 @@ class StepDistribution:
 
     support: tuple
     weights: np.ndarray
-    _prob: np.ndarray = field(repr=False, default=None)
     _alias: np.ndarray = field(repr=False, default=None)
+    _threshold: np.ndarray = field(repr=False, default=None)  # None: every column keeps
 
     def __init__(self, support: Sequence, weights: Sequence[float]):
         support = tuple(support)
@@ -93,16 +155,32 @@ class StepDistribution:
         if len(set(support)) != len(support):
             raise ValueError("support elements must be distinct")
         prob, alias = _build_alias_table(weights)
+        threshold = None
+        if (prob < 1.0).any():
+            threshold = np.ceil(prob * 2.0 ** (64 - len(support).bit_length())).astype(np.uint64)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_prob", prob)
         object.__setattr__(self, "_alias", alias)
+        object.__setattr__(self, "_threshold", threshold)
 
-    def draw_indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n support indices from the given stream (alias method)."""
-        k = gen.integers(0, len(self.support), size=n)
-        u = gen.random(n)
-        return np.where(u < self._prob[k], k, self._alias[k])
+    def indices(self, words: np.ndarray) -> np.ndarray:
+        """The support index each 64-bit word (a uint64 array) draws.
+
+        With s = size.bit_length() and x = (w >> s) * size (below 2^64),
+        the alias column is x >> (64 - s), and the column is kept iff x's
+        low 64 - s bits are below ceil(prob[column] * 2^(64 - s)), else its
+        alias is taken.  When every column keeps with probability 1 the
+        comparison always holds and is skipped.
+        """
+        size = len(self.support)
+        s = size.bit_length()
+        x = words >> np.uint64(s)
+        x *= np.uint64(size)
+        col = (x >> np.uint64(64 - s)).astype(np.intp)
+        if self._threshold is None:
+            return col
+        keep = (x & np.uint64((1 << (64 - s)) - 1)) < self._threshold[col]
+        return np.where(keep, col, self._alias[col])
 
     def size(self) -> int:
         return len(self.support)
@@ -146,13 +224,12 @@ class WalkSample:
 
 def sample_walk(model, dist: StepDistribution, n: int, seed: int,
                 stream: int = 0, ensemble: int = 0) -> WalkSample:
-    """Sample one walk of n i.i.d. steps; identical arguments give an
-    identical sample."""
+    """Sample `stream` of `ensemble`: one walk of n i.i.d. steps, equal to
+    row `stream` of every engine run with this seed and ensemble."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    gen = stream_generator(seed, stream, ensemble)
-    idx = dist.draw_indices(gen, n)
-    steps = [dist.support[int(i)] for i in idx]
+    idx = dist.indices(sample_words(seed, stream, ensemble, n))
+    steps = [dist.support[i] for i in idx.tolist()]
     return WalkSample(model, seed, stream, steps)
 
 

@@ -1,17 +1,16 @@
 """Byte-identity of every engine-backed subcommand's outputs.
 
-Each config below runs through `cli.main`; the sha256 digests of its
-series.csv and summary.json were recorded before the engines drew their
-steps from raw Philox words (drift-free to bernstein-free: before the
-engines became one step kernel per model with observers), so a change to
-the draw or the kernel that moves any seeded number fails here.  The five
-*-farey goldens of backtrack, z-sum, bernstein, midpoint and diagonal were
-recorded from the change that first ran those subcommands on SL(2,Z), with
-its Farey Gromov products; they pin that code, not an older one.  The four
-translation-decay summary digests were re-recorded when the exact Farey
-translation length replaced the horizon estimate: their summaries lost the
-`non_stabilized` diagnostic and are otherwise equal, and their series
-digests are the original ones.  The package version is masked in
+Each config below runs through `cli.main`, and the sha256 digests of its
+series.csv and summary.json are pinned, so a change to the draw or the
+kernel that moves any seeded number fails here.  All 20 were re-recorded
+once, together, when the engines moved from one Philox stream per sample to
+one per block of samples, read step-major with one word per step (the
+declared change of the stream layout; see README, "Determinism").  Before
+that, the pins had held across the move to raw Philox words, to one step
+kernel per model with observers, to Farey Gromov products (the five
+*-farey pair-product goldens were first recorded there) and to the exact
+Farey translation length (which dropped the translation-decay summaries'
+`non_stabilized` diagnostic).  The package version is masked in
 summary.json, so a version bump alone does not break the pins.
 
 `SUITE_GOLDENS` pin `props` and `calibrate` on both models the same way.
@@ -29,7 +28,7 @@ import pytest
 from hypwalk import __version__, cli
 
 FREE_UNIFORM = [["a", 0.25], ["A", 0.25], ["b", 0.25], ["B", 0.25]]
-# three words: the index draw needs Lemire's threshold (3 is not a power of two)
+# three words with unequal weights: the alias draw needs its keep test
 FREE_THREE = [["a", 0.5], ["b", 0.3], ["AB", 0.2]]
 FREE_MULTI = [["ab", 0.2], ["BA", 0.2], ["a", 0.15], ["A", 0.15],
               ["bab", 0.1], ["BAB", 0.1], ["b", 0.05], ["B", 0.05]]
@@ -43,103 +42,103 @@ GOLDENS = [
     ("lp-free", "linear-progress",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 11, "samples": 3000,
       "L": 0.25, "n_grid": [10, 20, 40, 60]},
-     "de413a95b85cdf4cbac8483efb6354bd6ab0aef857b7466a8879a7b094221f6c",
-     "f1acab301ad15651271afcc1a264ee8ba54f899ec1eda0fd70c8920305896b13"),
+     "22792b302e53bc1069cdba5bc93c2c7f94e4d355e74b911c89a66ffb193e7825",
+     "4a718f16ba97039d2b71b22f60975e7c09f2bedcc9b876a0d4b7fe210ee3c959"),
     ("lp-free-multi", "linear-progress",
      {"model": "free", "distribution": FREE_MULTI, "seed": 12, "samples": 2000,
       "L": 0.5, "n_grid": [5, 15, 25]},
-     "d1923e8c77f0bd9bed35199b22ad4fcdc3a715bffe3b3e68ad340e4ed2e6e250",
-     "84407454876d778adbd799adaef9e2242194c4660d392a391c496b18c8b252d5"),
+     "5ca86a97f1c2baf95b9a962b087482746acbaf9bde8aad2b01f7ef80acd4c199",
+     "8b1eb667dbdb240502a723002b972b3456a7edb17bdd6f8abab125e5871c47e1"),
     ("lp-farey", "linear-progress",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 13, "samples": 1500,
       "L": 0.05, "n_grid": [10, 20, 30]},
-     "1bcb893f6fcfaa3ebd9c2aa23ed65f2f078b891b84d646e4b08d0de57d4c6c5e",
-     "21eb133d04e6afc84d1cfac32a9623a8b8798ea3000ffac8554b64ae80a7c198"),
+     "d9387195fa29dbd17ef1a6f256d699b5a52f050e5ff6a24eab0513555635ec7d",
+     "63958c1e6d7a13d417fec6ee3c25f5cf92770de242a8eaba12c93b7ab4472206"),
     ("shadow-free", "shadow-decay",
      {"model": "free", "distribution": FREE_THREE, "seed": 14, "samples": 2500,
       "n_grid": [10, 20], "center_distance": 8, "r_grid": [1.0, 2.0, 3.0, 4.0, 5.0]},
-     "4c95c22c963b8e328a8bee1c025d9565806a5f3d9eb5d8dcd50901d0ba382bde",
-     "8724bce4ddacf0aa58d978c5248bde007dfd66df51e19bc9e6107284dddd07dc"),
+     "51a22af5cbdd0b77e032b933d63ec4bec608e50f8906a44f3bd54a1dd3dcae41",
+     "1c3726c146582951b7b6db658483ea646f1ddbcb066e23e8a37c32940ce1eacc"),
     ("shadow-farey", "shadow-decay",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 15, "samples": 1200,
       "n_grid": [10, 20], "center_distance": 6, "r_grid": [1.0, 2.0, 3.0, 4.0]},
-     "b88e7be8216de84bd26274c9b721e97759a336d4696612c0b30abc7c7b58fc23",
-     "9b8cc6f23fbcbf89b81144bc29b3120ea49e0d05a3d7a032d3df6e1ec804db22"),
+     "8bd041002854c2de41f3c58291b4a6535b62d42d69714dfba217068b45a22170",
+     "310c1f654332dd21d8fe0fe3a043220cb8c7d1adf785b6d5ff76aaf208b95cb1"),
     ("diagonal-free", "diagonal",
      {"model": "free", "distribution": FREE_THREE, "seed": 16, "samples": 2500,
       "n": 30, "r_grid": [1.0, 2.0, 3.0, 4.0, 5.0]},
-     "238bc8d1941b2ef701f2a55030a6fa9e7802a50e40df1f754ef68c4258b38fea",
-     "bc20883ee8d9ad8b8da16fd820938ba80f3e977b4256491d97f5c2c495651f5e"),
+     "002560a51a48a62cc18603d8140acc3e795c4eca58011737c3a5d62a60f891a3",
+     "f23e3daba5764e1cc93cca101293eb0fc32940007c70b801c8da51c0b0dd727a"),
     ("z-sum-free", "z-sum",
      {"model": "free", "distribution": FREE_MULTI, "seed": 17, "samples": 2000,
       "k": 3, "L_factor": 2.0, "n_grid": [2, 4, 6, 8]},
-     "63418d59eaf88e14ee2e1b03b014278a57a2f0633340a581b67362f58157191f",
-     "e259a627874a4ed8442bb127e261570a1a86d4bbfb559fe70382966b34d3f0e9"),
+     "271111f19d4f15b2d2cbfed43d4ffcef7b97e322fc6ad2e92559963560e5a941",
+     "e82de4c1877e3cd1d32ebd803650847a8c68dc45d6b46a981ee216dfa87ef81a"),
     ("tdecay-b0-free", "translation-decay",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 18, "samples": 2500,
       "B": 0.0, "n_grid": [2, 4, 6, 8]},
-     "a94e1071ef61f1b71726f89bb0b1ee2e3a02bcb715c70f8338a15f809601240a",
-     "47286d6327bbb215ac8f65d3b29e44fdae8a24b22c2cdbc6a58cdcfdcb602292"),
+     "cffd73c151c9453054566af685cc53fa87f28ba9c45ec2ca52ddf194e8df549a",
+     "1290015813f0b15864bff8a72b7a2edd0a11c278879b28b4252cf5e861024f4e"),
     ("tdecay-b2-free", "translation-decay",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 19, "samples": 2500,
       "B": 2.0, "n_grid": [4, 8, 12]},
-     "5ad05c5e1c2f100a6de0ac3908dfa445fb1d46e5f4c80af333711fcc2baa8a5c",
-     "b4d4d6328c4877d5be0754aaede30630d0c51fbb796def3b93abc9110e830099"),
+     "d4eb2ac6b4882571ee0426e2d0d3a19b7a3148c2f6ca8bc93739b3a3149647bc",
+     "98b50a39ea1d959dc6a5825075f2adb00fea222e93ad21e150bc5b1bd3a52f6d"),
     ("tdecay-b0-farey", "translation-decay",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 20, "samples": 2000,
       "B": 0.0, "n_grid": [5, 10, 15, 20]},
-     "eb8ff360cab2e1a191c4e690c6797ebebe6e19cf28a4498e5137d3376adaef36",
-     "7d9e12d85816a34a29eb99b05f1ac64506ab50c9bef399e53b58033db5db20cb"),
+     "c52c1f92ef874d4e6d5292ae0bb2a3137645e8b4092f568ba652a01843a4a910",
+     "8658aed188124b3913e17834ee08716713ee6580f4874656c4dd187879f286a8"),
     ("tdecay-b1-farey", "translation-decay",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 21, "samples": 150,
       "B": 1.0, "n_grid": [3, 6, 9]},
-     "6e854cb19e5e813f8dae5ef5a20bfc4b9d6582b733af6e0df99ce5c6b3269f61",
-     "39cd71cb3ed9962423db3d14ab6907936382c5b64e74e2fb4030c7f34f4f186a"),
+     "667b78164f444e31ef6179279344f56ddd77ca0875648db2bc789a40446f15fa",
+     "9e975189cc56e4a4049cd130ce6cc3112106ff1c8c9e9091a9b9f88b8fa2ac81"),
     # recorded before the engines became one step kernel per model with observers
     ("drift-free", "drift",
      {"model": "free", "distribution": FREE_MULTI, "seed": 22, "samples": 2000, "n": 40},
-     "957e369f41947febae1d8f7853d6e5facc6ce8a85318a9dad71afa5a47e9fbf9",
-     "3729122707b20d2b521f87b57e47739069f5a177d877dc1cccd6cd6f084ea533"),
+     "1912c98b0829d7f967c15c352f71fe22c1843e416d7c33237ddd7893d3c18ed1",
+     "bb44b40c2bee6e54f37582d4d587e76a0b5845a8c9171482d7c8a68caa17139b"),
     ("drift-farey", "drift",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 23, "samples": 800, "n": 25},
-     "ec8622d7c4c5dba28c6e557521d9095eb3c9e161888b95cf571de42aee4f3d56",
-     "177d93be1edc2c0ea901142ee42dd32183ef2a2a86fe5f117710ceb95017f250"),
+     "ea82e0090b5546cea0efe40e228ae0d4790925dc522fbee81c4117105279cf91",
+     "40569d05167c4028bc4e7508e22015d09f4fdc6bec9bca79518cf5fa8077c4a6"),
     ("backtrack-free", "backtrack",
      {"model": "free", "distribution": FREE_THREE, "seed": 24, "samples": 1500,
       "k": 4, "n": 40},
-     "e3e5eaccecdcfaec64ef10cfe39d8674e8bb01e6636fb2180e3cf1ae45fcde92",
-     "11f41ed275db6659f4b2f609e0e56e0f1022e5f4697e7646f83b3cb82fa7c629"),
+     "ebcfe2cb455a6d88aeba5aa084c827ed379e8fbae4d586bc7586770259e59cfc",
+     "301f1c8b91304f41087cef5ac9c2cf54088d8be21110484ed14dce63e109a093"),
     ("bernstein-free", "bernstein",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 25, "samples": 2000,
       "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
-     "3bba403fd6ea001aa510a16b54a52f33eb05a8056da41844ff8dee0c87b87c53",
-     "478413510993a5e159e6228ab01458417aaff8b33536af2f763100c193767230"),
+     "42eaf975bd173d3fb8f0fb4ef7fccb4f220150c31fc564eda6bb2dee1636d22d",
+     "355d1074590b781e15cffbe9f447ec09423d8b59b5738e3622209ad4f4a52a91"),
     # recorded from the first code that ran these subcommands on SL(2,Z)
     ("backtrack-farey", "backtrack",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 26, "samples": 1200,
       "k": 4, "n": 40},
-     "bd5bdc75c09effaa16be67bfbea5a6b58aac59cccc4c3c9f4d562cbc660d6965",
-     "7968f452c024d249874ccfab84999507702117ef3b57bb87a0a659c69ae96af2"),
+     "6c297755987dcc67ee05d1939d08e04065961bbfb82fd2d97b235d4ab044ad1a",
+     "fa2b11543579e9a3147ad6a6e5c0b03189733c180154faa91e6f5ca4e076c663"),
     ("z-sum-farey", "z-sum",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 27, "samples": 1200,
       "k": 3, "L_factor": 2.0, "n_grid": [2, 4, 6, 8]},
-     "416042a50ab449d5718273e461d4895c41308877559645d3c2d535db9442229a",
-     "1b5da76354c98dabb623fcfda7fc736ac526a2fbb86694b2a4b455ba3cc65313"),
+     "db9bdbf355299e9bca6ab9aa0af8d6a4842e4e69db6a5c97b644f23ea12f9bad",
+     "fee07c6516779ab334c84adf4dcb84bf056f15d1b8678eae99d27be4f78c01f0"),
     ("bernstein-farey", "bernstein",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 28, "samples": 1200,
       "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
-     "15f961954cdbe1c1f67bd3534ed1d131583e4216bb2f4fe20dbd1a908f4d324f",
-     "0f23c89fdec53aa3ccc6da3110e7c0efa649c91a25bb414577aa67920d227282"),
+     "b6374ed9221da3ed935dabcadbb7224a994bfb4112e1ad48fef2be9c15c56a94",
+     "888bf45275d15567793e5c0afef43abde942f5fd0a2333c109db479627028f20"),
     ("midpoint-farey", "midpoint",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 29, "samples": 1500,
       "n_grid": [4, 8, 16]},
-     "2221f7446d9952fbc5d6de4e5f75667093ff44c800746902a0e6a5c5fd37a97e",
-     "3b29abba03a55aa3954ca154c561464533fd676a1679618cb1ca091f20ac36fb"),
+     "acda952e1789e518ccf8e0f2f9999b5535d26587c600be9a64118b6514303f1c",
+     "480d1334b25b49e8f71cc4f81d1dd420446755bbd792e21ea2914de08313c405"),
     ("diagonal-farey", "diagonal",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 30, "samples": 1500,
       "n": 20, "r_grid": [1.0, 2.0, 3.0, 4.0]},
-     "6a3b7b22263069cf97900531371d008c9330d878055269a492329b747d5d6995",
-     "fe58ea868b94396b72770533d5b126823a5b61c137b1e5573e8e90ef2fe44cf1"),
+     "4528a29807b6cd8ab79059b79ddf63a4a508d2f2fd932f3b6c85da898d448623",
+     "c4a248b237f7dfde9bf3db3a8a9151aae82c16f0e5727905eab31c05dcceb31c"),
 ]
 
 

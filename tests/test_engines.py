@@ -1,8 +1,10 @@
 """The batch engines against the per-sample reference path.
 
-The bulk step draw (`engines._draw_index_block`, raw Philox words converted
-in numpy) must give exactly `draw_indices(stream_generator(seed, i, e), n)`
-row for row, and every observer of the step kernels must equal the
+The block step draw (`engines._draw_index_block`, one word per step and
+sample from the block's Philox stream) must give exactly the indices of
+`sample_words(seed, i, e, n)`, which `sample_walk` reads, row for row; the
+word-to-index conversion must equal the alias method in exact rationals;
+and every observer of the step kernels must equal the
 statistic recomputed from `sample_walk` plus the model's `distance`,
 `gromov_product`, translation length or trace.  The Farey kernel's int64
 state must widen to python ints before it can overflow, and the lockstep
@@ -11,6 +13,7 @@ memoized recursion they replaced (`farey_recursion`).
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farey_recursion import recursive_dist_to_infinity
-from hypwalk import engines
+from hypwalk import engines, walk
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyElement, FareyModel, L, R, dist_to_infinity
 from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
@@ -27,9 +30,11 @@ from hypwalk.stats import chernoff_empirical
 from hypwalk.walk import (
     MAX_SAMPLES,
     StepDistribution,
+    _build_alias_table,
     check_samples,
     reflected,
     sample_walk,
+    sample_words,
     stream_generator,
 )
 
@@ -59,28 +64,47 @@ def law(size: int) -> StepDistribution:
 
 
 def reference_rows(dist, n, lo, hi, seed, ensemble):
-    return np.array([dist.draw_indices(stream_generator(seed, i, ensemble), n)
-                     for i in range(lo, hi)]).reshape(hi - lo, n)
+    """Step-major support indices of samples lo..hi-1 from the per-sample reader."""
+    rows = [dist.indices(sample_words(seed, i, ensemble, n)) for i in range(lo, hi)]
+    return np.array(rows, dtype=np.int64).reshape(hi - lo, n).T
 
 
-# --- the bulk draw ---
+def alias_oracle(dist, words) -> list[int]:
+    """The alias draw of each word in exact rationals: u = (word >> s) / 2^(64-s)
+    in [0, 1), u * size = column + fraction, and the column is kept iff the
+    fraction is below its keep probability."""
+    size = dist.size()
+    s = size.bit_length()
+    prob, alias = _build_alias_table(dist.weights)
+    out = []
+    for word in words:
+        v = Fraction(word >> s, 1 << (64 - s)) * size
+        col = math.floor(v)
+        out.append(col if v - col < Fraction(float(prob[col])) else int(alias[col]))
+    return out
 
 
-@settings(max_examples=60, deadline=None)
+# --- the block draw ---
+
+
+@settings(max_examples=40, deadline=None)
 @given(size=st.sampled_from([1, 3, 4, 8, 40_000]),
        n=st.sampled_from([0, 1]) | st.integers(2, 41),
-       lo=st.integers(0, 1 << 30),
-       rows=st.integers(1, 300),  # 300 rows span two 256-row chunks
+       block=st.integers(0, (MAX_SAMPLES - 1) // engines.BLOCK_SIZE),
+       rows=st.integers(1, 300),
        ensemble=st.sampled_from([0, 1, 2, 3, 8, 300, (1 << 16) - 1]),
        seed=st.integers(0, (1 << 64) - 1))
-@example(size=3, n=0, lo=0, rows=5, ensemble=0, seed=0)
-@example(size=1, n=7, lo=5, rows=3, ensemble=2, seed=1)
-@example(size=40_000, n=9, lo=(1 << 48) - 300, rows=300, ensemble=1, seed=(1 << 64) - 1)
-def test_block_draw_matches_reference(size, n, lo, rows, ensemble, seed):
+@example(size=3, n=0, block=0, rows=5, ensemble=0, seed=0)
+@example(size=1, n=7, block=5, rows=3, ensemble=2, seed=1)
+@example(size=40_000, n=9, block=(MAX_SAMPLES - 1) // engines.BLOCK_SIZE, rows=300, ensemble=1,
+         seed=(1 << 64) - 1)
+def test_block_draw_matches_reference(size, n, block, rows, ensemble, seed):
     dist = law(size)
-    block = engines._draw_index_block(dist, n, lo, lo + rows, seed, ensemble)
-    assert block.dtype == (np.int16 if size <= 32767 else np.int32)
-    assert np.array_equal(block, reference_rows(dist, n, lo, lo + rows, seed, ensemble))
+    lo = block * engines.BLOCK_SIZE
+    drawn = engines._draw_index_block(dist, n, lo, lo + rows, seed, ensemble)
+    assert drawn.dtype == (np.int16 if size <= 32767 else np.int32)
+    assert drawn.shape == (n, rows)
+    assert np.array_equal(drawn, reference_rows(dist, n, lo, lo + rows, seed, ensemble))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -91,71 +115,92 @@ def test_block_draw_across_blocks_and_threads(threads):
     def run_block(lo, hi):
         return engines._draw_index_block(dist, n, lo, hi, seed, engines.ENSEMBLE_AUX)
 
-    drawn = np.concatenate(engines._run_blocks(run_block, samples, threads))
+    drawn = np.concatenate(engines._run_blocks(run_block, samples, threads), axis=1)
     for lo, hi in [(0, 300), (engines.BLOCK_SIZE - 200, samples)]:
-        assert np.array_equal(drawn[lo:hi],
+        assert np.array_equal(drawn[:, lo:hi],
                               reference_rows(dist, n, lo, hi, seed, engines.ENSEMBLE_AUX))
 
 
-def test_crafted_words_flag_a_rejection():
-    size, n = 3, 4
-    raw = np.zeros((2, engines._index_words(size, n)), dtype=np.uint64)
-    # u = 0: (u * 3) mod 2^32 = 0 < (2^32 - 3) mod 3 = 1, so numpy redraws
-    # u = 0x55555555: (u * 3) mod 2^32 = 2^32 - 1, accepted
-    raw[1] = 0x5555555555555555
-    idx, rejected = engines._indices_from_raw(raw, size, n, np.ones(size, np.uint64),
-                                              np.zeros(size, np.int64))
-    assert rejected.tolist() == [True, False]
-    # power-of-two supports never reject
-    _, rejected = engines._indices_from_raw(raw, 4, n, np.ones(4, np.uint64),
-                                            np.zeros(4, np.int64))
-    assert not rejected.any()
+@pytest.mark.parametrize("ensemble", [engines.ENSEMBLE_PRIMARY, engines.ENSEMBLE_REFLECTED,
+                                      engines.ENSEMBLE_GRID_BASE,
+                                      engines.ENSEMBLE_ITERATED_BASE + 5, (1 << 16) - 1])
+@pytest.mark.parametrize("model,dist", [(free, MULTI), (farey, FAREY_FIVE)],
+                         ids=["free", "farey"])
+def test_engine_rows_are_sample_walks(model, dist, ensemble):
+    # a full block and a partial one; rows at both ends of each
+    seed, n, samples = (1 << 64) - 1, 9, engines.BLOCK_SIZE + 300
+    got = engines.observe(model, dist, [n], engines.DISTANCE, samples, seed, ensemble=ensemble)[n]
+    drawn = np.concatenate([engines._draw_index_block(dist, n, lo, hi, seed, ensemble)
+                            for lo, hi in engines._blocks(samples)], axis=1)
+    one = model.identity()
+    for i in [*range(12), *range(engines.BLOCK_SIZE - 6, engines.BLOCK_SIZE + 6),
+              *range(samples - 6, samples)]:
+        w = sample_walk(model, dist, n, seed=seed, stream=i, ensemble=ensemble)
+        assert w.steps == tuple(dist.support[k] for k in drawn[:, i]), i
+        assert got[i] == model.distance(one, w.locations[-1]), i
 
 
-def test_real_rejection_is_redrawn_by_reference():
-    # stream 1124 of seed 5 hits Lemire's rejection zone within 400 steps
-    # of the 40 000-word law (threshold 7296 of 2^32 per step)
-    dist, n, seed, index = law(40_000), 400, 5, 1124
-    (_, raw), = engines._raw_chunks(seed, index, index + 1, 0, engines._index_words(dist.size(), n))
-    threshold = np.ceil(dist._prob * 2.0 ** 53).astype(np.uint64)
-    naive, rejected = engines._indices_from_raw(raw, dist.size(), n, threshold, dist._alias)
-    reference = reference_rows(dist, n, index, index + 1, seed, 0)
-    assert rejected.tolist() == [True]
-    assert not np.array_equal(naive, reference)
-    block = engines._draw_index_block(dist, n, index - 3, index + 2, seed, 0)
-    assert np.array_equal(block, reference_rows(dist, n, index - 3, index + 2, seed, 0))
+@pytest.mark.parametrize("model,dist", [(free, UNIFORM), (farey, FAREY_UNIFORM)],
+                         ids=["free", "farey"])
+def test_fewer_samples_give_the_first_rows(model, dist):
+    # the gate's 48-sample probe of a 32 768-sample experiment
+    checkpoints, seed = [7, 30], 2024
+    small = engines.observe(model, dist, checkpoints, engines.DISTANCE, 48, seed)
+    large = engines.observe(model, dist, checkpoints, engines.DISTANCE, 2 * engines.BLOCK_SIZE,
+                            seed)
+    for t in checkpoints:
+        assert np.array_equal(small[t], large[t][:48])
 
 
-def test_flagged_rows_fall_back_to_the_reference_path(monkeypatch):
-    convert = engines._indices_from_raw
-
-    def flag_all(raw, *args):
-        idx, rejected = convert(raw, *args)
-        return np.full_like(idx, -1), np.ones_like(rejected)
-
-    monkeypatch.setattr(engines, "_indices_from_raw", flag_all)
-    dist = law(5)
-    block = engines._draw_index_block(dist, 11, 20, 290, 9, 0)
-    assert np.array_equal(block, reference_rows(dist, 11, 20, 290, 9, 0))
+# column 0 keeps with probability 1.32e-5, not a multiple of 2^-61, and the
+# coin edge of that column falls on a reachable word: there the threshold
+# must round up
+TINY = StepDistribution(words_of_length(10)[:4], [3.3e-6] + [(1 - 3.3e-6) / 3] * 3)
 
 
-def test_conversion_drift_raises(monkeypatch):
-    convert = engines._indices_from_raw
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 8, 40_000, "tiny"])
+def test_word_to_index_at_column_and_coin_boundaries(size):
+    dist = TINY if size == "tiny" else law(size)
+    size = dist.size()
+    s = size.bit_length()
+    m = 64 - s
+    prob, _ = _build_alias_table(dist.weights)
+    columns = sorted({0, 1, size // 2, size - 2, size - 1} & set(range(size)))
+    ys = {0, (1 << m) - 1}
+    for c in columns:
+        start = -(-(c << m) // size)  # the first y of column c
+        edge = math.floor((c + Fraction(float(prob[c]))) * (1 << m) / size)
+        ys |= {start - 1, start, start + 1, edge - 1, edge, edge + 1, edge + 2}
+    ys = sorted(y for y in ys if 0 <= y < 1 << m)
+    words = [(y << s) | low for y in ys for low in (0, (1 << s) - 1)]
+    got = dist.indices(np.array(words, dtype=np.uint64))
+    assert got.tolist() == alias_oracle(dist, words)
+    # every word on a law whose columns all keep draws the oracle's column
+    if size in (4, 8) and dist is not TINY:
+        uniform = StepDistribution(dist.support, [1 / size] * size)
+        assert uniform._threshold is None
+        assert uniform.indices(np.array(words, dtype=np.uint64)).tolist() == alias_oracle(
+            uniform, words)
 
-    def drifted(raw, size, *args):
-        idx, rejected = convert(raw, size, *args)
-        return (idx + 1) % size, rejected
 
-    monkeypatch.setattr(engines, "_indices_from_raw", drifted)
-    with pytest.raises(RuntimeError, match="numpy conversion"):
+def test_first_row_self_check_raises(monkeypatch):
+    words = walk.sample_words
+    monkeypatch.setattr(walk, "sample_words", lambda *args: words(*args) ^ np.uint64(1))
+    with pytest.raises(RuntimeError, match="per-sample reader"):
         engines._draw_index_block(law(3), 10, 0, 50, 1, 0)
-    with pytest.raises(RuntimeError, match="numpy conversion"):
+    with pytest.raises(RuntimeError, match="per-sample reader"):
         engines.observe(free, UNIFORM, [10], engines.DISTANCE, samples=50, seed=1)
-
-    uniforms = engines._uniforms_from_raw
-    monkeypatch.setattr(engines, "_uniforms_from_raw", lambda raw: uniforms(raw) / 2)
-    with pytest.raises(RuntimeError, match="numpy conversion"):
+    with pytest.raises(RuntimeError, match="per-sample reader"):
         engines.free_midpoint_tilted(UNIFORM, 10, 50, 1, (0.5, 1.0))
+
+
+def test_stream_generator_is_the_keyed_philox():
+    # chernoff_empirical's stream: the same words as Philox(key=...)
+    for seed, index, ensemble in [(0, 0, 0), (5, 3, engines.ENSEMBLE_AUX),
+                                  ((1 << 64) - 1, MAX_SAMPLES - 1, (1 << 16) - 1)]:
+        key = walk._stream_key(seed, index, ensemble)
+        assert np.array_equal(stream_generator(seed, index, ensemble).bit_generator.random_raw(9),
+                              np.random.Philox(key=key).random_raw(9))
 
 
 @pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])

@@ -12,7 +12,7 @@ from hypwalk import __version__, cli, engines, exact, stats
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.walk import StepDistribution, stream_generator
+from hypwalk.walk import StepDistribution, sample_words, uniforms
 
 free = FreeGroupModel()
 one = free.identity()
@@ -26,7 +26,7 @@ MULTI = StepDistribution([W("ab"), W("BA"), W("a"), W("A"), W("bab"), W("B"), W(
 
 def _reference_tilted(dist, two_n, seed, index, thetas):
     """One tilted walk, step by step on FreeWord: (hit, log-weight)."""
-    u = stream_generator(seed, index, engines.ENSEMBLE_TILTED).random(two_n)
+    u = uniforms(sample_words(seed, index, engines.ENSEMBLE_TILTED, two_n))
     n = two_n // 2
     x = mid = one
     log_w = 0.0
@@ -179,8 +179,9 @@ def test_estimator_validation():
         engines.free_midpoint_tilted(UNIFORM, 5, 10, 1, stats.MIDPOINT_TILTS)
 
 
-# series.csv and summary.json of the `midpoint` subcommand for this config,
-# as written before the tilted estimator existed: the CLI keeps counting
+# series.csv and summary.json of the `midpoint` subcommand for this config:
+# the CLI keeps counting.  Recorded before the tilted estimator existed, and
+# re-recorded once when the engines moved to block-keyed, step-major streams
 CLI_CONFIG = {
     "model": "free",
     "distribution": [["a", 0.25], ["A", 0.25], ["b", 0.25], ["B", 0.25]],
@@ -190,22 +191,22 @@ CLI_CONFIG = {
     "output_path": "out",
 }
 CLI_SERIES = """x,p,ci_low,ci_high
-4,0.052999999999999999,0.045255836730075966,0.061629745537437983
-8,0.038666666666666669,0.032054228370912825,0.046196948430418848
-16,0.021999999999999999,0.017054662941389014,0.027905294386830107
+4,0.053999999999999999,0.046183861209476713,0.062699536912443121
+8,0.033666666666666664,0.027503978205662832,0.040759069980630315
+16,0.02,0.015295943667775803,0.025669811989113413
 """
 CLI_SUMMARY = {
     "assertions": {"fit": True, "strictly_decreasing": True},
     "config_digest": "e660af60fb42b3ac0d3b25f1440a0978669db79d71dc5ba54bbb8ba3c9bde9f8",
     "diagnostics": {},
     "fit": {
-        "K": 0.07026400431963933,
-        "c": 0.9297181449208402,
-        "intercept": -2.6554956408900465,
+        "K": 0.07006140164170288,
+        "c": 0.9228891715646658,
+        "intercept": -2.6583832551082827,
         "points_excluded": 0,
         "points_used": 3,
-        "r_squared": 0.9991994114384194,
-        "slope": -0.07287380874741359,
+        "r_squared": 0.9739664973420952,
+        "slope": -0.0802461258332195,
     },
     "model": "free",
     "samples": 3000,

@@ -221,3 +221,13 @@ def test_conjugacy_suite_reports_smallest_slack():
     assert res.failures == 0
     # |s| <= 3 forces slack at least |s|/2 = 1.5 on some instance
     assert res.fitted["smallest_sufficient"] == 1.5
+
+
+def test_conjugacy_suite_computes_each_product_once(monkeypatch):
+    from hypwalk import suites
+
+    calls = []
+    product = suites.gromov_product
+    monkeypatch.setattr(suites, "gromov_product", lambda *a: calls.append(a) or product(*a))
+    res = conjugacy_suite(free, 300, np.random.default_rng(41), slack=2.0)
+    assert res.instances == 300 and len(calls) == 2 * 300

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from hypwalk import engines
 from hypwalk.errors import ElementaryDistributionError, PreconditionError
@@ -238,13 +239,24 @@ def test_independent_loxodromics_match_pair_scan(model):
 
 
 def test_alias_sampling_matches_weights():
-    d = StepDistribution([W("a"), W("b"), W("ab")], [0.6, 0.3, 0.1])
-    from hypwalk.walk import stream_generator
+    # 240 000 steps of one block, against the weights by a chi-square test
+    weights = np.array([0.45, 0.25, 0.15, 0.1, 0.05])
+    d = StepDistribution([W("a"), W("b"), W("ab"), W("ba"), W("bb")], weights)
+    idx = engines._draw_index_block(d, 24, 0, 10_000, 5, 0)
+    counts = np.bincount(idx.ravel(), minlength=5)
+    assert chisquare(counts, weights * idx.size).pvalue > 1e-4
+    assert np.allclose(counts / idx.size, weights, atol=0.005)
 
-    gen = stream_generator(5, 0)
-    idx = d.draw_indices(gen, 200_000)
-    freq = np.bincount(idx, minlength=3) / 200_000
-    assert np.allclose(freq, [0.6, 0.3, 0.1], atol=0.01)
+
+def test_shorter_walk_is_a_prefix():
+    for model, d in ((free, StepDistribution([W("ab"), W("A"), W("b")], [0.5, 0.3, 0.2])),
+                     (farey, uniform_farey())):
+        for stream in (0, 3, engines.BLOCK_SIZE + 1):
+            long = sample_walk(model, d, 40, seed=9, stream=stream, ensemble=4)
+            for n in (0, 1, 17, 39):
+                short = sample_walk(model, d, n, seed=9, stream=stream, ensemble=4)
+                assert short.steps == long.steps[:n]
+                assert short.locations == long.locations[:n + 1]
 
 
 def test_engine_segment_increments_match_decomposition():
