@@ -91,7 +91,8 @@ def _decay_assertion(result, r2_min: float = 0.9, strict_decrease: bool = False)
 
 def _run_drift(cfg: ExperimentConfig, threads: int):
     model, dist = cfg.step_distribution()
-    est = stats.drift(model, dist, cfg.n, cfg.samples, cfg.seed, threads=threads)
+    est = stats.drift(model, dist, cfg.n, cfg.samples, cfg.seed, confidence=cfg.confidence,
+                      threads=threads)
     rows = [(cfg.n, est.rate, est.ci_low, est.ci_high)]
     summary = {
         "rate": est.rate,
@@ -100,32 +101,34 @@ def _run_drift(cfg: ExperimentConfig, threads: int):
         "n": est.n,
     }
     checks = {}
-    if cfg.assert_rate is not None and cfg.assert_rate_tol is not None:
+    if cfg.assert_rate is not None:  # config validation pairs it with assert_rate_tol
         checks["rate_within_tolerance"] = (
             abs(est.rate - cfg.assert_rate) <= cfg.assert_rate_tol
         )
     return "n,rate,ci_low,ci_high", rows, summary, checks
 
 
-def _run_linear_progress(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.linear_progress_decay(
-        model, dist, cfg.L, cfg.n_grid, cfg.samples, cfg.seed,
-        confidence=cfg.confidence, threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
+def _series(estimate, checks=_decay_assertion):
+    """The handler of a subcommand that writes x,p,ci_low,ci_high:
+    estimate(cfg, model, dist, common) calls its estimator, with common the
+    keyword arguments every estimator takes, and checks(result) gives its
+    assertions."""
+
+    def run(cfg: ExperimentConfig, threads: int):
+        model, dist = cfg.step_distribution()
+        res = estimate(cfg, model, dist, {"confidence": cfg.confidence, "threads": threads})
+        summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
+        return "x,p,ci_low,ci_high", res.series.rows(), summary, checks(res)
+
+    return run
 
 
-def _run_translation_decay(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.translation_decay(
-        model, dist, cfg.B, cfg.n_grid, cfg.samples, cfg.seed,
-        confidence=cfg.confidence, threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    checks = _decay_assertion(res, strict_decrease=True)
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
+def _midpoint_checks(res) -> dict:
+    probs = res.series.probabilities
+    return {
+        "strictly_decreasing": all(b < a for a, b in zip(probs, probs[1:])),
+        "fit": res.fit is not None and res.fit.slope < 0,
+    }
 
 
 def _run_shadow_decay(cfg: ExperimentConfig, threads: int):
@@ -175,40 +178,6 @@ def _run_shadow_decay(cfg: ExperimentConfig, threads: int):
     return "n,x,p,ci_low,ci_high", rows, summary, checks
 
 
-def _run_backtrack(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.backtrack_tail(
-        model, dist, cfg.k, cfg.n, cfg.samples, cfg.seed,
-        thresholds=cfg.r_grid, confidence=cfg.confidence, threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
-
-
-def _run_z_sum(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.z_sum_deviation(
-        model, dist, cfg.k, cfg.k * max(cfg.n_grid), cfg.L, cfg.samples,
-        cfg.seed, n_grid=cfg.n_grid, L_factor=cfg.L_factor,
-        confidence=cfg.confidence, threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    checks = _decay_assertion(res, r2_min=0.85)
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
-
-
-def _run_bernstein(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.bernstein_check(
-        model, dist, cfg.k, cfg.epsilon, cfg.n_grid, cfg.samples, cfg.seed,
-        epsilon_factor=cfg.epsilon_factor, confidence=cfg.confidence,
-        threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    checks = _decay_assertion(res, r2_min=0.85)
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
-
-
 def _run_chernoff(cfg: ExperimentConfig, threads: int):
     rows = []
     ok = True
@@ -223,33 +192,6 @@ def _run_chernoff(cfg: ExperimentConfig, threads: int):
             cell += 1
     summary = {"cells": len(rows), "rate_mean": cfg.rate_mean}
     return "t,n,empirical,bound", rows, summary, {"empirical_below_bound": ok}
-
-
-def _run_midpoint(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    # counting, not the tilted default: each row stays hits/samples of plain walks
-    res = stats.midpoint_failure_decay(
-        model, dist, cfg.n_grid, cfg.samples, cfg.seed,
-        confidence=cfg.confidence, threads=threads, estimator="frequency",
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    checks = {
-        "strictly_decreasing": all(
-            b < a for a, b in zip(res.series.probabilities, res.series.probabilities[1:])
-        ),
-        "fit": res.fit is not None and res.fit.slope < 0,
-    }
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, checks
-
-
-def _run_diagonal(cfg: ExperimentConfig, threads: int):
-    model, dist = cfg.step_distribution()
-    res = stats.diagonal_event_decay(
-        model, dist, cfg.n, cfg.r_grid, cfg.samples, cfg.seed,
-        confidence=cfg.confidence, threads=threads,
-    )
-    summary = {"fit": _fit_dict(res.fit), "diagnostics": res.diagnostics}
-    return "x,p,ci_low,ci_high", res.series.rows(), summary, _decay_assertion(res)
 
 
 def _run_props(cfg: ExperimentConfig, threads: int):
@@ -279,15 +221,33 @@ def _run_calibrate(cfg: ExperimentConfig, threads: int):
 
 _HANDLERS = {
     "drift": _run_drift,
-    "linear-progress": _run_linear_progress,
-    "translation-decay": _run_translation_decay,
+    "linear-progress": _series(lambda cfg, model, dist, common: stats.linear_progress_decay(
+        model, dist, cfg.L, cfg.n_grid, cfg.samples, cfg.seed, **common)),
+    "translation-decay": _series(
+        lambda cfg, model, dist, common: stats.translation_decay(
+            model, dist, cfg.B, cfg.n_grid, cfg.samples, cfg.seed, **common),
+        lambda res: _decay_assertion(res, strict_decrease=True)),
     "shadow-decay": _run_shadow_decay,
-    "backtrack": _run_backtrack,
-    "z-sum": _run_z_sum,
-    "bernstein": _run_bernstein,
+    "backtrack": _series(lambda cfg, model, dist, common: stats.backtrack_tail(
+        model, dist, cfg.k, cfg.n, cfg.samples, cfg.seed, thresholds=cfg.r_grid, **common)),
+    "z-sum": _series(
+        lambda cfg, model, dist, common: stats.z_sum_deviation(
+            model, dist, cfg.k, cfg.k * max(cfg.n_grid), cfg.L, cfg.samples, cfg.seed,
+            n_grid=cfg.n_grid, L_factor=cfg.L_factor, **common),
+        lambda res: _decay_assertion(res, r2_min=0.85)),
+    "bernstein": _series(
+        lambda cfg, model, dist, common: stats.bernstein_check(
+            model, dist, cfg.k, cfg.epsilon, cfg.n_grid, cfg.samples, cfg.seed,
+            epsilon_factor=cfg.epsilon_factor, **common),
+        lambda res: _decay_assertion(res, r2_min=0.85)),
     "chernoff": _run_chernoff,
-    "midpoint": _run_midpoint,
-    "diagonal": _run_diagonal,
+    # counting, not the tilted default: each row stays hits/samples of plain walks
+    "midpoint": _series(
+        lambda cfg, model, dist, common: stats.midpoint_failure_decay(
+            model, dist, cfg.n_grid, cfg.samples, cfg.seed, estimator="frequency", **common),
+        _midpoint_checks),
+    "diagonal": _series(lambda cfg, model, dist, common: stats.diagonal_event_decay(
+        model, dist, cfg.n, cfg.r_grid, cfg.samples, cfg.seed, **common)),
     "props": _run_props,
     "calibrate": _run_calibrate,
 }

@@ -91,6 +91,9 @@ class ExperimentConfig:
         if subcommand == "drift" and self.samples < 2:
             violations.append("drift requires samples >= 2 (its interval uses the sample "
                               "standard deviation)")
+        if subcommand == "drift" and (self.assert_rate is None) != (self.assert_rate_tol is None):
+            violations.append("drift requires assert_rate and assert_rate_tol together "
+                              "(either alone checks nothing)")
         if subcommand == "chernoff" and self.t_grid and min(self.t_grid) < 0:
             violations.append("t_grid entries must be >= 0 for chernoff")
         if subcommand == "midpoint" and self.n_grid and any(x % 2 for x in self.n_grid):

@@ -8,15 +8,17 @@ over all rows, reading the letters of each row's drawn word from a
 (support, longest word) table, so its cost does not grow with the support.
 `_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
 step as four numpy expressions, switching the block to python ints before
-an entry could overflow.  Each model's `_Geometry` gives d(1, w) per row
-and the Gromov product (u . w)_1 of two states: a common prefix in the
-tree, (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph.  Observers
-fold the states into one statistic per sample through it, so distance and
-the Gromov products are written once for both models; only the classifiers
-(cyclic core; trace class and exact translation length) belong to one
-model.  `observe` runs a model's kernel with an observer over the blocks.
-Farey distances run `dist_to_infinity`'s ladder in lockstep over all rows
-(`_dists_to_infinity`).
+an entry could overflow.  Each model's `_Geometry` gives, per row, d(1, w),
+the Gromov product (u . w)_1 of two states (a common prefix in the tree,
+(d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph) and whether the
+translation length of w is at most B (the cyclic core's length in the tree;
+on the Farey graph |trace| <= 2, then the exact length where B > 0).
+Observers fold the states into one statistic per sample through it, so
+every observer is written once for both models, and every model
+difference lives in `_GEOMETRIES`.  `observe` runs a model's kernel with an
+observer over the blocks; walks of different lengths are prefixes of one
+another, so one call serves a whole grid of lengths.  Farey distances run
+`dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`).
 `free_midpoint_tilted` keeps its own step law, which depends on the state,
 on its own stream namespace.
 
@@ -26,13 +28,14 @@ Steps come from the block's one Philox stream (`walk.block_words`): one
 same arithmetic as `sample_walk`.
 
 Work is split into the streams' blocks of `walk.BLOCK_SIZE` samples, merged
-in block order, so a thread pool over blocks cannot change any output.
+in block order, so a thread pool over blocks cannot change any output; it
+engages only above one block.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,9 +163,12 @@ def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
     is the model's `_Geometry` and walk() gives the block's state at each
     checkpoint, and yields one array per checkpoint with a row per sample.
     walk(law, ensemble) gives the same block of another, independent walk.
+    Checkpoints are walk lengths >= 1, and at least one is needed.
     """
     check_samples(samples)
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("checkpoints must be a non-empty list of walk lengths >= 1")
     geom = _GEOMETRIES[model.name]
 
     def run_block(lo: int, hi: int) -> list[np.ndarray]:
@@ -228,6 +234,33 @@ def _farey_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (_dists_to_infinity(a, c) + _dists_to_infinity(w[0], w[2]) - d_uw)
 
 
+def _cyclic_core_lengths(state) -> np.ndarray:
+    """The translation length of each row's w in the tree: the length of its
+    cyclic core, w with the letters that cancel around its ends peeled."""
+    stack, length = state
+    rows, cap = stack.shape
+    j = np.arange(cap)
+    rev_idx = np.clip(length[:, None] - 1 - j[None, :], 0, cap - 1)
+    mirrored = stack[np.arange(rows)[:, None], rev_idx]
+    valid = j[None, :] < (length[:, None] // 2)
+    match = (stack == -mirrored) & valid
+    peel = np.argmax(~match, axis=1)  # first position that fails to cancel
+    return length - 2 * peel
+
+
+def _farey_translation_at_most(state: np.ndarray, B: float) -> np.ndarray:
+    """Whether each row's translation length on the Farey graph is at most
+    B: it is 0 exactly when |trace| <= 2, and otherwise positive and exact
+    (`translation_length`), so only B > 0 needs it."""
+    small = np.abs(state[0] + state[3]) <= 2
+    if B > 0:
+        rows = np.flatnonzero(~small)
+        # python ints: the period matrices outgrow int64
+        tau = [translation_length(FareyElement(*m)) for m in state[:, rows].T.tolist()]
+        small[rows] = np.array(tau) <= B
+    return small
+
+
 class _Geometry(NamedTuple):
     """A model as the engines see it: its step kernel, and functions of the
     states it yields, one value per row."""
@@ -235,6 +268,7 @@ class _Geometry(NamedTuple):
     steps: Callable  # (dist, checkpoints, lo, hi, seed, ensemble) -> states
     distance: Callable  # state -> d(1, w)
     product: Callable  # (state u, state w) -> (u . w)_1
+    translation_at_most: Callable  # (state, B) -> translation length of w <= B
     snapshot: Callable  # state -> a copy that outlives the next step
     state_of: Callable  # element -> its state as one row that broadcasts
     identity: object  # the state of the identity
@@ -245,6 +279,7 @@ _GEOMETRIES = {
         steps=_free_steps,
         distance=lambda state: state[1].copy(),
         product=_common_prefix,
+        translation_at_most=lambda state, B: _cyclic_core_lengths(state) <= B,
         snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1].copy()),
         state_of=lambda g: (np.array([g.letters], dtype=np.int8), np.array([len(g.letters)])),
         identity=(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64)),
@@ -253,6 +288,7 @@ _GEOMETRIES = {
         steps=_farey_steps,
         distance=lambda state: _dists_to_infinity(state[0], state[2]),
         product=_farey_product,
+        translation_at_most=_farey_translation_at_most,
         snapshot=lambda state: state,  # each step builds a new array
         state_of=lambda g: np.array(g.entries(), dtype=object)[:, None],
         identity=np.array([[1], [0], [0], [1]], dtype=np.int64),
@@ -268,47 +304,37 @@ def _distances(geom, walk):
         yield geom.distance(state)
 
 
-def _products_with_previous(geom, walk):
-    prev = geom.identity  # w_0 = 1 precedes the first checkpoint
-    for state in walk():
-        yield np.stack([geom.distance(state), geom.product(prev, state)], axis=1)
-        prev = geom.snapshot(state)
-
-
-def _cyclic_cores(geom, walk):
-    for stack, length in walk():
-        rows, cap = stack.shape
-        j = np.arange(cap)
-        rev_idx = np.clip(length[:, None] - 1 - j[None, :], 0, cap - 1)
-        mirrored = stack[np.arange(rows)[:, None], rev_idx]
-        valid = j[None, :] < (length[:, None] // 2)
-        match = (stack == -mirrored) & valid
-        peel = np.argmax(~match, axis=1)  # first position that fails to cancel
-        yield length - 2 * peel
-
-
-def _trace_small(geom, walk):
-    for state in walk():
-        yield np.abs(state[0] + state[3]) <= 2
-
-
-def _farey_translation_lengths(geom, walk):
-    for state in walk():
-        # python ints: the period matrices outgrow int64
-        yield np.array([translation_length(FareyElement(*m)) for m in state.T.tolist()])
-
-
 # d(1, w_t)
 DISTANCE = _distances
-# (d(1, w_t), (w_s . w_t)_1) per row, s the previous checkpoint (0 for the
-# first), so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1
-PRODUCT_WITH_PREVIOUS = _products_with_previous
-# the classifiers, one model each: translation length of w_t in the tree
-# (its cyclic core's length); on the Farey graph |trace w_t| <= 2 (w_t is not
-# loxodromic: translation length 0) and the exact translation length
-CYCLIC_CORE = _cyclic_cores
-TRACE_SMALL = _trace_small
-FAREY_TRANSLATION_LENGTH = _farey_translation_lengths
+
+
+def translation_at_most(B: float):
+    """Whether the translation length of w_t is at most B."""
+
+    def fold(geom, walk):
+        for state in walk():
+            yield geom.translation_at_most(state, B)
+
+    return fold
+
+
+def pair_products(pairs: Mapping[int, int]):
+    """(d(1, w_t), (w_s . w_t)_1) per row at each checkpoint t, s = pairs[t],
+    so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1.  The
+    checkpoints are the keys of `pairs`; s is 0 (w_0 = 1) or an earlier
+    checkpoint."""
+    if any(s != 0 and not (s in pairs and s < t) for t, s in pairs.items()):
+        raise ValueError("each checkpoint must pair with 0 or an earlier checkpoint")
+    checkpoints, sources = sorted(pairs), set(pairs.values())
+
+    def fold(geom, walk):
+        kept = {0: geom.identity}
+        for t, state in zip(checkpoints, walk(), strict=True):
+            yield np.stack([geom.distance(state), geom.product(kept[pairs[t]], state)], axis=1)
+            if t in sources:
+                kept[t] = geom.snapshot(state)
+
+    return fold
 
 
 def center_product(center):

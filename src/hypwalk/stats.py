@@ -61,16 +61,8 @@ class TailEstimate:
         thresholds = [float(t) for t in thresholds]
         if sorted(thresholds) != thresholds:
             raise ValueError("thresholds must be ascending")
-        n = values.size
-        srt = np.sort(values)
-        probs, lows, highs = [], [], []
-        for t in thresholds:
-            k = int(n - np.searchsorted(srt, t, side="left"))
-            lo, hi = clopper_pearson(k, n, confidence)
-            probs.append(k / n)
-            lows.append(lo)
-            highs.append(hi)
-        return cls(tuple(thresholds), tuple(probs), tuple(lows), tuple(highs), n)
+        counts = values.size - np.searchsorted(np.sort(values), thresholds, side="left")
+        return cls.from_counts(thresholds, counts, values.size, confidence)
 
     @classmethod
     def from_counts(cls, xs: Sequence[float], counts: Sequence[int], trials: int,
@@ -149,11 +141,13 @@ def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> DecayFit:
     )
 
 
-def _try_fit(series) -> DecayFit | None:
+def _decay(series: TailEstimate, **diagnostics) -> DecayResult:
+    """`series` with its exponential fit (None below three positive points)."""
     try:
-        return fit_exponential_decay(series)
+        fit = fit_exponential_decay(series.rows_xy())
     except ValueError:
-        return None
+        fit = None
+    return DecayResult(series=series, fit=fit, diagnostics=diagnostics)
 
 
 def empirical_tail(values: Sequence[float], thresholds: Sequence[float],
@@ -162,16 +156,18 @@ def empirical_tail(values: Sequence[float], thresholds: Sequence[float],
 
 
 def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
-          threads: int = 1) -> DriftEstimate:
+          confidence: float = DEFAULT_CONFIDENCE, threads: int = 1) -> DriftEstimate:
     """Mean of d(1, w_n)/n with a normal-approximation interval."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
     d = engines.observe(model, dist, [n], engines.DISTANCE, samples, seed, threads=threads)[n]
     rates = d / n
     rate = float(rates.mean())
-    half = 1.959963984540054 * float(rates.std(ddof=1)) / math.sqrt(samples)
+    half = float(ndtri(0.5 + 0.5 * confidence)) * float(rates.std(ddof=1)) / math.sqrt(samples)
     return DriftEstimate(rate=rate, ci_low=rate - half, ci_high=rate + half,
                          n=n, samples=samples)
 
@@ -184,9 +180,7 @@ def linear_progress_decay(model, dist: StepDistribution, L: float,
     n_grid = [int(n) for n in n_grid]
     d = engines.observe(model, dist, n_grid, engines.DISTANCE, samples, seed, threads=threads)
     counts = [int(np.sum(d[n] <= L * n)) for n in n_grid]
-    series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit, diagnostics={"L": L})
+    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), L=L)
 
 
 def translation_decay(model, dist: StepDistribution, B: float,
@@ -194,25 +188,16 @@ def translation_decay(model, dist: StepDistribution, B: float,
                       confidence: float = DEFAULT_CONFIDENCE,
                       threads: int = 1) -> DecayResult:
     """P(translation length of w_n <= B) along n_grid, all read off one walk
-    per sample.  Exact: the cyclic core's length in the tree; on the Farey
-    graph the trace class at B = 0 (the length is 0 iff |trace| <= 2),
-    otherwise `models.farey.translation_length`.
+    per sample.  Exact on both models (`engines.translation_at_most`).
     """
     if B < 0:
         raise ValueError("B must be >= 0")
     assert_nonelementary(model, dist)
     n_grid = [int(n) for n in n_grid]
-    if model.name == "free":
-        classifier = engines.CYCLIC_CORE
-    else:
-        classifier = engines.TRACE_SMALL if B == 0 else engines.FAREY_TRANSLATION_LENGTH
-    out = engines.observe(model, dist, n_grid, classifier, samples, seed, threads=threads)
-    # TRACE_SMALL yields whether tau = 0, the others tau itself
-    counts = [int(np.sum(out[n] if classifier is engines.TRACE_SMALL else out[n] <= B))
-              for n in n_grid]
-    series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit, diagnostics={"B": B})
+    out = engines.observe(model, dist, n_grid, engines.translation_at_most(B), samples, seed,
+                          threads=threads)
+    counts = [int(np.sum(out[n])) for n in n_grid]
+    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), B=B)
 
 
 # centers of the shadow experiment: powers of one loxodromic per model
@@ -238,22 +223,19 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
         center = model.multiply(center, step)
     gp = engines.observe(model, dist, [n], engines.center_product(center), samples, seed,
                          ensemble=ensemble, threads=threads)[n]
-    series = TailEstimate.from_values(gp, r_grid, confidence)
     empty = [r for r in r_grid if r > center_distance + 2.0 * model.delta]
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit,
-                       diagnostics={"n": n, "center_distance": center_distance,
-                                    "empty_shadow_radii": empty})
+    return _decay(TailEstimate.from_values(gp, r_grid, confidence), n=n,
+                  center_distance=center_distance, empty_shadow_radii=empty)
 
 
 def _iterated_increments(model, dist, k, n_iter, samples, seed, threads=1):
     """(Y, X, Z), each of shape (n_iter, samples), of the k-iterated walk:
     Y[i] = d(w_ik, w_(i+1)k), X[i] = |w_(i+1)k| - |w_ik| and the backtrack
     Z = Y - X."""
+    previous = {t: t - k for t in range(k, k * n_iter + 1, k)}
     # ensemble keyed by k: sweeps over k compare independent draws
-    out = engines.observe(model, dist, range(k, k * n_iter + 1, k),
-                          engines.PRODUCT_WITH_PREVIOUS, samples, seed,
-                          ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
+    out = engines.observe(model, dist, previous, engines.pair_products(previous), samples,
+                          seed, ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
     pairs = np.stack(list(out.values()))
     D, gp = pairs[..., 0], pairs[..., 1]
     before = np.vstack([np.zeros((1, samples), dtype=np.int64), D[:-1]])
@@ -281,14 +263,11 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
     pooled = Z.reshape(-1)
     if thresholds is None:
         thresholds = [float(t) for t in range(0, 14, 2)]
-    series = TailEstimate.from_values(pooled, thresholds, confidence)
-    fit = _try_fit(series.rows_xy())
     # mean_y alongside mean_z supports the k sweep: the smallest usable k is
     # the first whose segment drift clears the backtrack mean
-    return DecayResult(series=series, fit=fit,
-                       diagnostics={"k": k, "increments": int(pooled.size),
-                                    "mean_z": float(pooled.mean()),
-                                    "mean_y": float(Y.mean())})
+    return _decay(TailEstimate.from_values(pooled, thresholds, confidence), k=k,
+                  increments=int(pooled.size), mean_z=float(pooled.mean()),
+                  mean_y=float(Y.mean()))
 
 
 def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
@@ -314,10 +293,8 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
         L = L_factor * mean_z
     csum = np.cumsum(Z, axis=0)
     counts = [int(np.sum(csum[m - 1] >= L * m)) for m in n_grid]
-    series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit,
-                       diagnostics={"k": k, "L": L, "mean_z": mean_z})
+    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), k=k, L=L,
+                  mean_z=mean_z)
 
 
 def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None,
@@ -342,10 +319,8 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     counts = [
         int(np.sum(np.abs(csum[m - 1] - m * mean_y) >= epsilon * m)) for m in n_grid
     ]
-    series = TailEstimate.from_counts(n_grid, counts, samples, confidence)
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit,
-                       diagnostics={"k": k, "epsilon": epsilon, "mean_y": mean_y})
+    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), k=k,
+                  epsilon=epsilon, mean_y=mean_y)
 
 
 def chernoff_bound(t: float, n: int) -> float:
@@ -406,17 +381,17 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
     subcommand uses it, so its outputs keep their sample-by-sample meaning.
     """
     two_n_grid = [int(x) for x in two_n_grid]
+    if any(two_n % 2 for two_n in two_n_grid):
+        raise ValueError("walk length must be even")
     if estimator == "frequency":
-        counts = []
-        for two_n in two_n_grid:
-            if two_n % 2 != 0:
-                raise ValueError("walk length must be even")
-            n = two_n // 2
-            out = engines.observe(model, dist, [n, two_n], engines.PRODUCT_WITH_PREVIOUS,
-                                  samples, seed, threads=threads)
-            counts.append(int(np.sum(out[two_n][:, 1] < 0.5 * out[n][:, 0])))
-        series = TailEstimate.from_counts(two_n_grid, counts, samples, confidence)
-        return DecayResult(series=series, fit=_try_fit(series.rows_xy()), diagnostics={})
+        # one walk to the longest 2n: d(1, w_n) at each n, (w_n . w_2n)_1 at each 2n
+        pairs = {two_n // 2: 0 for two_n in two_n_grid}
+        pairs.update({two_n: two_n // 2 for two_n in two_n_grid})
+        out = engines.observe(model, dist, pairs, engines.pair_products(pairs), samples, seed,
+                              threads=threads)
+        counts = [int(np.sum(out[two_n][:, 1] < 0.5 * out[two_n // 2][:, 0]))
+                  for two_n in two_n_grid]
+        return _decay(TailEstimate.from_counts(two_n_grid, counts, samples, confidence))
     if estimator != "tilted":
         raise ValueError(f"unknown estimator {estimator!r}: use 'tilted' or 'frequency'")
     if model.name != "free":
@@ -441,9 +416,8 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
         ess.append(float(w.sum() ** 2 / np.sum(w * w)) if p > 0.0 else 0.0)
     series = TailEstimate(tuple(float(x) for x in two_n_grid), tuple(probs),
                           tuple(lows), tuple(highs), samples)
-    return DecayResult(series=series, fit=_try_fit(series.rows_xy()),
-                       diagnostics={"estimator": "tilted", "relative_error": rel,
-                                    "hits": hits, "effective_samples": ess})
+    return _decay(series, estimator="tilted", relative_error=rel, hits=hits,
+                  effective_samples=ess)
 
 
 def diagonal_event_decay(model, dist: StepDistribution, n: int,
@@ -459,5 +433,4 @@ def diagonal_event_decay(model, dist: StepDistribution, n: int,
     shifted = [r - 2.0 * model.delta for r in r_grid]
     series = dataclasses.replace(TailEstimate.from_values(gp, shifted, confidence),
                                  thresholds=tuple(r_grid))
-    fit = _try_fit(series.rows_xy())
-    return DecayResult(series=series, fit=fit, diagnostics={"n": n})
+    return _decay(series, n=n)

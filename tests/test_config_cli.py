@@ -330,6 +330,33 @@ def test_cli_assert_failure_exit_4(tmp_path):
     assert _run_cli(["drift", "--config", str(p)]).returncode == 0
 
 
+@pytest.mark.parametrize("lone", [{"assert_rate": 0.9}, {"assert_rate_tol": 0.01}],
+                         ids=["rate", "tol"])
+def test_cli_drift_lone_assert_field_exit_2(lone, tmp_path, capsys):
+    # either field alone would leave --assert nothing to check
+    from hypwalk import cli
+
+    out = tmp_path / "o"
+    p = _write_cfg(tmp_path, "c.json", n=15, samples=30, output_path=str(out), **lone)
+    assert cli.main(["drift", "--config", str(p), "--assert"]) == 2
+    assert "assert_rate and assert_rate_tol together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_drift_interval_reads_confidence(tmp_path):
+    from hypwalk import cli
+
+    widths = []
+    for confidence in (0.95, 0.99):
+        out = tmp_path / str(confidence)
+        p = _write_cfg(tmp_path, "c.json", n=15, samples=200, confidence=confidence,
+                       output_path=str(out))
+        assert cli.main(["drift", "--config", str(p)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        widths.append(summary["ci_high"] - summary["ci_low"])
+    assert widths[1] == pytest.approx(widths[0] * 2.5758293035489004 / 1.959963984540054)
+
+
 def test_cli_props_free(tmp_path):
     out = tmp_path / "o"
     p = _write_cfg(tmp_path, "c.json", samples=200, output_path=str(out))

@@ -6,7 +6,8 @@ sample from the block's Philox stream) must give exactly the indices of
 word-to-index conversion must equal the alias method in exact rationals;
 and every observer of the step kernels must equal the
 statistic recomputed from `sample_walk` plus the model's `distance`,
-`gromov_product`, translation length or trace.  The Farey kernel's int64
+`gromov_product`, translation length or trace.  Bad checkpoints are refused
+before any step is drawn.  The Farey kernel's int64
 state must widen to python ints before it can overflow, and the lockstep
 Farey distance and the scalar `dist_to_infinity` must both equal the
 memoized recursion they replaced (`farey_recursion`).
@@ -205,17 +206,50 @@ def test_stream_generator_is_the_keyed_philox():
 
 @pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])
 def test_free_midpoint_events_match_reference(dist):
-    # the midpoint event (w_n . w_2n)_1 < |w_n| / 2 as midpoint_decay counts it
-    two_n, samples, seed = 14, 80, 72
+    # the midpoint map 2n -> n as midpoint_failure_decay builds it, on a grid
+    # where 6 is both an n and a 2n: (w_n . w_2n)_1 and |w_n| at every n
+    grid, samples, seed = [6, 12, 14], 80, 72
+    pairs = {two_n // 2: 0 for two_n in grid}
+    pairs.update({two_n: two_n // 2 for two_n in grid})
+    assert pairs == {3: 0, 6: 3, 7: 0, 12: 6, 14: 7}
     one = free.identity()
-    out = engines.observe(free, dist, [two_n // 2, two_n], engines.PRODUCT_WITH_PREVIOUS,
-                          samples, seed)
-    mid_len, gp = out[two_n // 2][:, 0], out[two_n][:, 1]
+    out = engines.observe(free, dist, pairs, engines.pair_products(pairs), samples, seed)
+    assert list(out) == sorted(pairs)
     for i in range(samples):
-        ws = sample_walk(free, dist, two_n, seed=seed, stream=i)
-        mid, end = ws.locations[two_n // 2], ws.locations[two_n]
-        assert gp[i] == gromov_product(free, one, mid, end), i
-        assert mid_len[i] == free.distance(one, mid), i
+        ws = sample_walk(free, dist, max(grid), seed=seed, stream=i).locations
+        for t, s in pairs.items():
+            assert out[t][i, 0] == free.distance(one, ws[t]), (i, t)
+            assert out[t][i, 1] == gromov_product(free, one, ws[s], ws[t]), (i, t)
+
+
+@pytest.mark.parametrize("pairs", [{4: 0, 8: 5}, {4: 4}, {4: 0, 8: 12}, {4: -1}])
+def test_pair_products_refuses_a_source_that_is_no_earlier_checkpoint(pairs):
+    with pytest.raises(ValueError, match="earlier checkpoint"):
+        engines.pair_products(pairs)
+
+
+@pytest.mark.parametrize("call", ["observe", "linear_progress", "midpoint", "pairs"])
+@pytest.mark.parametrize("checkpoints", [[], [0], [-3, 4], [0, 4]],
+                         ids=["empty", "zero", "negative", "zero_and_four"])
+def test_bad_checkpoints_raise_before_any_draw(call, checkpoints, monkeypatch):
+    from hypwalk import stats
+
+    def no_draw(*args):
+        raise AssertionError("a step was drawn")
+
+    monkeypatch.setattr(engines, "block_words", no_draw)
+    with pytest.raises(ValueError, match="checkpoint"):
+        if call == "observe":
+            engines.observe(free, UNIFORM, checkpoints, engines.DISTANCE, 10, seed=1)
+        elif call == "linear_progress":
+            stats.linear_progress_decay(free, UNIFORM, 0.5, checkpoints, 10, seed=1)
+        elif call == "midpoint":
+            stats.midpoint_failure_decay(free, UNIFORM, [2 * c for c in checkpoints], 10,
+                                         seed=1, estimator="frequency")
+        else:
+            pairs = dict.fromkeys(checkpoints, 0)
+            engines.observe(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 10,
+                            seed=1)
 
 
 # --- every observer against the per-sample reference path ---
@@ -228,29 +262,40 @@ def _center(model):
     return CENTER_FREE if model is free else CENTER_FAREY
 
 
-# name: (observer for (model, law), reference statistic at checkpoint t of
-# walk w, with s the previous checkpoint and v an independent walk of the
-# reflected law)
+TAUS = (0, 0.5, 1, 2, 3)
+
+
+def _at_most(B):
+    return lambda m, w, t, s, v: m.translation_length(w[t]) <= B
+
+
+# name: for (model, law, checkpoints), a list of (observer, reference
+# statistic at checkpoint t of walk w, with s the previous checkpoint and v
+# an independent walk of the reflected law)
 OBSERVERS = {
-    "distance": (lambda model, dist: engines.DISTANCE,
-                 lambda m, w, t, s, v: m.distance(m.identity(), w[t])),
-    "cyclic_core": (lambda model, dist: engines.CYCLIC_CORE,
-                    lambda m, w, t, s, v: m.translation_length(w[t])),
-    "trace_small": (lambda model, dist: engines.TRACE_SMALL,
-                    lambda m, w, t, s, v: abs(w[t].trace()) <= 2),
-    "farey_translation_length": (lambda model, dist: engines.FAREY_TRANSLATION_LENGTH,
-                                 lambda m, w, t, s, v: m.translation_length(w[t])),
-    "product_with_previous": (
-        lambda model, dist: engines.PRODUCT_WITH_PREVIOUS,
+    "distance": lambda model, dist, cps: [
+        (engines.DISTANCE, lambda m, w, t, s, v: m.distance(m.identity(), w[t]))],
+    # translation_at_most on the tree: the cyclic core's length
+    "cyclic_core": lambda model, dist, cps: [
+        (engines.translation_at_most(B), _at_most(B)) for B in TAUS],
+    # on the Farey graph at B = 0: the trace class alone
+    "trace_small": lambda model, dist, cps: [
+        (engines.translation_at_most(0), lambda m, w, t, s, v: abs(w[t].trace()) <= 2),
+        (engines.translation_at_most(0), _at_most(0))],
+    # ... and the exact length where B > 0
+    "farey_translation_length": lambda model, dist, cps: [
+        (engines.translation_at_most(B), _at_most(B)) for B in TAUS[1:]],
+    # the iterated map: each checkpoint paired with the one before it
+    "product_with_previous": lambda model, dist, cps: [(
+        engines.pair_products(dict(zip(cps, [0, *cps[:-1]]))),
         lambda m, w, t, s, v: (m.distance(m.identity(), w[t]),
-                               gromov_product(m, m.identity(), w[s], w[t]))),
-    "center_product": (
-        lambda model, dist: engines.center_product(_center(model)),
-        lambda m, w, t, s, v: gromov_product(m, m.identity(), _center(m), w[t])),
-    "product_with_walk": (
-        lambda model, dist: engines.product_with_walk(reflected(dist),
-                                                      engines.ENSEMBLE_REFLECTED),
-        lambda m, w, t, s, v: gromov_product(m, m.identity(), w[t], v[t])),
+                               gromov_product(m, m.identity(), w[s], w[t])))],
+    "center_product": lambda model, dist, cps: [(
+        engines.center_product(_center(model)),
+        lambda m, w, t, s, v: gromov_product(m, m.identity(), _center(m), w[t]))],
+    "product_with_walk": lambda model, dist, cps: [(
+        engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED),
+        lambda m, w, t, s, v: gromov_product(m, m.identity(), w[t], v[t]))],
 }
 LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, None),
         "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE),
@@ -276,10 +321,10 @@ def test_observer_matches_reference(name, law_id):
         # int64 at the first checkpoint, python ints from the second step on
         checkpoints = [1, 5, 12]
     seed, ensemble, n = 71, engines.ENSEMBLE_GRID_BASE + 1, checkpoints[-1]
-    make_observer, reference = OBSERVERS[name]
-    got = engines.observe(model, dist, checkpoints, make_observer(model, dist), samples, seed,
-                          ensemble=ensemble)
-    assert list(got) == checkpoints
+    cases = OBSERVERS[name](model, dist, checkpoints)
+    outs = [engines.observe(model, dist, checkpoints, observer, samples, seed,
+                            ensemble=ensemble) for observer, _ in cases]
+    assert all(list(got) == checkpoints for got in outs)
     dist_v = reflected(dist) if name == "product_with_walk" else None
     for i in range(samples):
         w = sample_walk(model, dist, n, seed=seed, stream=i, ensemble=ensemble).locations
@@ -289,7 +334,8 @@ def test_observer_matches_reference(name, law_id):
                             ensemble=engines.ENSEMBLE_REFLECTED).locations
         for j, t in enumerate(checkpoints):
             s = checkpoints[j - 1] if j else 0
-            assert np.array_equal(got[t][i], reference(model, w, t, s, v)), (i, t)
+            for got, (_, reference) in zip(outs, cases):
+                assert np.array_equal(got[t][i], reference(model, w, t, s, v)), (i, t)
 
 
 # --- the Farey kernel's int64 guard and the lockstep distance ---

@@ -164,9 +164,33 @@ def test_tilted_is_deterministic_and_thread_independent():
     assert np.array_equal(hit_1, hit_2) and np.array_equal(log_w_1, log_w_2)
 
 
-def test_estimator_validation():
+@pytest.mark.parametrize("model,dist", [
+    (free, UNIFORM), (free, MULTI),
+    (FareyModel(), StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)),
+], ids=["uniform", "multi", "farey"])
+def test_counting_one_walk_matches_one_walk_per_grid_point(model, dist):
+    # one observe call over the grid gives the counts of a call per point,
+    # each walking only to its own 2n
+    grid, samples, seed = [4, 8, 12, 16], 600, 31
+    whole = stats.midpoint_failure_decay(model, dist, grid, samples, seed,
+                                         estimator="frequency")
+    for j, two_n in enumerate(grid):
+        single = stats.midpoint_failure_decay(model, dist, [two_n], samples, seed,
+                                              estimator="frequency")
+        assert single.series.rows() == whole.series.rows()[j:j + 1]
+
+
+def test_estimator_validation(monkeypatch):
     with pytest.raises(ValueError):
         stats.midpoint_failure_decay(free, UNIFORM, [4], samples=100, seed=1, estimator="magic")
+    # an odd length is refused before any grid point is walked
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "free_midpoint_tilted", None)
+        patch.setattr(engines, "observe", None)
+        for estimator in ("tilted", "frequency"):
+            with pytest.raises(ValueError, match="even"):
+                stats.midpoint_failure_decay(free, UNIFORM, [4, 7], samples=100, seed=1,
+                                             estimator=estimator)
     # the tilts are derived on the tree; counting runs on SL(2,Z) too
     farey = FareyModel()
     farey_law = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)

@@ -126,6 +126,23 @@ def test_drift_deterministic():
         stats.drift(free, d, n=10, samples=1, seed=1)
 
 
+def test_drift_interval_reads_its_confidence():
+    d = uniform_free()
+    default = stats.drift(free, d, n=20, samples=300, seed=4)
+    for confidence in (0.95, 0.8, 0.99):
+        est = stats.drift(free, d, n=20, samples=300, seed=4, confidence=confidence)
+        assert est.rate == default.rate
+        half = (est.ci_high - est.ci_low) / 2
+        assert half == pytest.approx((default.ci_high - default.ci_low) / 2
+                                     * norm.ppf(0.5 + confidence / 2) / norm.ppf(0.975))
+    # 0.95 keeps the z it always used, bit for bit
+    rates = engines.observe(free, d, [20], engines.DISTANCE, 300, 4)[20] / 20
+    half = 1.959963984540054 * float(rates.std(ddof=1)) / math.sqrt(300)
+    assert (default.ci_low, default.ci_high) == (default.rate - half, default.rate + half)
+    with pytest.raises(ValueError, match="confidence"):
+        stats.drift(free, d, n=20, samples=300, seed=4, confidence=1.0)
+
+
 def test_drift_bounded_by_max_step():
     d = StepDistribution([W("ab"), W("B")], [0.5, 0.5])
     est = stats.drift(free, d, n=200, samples=200, seed=3)

@@ -280,7 +280,8 @@ def test_engine_threads_do_not_change_output():
     assert np.array_equal(base[20], threaded[20])
     # the Farey kernel over two blocks
     samples = engines.BLOCK_SIZE + 3000
-    for observer in (engines.DISTANCE, engines.TRACE_SMALL):
+    for observer in (engines.DISTANCE, engines.translation_at_most(0),
+                     engines.translation_at_most(1)):
         base = engines.observe(farey, uniform_farey(), [10, 40], observer, samples, seed=3)
         threaded = engines.observe(farey, uniform_farey(), [10, 40], observer, samples,
                                    seed=3, threads=4)
