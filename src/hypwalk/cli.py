@@ -7,9 +7,10 @@ config's output_path:
   series.csv     the estimated series (schema per subcommand, below)
   summary.json   fit constants, diagnostics, sample counts, seed, and the
                  config digest; byte-identical across reruns of one config
-  manifest.json  config digest, artifact version, wall time, file list
-                 (wall time varies, so the manifest is excluded from the
-                 reproducibility contract)
+  manifest.json  config digest, artifact version, wall time, file list, and
+                 for props the trials each suite ran, valid or not
+                 (`suite_attempts`); wall time varies, so the manifest is
+                 excluded from the reproducibility contract
 
 Exit codes: 0 success, 2 malformed config (including NaN, Infinity or
 an out-of-range number such as 1e400 anywhere in it, or samples above
@@ -207,7 +208,9 @@ def _run_props(cfg: ExperimentConfig, threads: int):
         },
         "all_passed": all(r.passed for r in results),
     }
-    return "suite,instances,failures", rows, summary, {"all_passed": summary["all_passed"]}
+    attempts = {"suite_attempts": {r.name: r.attempts for r in results}}
+    return ("suite,instances,failures", rows, summary, {"all_passed": summary["all_passed"]},
+            attempts)
 
 
 def _run_calibrate(cfg: ExperimentConfig, threads: int):
@@ -254,7 +257,8 @@ _HANDLERS = {
 
 
 def _write_outputs(cfg: ExperimentConfig, subcommand: str, header: str,
-                   rows, summary: dict, checks: dict, wall_time: float) -> list[str]:
+                   rows, summary: dict, checks: dict, wall_time: float,
+                   manifest_extra: dict | None = None) -> list[str]:
     out_dir = Path(cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = cfg.digest()
@@ -286,6 +290,7 @@ def _write_outputs(cfg: ExperimentConfig, subcommand: str, header: str,
         "version": __version__,
         "wall_time_seconds": wall_time,
         "files": ["series.csv", "summary.json"],
+        **(manifest_extra or {}),
     }
     with open(manifest_path, "w", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -332,13 +337,14 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        header, rows, summary, checks = _HANDLERS[args.subcommand](cfg, args.threads)
+        # a handler may add a fifth item: manifest-only fields
+        header, rows, summary, checks, *extra = _HANDLERS[args.subcommand](cfg, args.threads)
     except (ElementaryDistributionError, PreconditionError, UnsatisfiableConfigError) as exc:
         return _error(EXIT_PRECONDITION, str(exc))
     except ValueError as exc:
         return _error(EXIT_CONFIG, str(exc))
     wall = time.perf_counter() - t0
-    _write_outputs(cfg, args.subcommand, header, rows, summary, checks, wall)
+    _write_outputs(cfg, args.subcommand, header, rows, summary, checks, wall, *extra)
 
     if args.subcommand == "props" and not checks.get("all_passed", False):
         return _error(EXIT_ASSERT, "property suite failures")

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._draws import WordDraws
 from .errors import PreconditionError
 
 
@@ -184,7 +185,7 @@ def estimate_delta(model, sample_count: int, radius: int, seed: int) -> float:
     a fixed seed."""
     if sample_count < 1 or radius < 1:
         raise ValueError("sample_count and radius must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = WordDraws(np.random.default_rng(seed))
     worst = 0.0
     for _ in range(sample_count):
         w = model.sample_element(rng, radius)

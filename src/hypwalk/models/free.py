@@ -29,7 +29,9 @@ def random_reduced_letters(rng, length: int, last: int | None = None) -> list[in
     not cancel its predecessor, all drawn by one `rng.integers(0, 3,
     size=...)`.  numpy's bounded draw takes one 32-bit word per value in
     both forms, so this gives the same letters and leaves the same generator
-    state as one scalar call per letter.
+    state as one scalar call per letter.  `rng` is a `np.random.Generator`
+    or a `_draws.WordDraws` (the props suites), which returns the same
+    values as Python ints, a list for `size=`.
     """
     letters: list[int] = []
     if length <= 0:
@@ -39,7 +41,7 @@ def random_reduced_letters(rng, length: int, last: int | None = None) -> list[in
         letters.append(last)
         length -= 1
     if length:
-        for k in rng.integers(0, 3, size=length).tolist():
+        for k in rng.integers(0, 3, size=length):
             last = _FOLLOWERS[last][k]
             letters.append(last)
     return letters

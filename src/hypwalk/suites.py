@@ -19,7 +19,12 @@ Instances come from the models' scalar samplers, which draw a free word
 in two RNG calls and a Farey product in four Python ints; the helpers
 here continue those walks the same way (the tree wander, the Farey far
 pair), so every draw matches the per-letter, per-generator samplers of
-`tests/scalar_samplers.py` value for value.
+`tests/scalar_samplers.py` value for value.  The generators that
+`run_all_suites` and `calibrate_constants` seed are wrapped in
+`_draws.WordDraws`, which serves those RNG calls from 32-bit words read
+in bulk with numpy's values, at a fraction of the cost of a numpy call per
+letter or generator.  `_tally` counts every trial it runs
+(`SuiteResult.attempts`), accepted or not.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hypgeom
+from ._draws import WordDraws
 from .errors import PreconditionError, UnsatisfiableConfigError
 from .hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from .models.farey import FareyElement, dist_to_infinity, random_product_entries
@@ -49,6 +55,7 @@ class SuiteResult:
     instances: int
     failures: int
     fitted: dict = field(default_factory=dict)
+    attempts: int = 0  # trials run, valid or not; not part of the outputs' bytes
 
     @property
     def passed(self) -> bool:
@@ -142,15 +149,14 @@ def _draw_shadow_radius(shape: _Shape, rng, d: float) -> float:
 def _tally(name: str, instances: int, trial, budget: int, fitted=None) -> SuiteResult:
     """Run `trial` at most `budget * instances` times, stopping at
     `instances` valid instances; None from a trial marks an invalid one."""
-    produced = failures = 0
-    for _ in range(budget * instances):
-        if produced == instances:
-            break
+    produced = failures = attempts = 0
+    while produced < instances and attempts < budget * instances:
+        attempts += 1
         held = trial()
         if held is not None:
             produced += 1
             failures += not held
-    return SuiteResult(name, produced, failures, fitted or {})
+    return SuiteResult(name, produced, failures, fitted or {}, attempts)
 
 
 def _require_tree(model, suite: str) -> None:
@@ -423,7 +429,7 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     def search(name, run_at) -> float:
         for slack in SLACK_GRID:
             try:
-                result = run_at(slack, np.random.default_rng(seed))
+                result = run_at(slack, WordDraws(np.random.default_rng(seed)))
             except UnsatisfiableConfigError:
                 continue
             if result.passed:
@@ -448,7 +454,7 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     )
     if shape.tree:
         fitted["conjugator_slack"] = conjugacy_suite(
-            model, instances, np.random.default_rng(seed), slack=6.0
+            model, instances, WordDraws(np.random.default_rng(seed)), slack=6.0
         ).fitted["smallest_sufficient"]
     return fitted
 
@@ -459,7 +465,7 @@ def run_all_suites(model, instances: int, seed: int,
     if constants is None:
         constants = calibrate_constants(model, seed=seed + 1,
                                         instances=max(200, instances // 10))
-    rng = np.random.default_rng(seed)
+    rng = WordDraws(np.random.default_rng(seed))
     results = [
         gromov_product_suite(model, instances, rng),
         shadow_monotonicity_suite(model, instances, rng),

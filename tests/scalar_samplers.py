@@ -4,10 +4,11 @@ batched samplers (`FreeGroupModel.sample_word`, `FareyModel.sample_element`,
 against, draw for draw.
 
 Each function makes one scalar `rng.integers` call per letter or generator
-step and builds a checked `FareyElement` after every step, as the props
-suites did before their draws were batched.  The batched samplers must
-return equal elements and leave `rng.bit_generator.state` equal after
-every call, so the props and calibrate outputs do not move.
+step on a plain `np.random.Generator` and builds a checked `FareyElement`
+after every step, as the props suites did before their draws were batched.
+The batched samplers, drawing from a `_draws.WordDraws` over a generator
+seeded alike, must return equal elements call for call and then give the
+same trailing draw, so the props and calibrate outputs do not move.
 """
 
 from __future__ import annotations

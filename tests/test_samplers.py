@@ -1,10 +1,16 @@
 """The batched instance samplers against the scalar ones, draw for draw.
 
 `tests/scalar_samplers.py` keeps the samplers that made one `rng.integers`
-call per letter or generator step.  Each batched sampler must return the
-same element and leave the generator in the same state after every call,
-so a numpy whose bounded-integer draws differ between scalar and `size=`
-calls fails here rather than silently moving the props outputs.
+call per letter or generator step.  The props suites run the batched
+samplers on a `_draws.WordDraws`, which serves numpy's bounded draws from
+32-bit words read in bulk, so here each batched sampler draws from a
+`WordDraws` and its oracle from a plain `np.random.Generator` seeded alike.
+They must return equal elements call for call and then agree on one
+trailing full-word draw, which shows both consumed the same words.  The
+generator states themselves cannot be compared: `WordDraws` reads ahead.
+A numpy whose bounded draws differ between scalar and `size=` calls, or
+from `WordDraws`' conversion, fails here rather than silently moving the
+props outputs.
 """
 
 import numpy as np
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 
 import scalar_samplers
 from hypwalk import suites
+from hypwalk._draws import WordDraws
 from hypwalk.errors import UnsatisfiableConfigError
 from hypwalk.models import get_model
 
@@ -24,20 +31,21 @@ radii = st.integers(1, 20)
 
 
 def _outcome(sample, rng):
-    """(what `sample(rng)` returned or raised, the generator state after it)."""
+    """What `sample(rng)` returned or raised."""
     try:
-        value = sample(rng)
+        return sample(rng)
     except UnsatisfiableConfigError:
-        value = UnsatisfiableConfigError
-    return value, rng.bit_generator.state
+        return UnsatisfiableConfigError
 
 
 def _assert_same_draws(calls, seed):
-    """Run each (batched, scalar) pair of samplers in turn on two generators
-    seeded alike; results and states must agree after every call."""
-    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    """Run each (batched, scalar) pair of samplers in turn, the batched one
+    on a `WordDraws` and the scalar one on a plain generator seeded alike;
+    results must agree after every call, and so must one trailing draw."""
+    new, old = WordDraws(np.random.default_rng(seed)), np.random.default_rng(seed)
     for batched, scalar in calls:
         assert _outcome(batched, new) == _outcome(scalar, old)
+    assert new.integers(0, 2**32) == old.integers(0, 2**32)
 
 
 @settings(max_examples=150, deadline=None)

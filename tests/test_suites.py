@@ -231,3 +231,25 @@ def test_conjugacy_suite_computes_each_product_once(monkeypatch):
     monkeypatch.setattr(suites, "gromov_product", lambda *a: calls.append(a) or product(*a))
     res = conjugacy_suite(free, 300, np.random.default_rng(41), slack=2.0)
     assert res.instances == 300 and len(calls) == 2 * 300
+
+
+@pytest.mark.parametrize("model_name", ["free", "farey"])
+def test_props_manifest_records_attempts_per_suite(model_name, tmp_path, monkeypatch):
+    """Every suite ran at least one trial per accepted instance; the counts
+    go to manifest.json only, so summary.json keeps its bytes."""
+    import json
+
+    from hypwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    config = {"model": model_name, "distribution": [["a", 1.0]] if model_name == "free"
+              else [["[[1,1],[0,1]]", 1.0]], "seed": 5, "samples": 60, "output_path": "out"}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cli.main(["props", "--config", "cfg.json"]) in (0, 4)
+    suites = json.loads((tmp_path / "out" / "summary.json").read_text())["suites"]
+    attempts = json.loads((tmp_path / "out" / "manifest.json").read_text())["suite_attempts"]
+    assert set(attempts) == set(suites)
+    for name, result in suites.items():
+        assert attempts[name] >= result["instances"] > 0, name
+    assert "attempts" not in (tmp_path / "out" / "summary.json").read_text()
+    assert max(attempts[name] - suites[name]["instances"] for name in suites) > 0
