@@ -27,29 +27,35 @@ _LOW = _WORD - 1
 
 class WordDraws:
     """`integers(low, high[, size])` of the wrapped `np.random.Generator`,
-    value for value, as Python ints (a list for `size=`)."""
+    value for value, as Python ints (a list for `size=`).
 
-    __slots__ = ("_rng", "_words", "_pos")
+    `words[pos:]` are the buffered words not yet served.  A hot loop may
+    serve itself from them in place, by the rule above, and advance `pos`
+    past the words it used; it goes through `integers` whenever the buffer
+    runs short, which may replace `words`, so it re-reads both afterwards.
+    """
+
+    __slots__ = ("_rng", "words", "pos")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._words: list[int] = []
-        self._pos = 0
+        self.words: list[int] = []
+        self.pos = 0
 
     def _refill(self, need: int) -> None:
         """Keep the unread words and append whole chunks until `need` are left."""
-        words = self._words[self._pos:]
+        words = self.words[self.pos:]
         while len(words) < need:
             words += self._rng.integers(0, _WORD, size=CHUNK, dtype=np.uint32).tolist()
-        self._words, self._pos = words, 0
+        self.words, self.pos = words, 0
 
     def _bounded(self, n: int) -> int:
         """One value in [0, n) by Lemire's rule, 1 < n <= 2^32."""
         while True:
-            if self._pos == len(self._words):
+            if self.pos == len(self.words):
                 self._refill(1)
-            m = self._words[self._pos] * n
-            self._pos += 1
+            m = self.words[self.pos] * n
+            self.pos += 1
             # (2^32 - n) % n < n, so most words skip the modulo
             if m & _LOW >= n or m & _LOW >= (_WORD - n) % n:
                 return m >> 32
@@ -62,24 +68,29 @@ class WordDraws:
                              else "span above 2^32: numpy draws 64-bit words there")
         if size is None:
             # the common case of `_bounded`, inlined: a buffered word accepted at once
-            pos = self._pos
-            if n > 1 and pos < len(self._words):
-                m = self._words[pos] * n
+            pos = self.pos
+            if n > 1 and pos < len(self.words):
+                m = self.words[pos] * n
                 if m & _LOW >= n:
-                    self._pos = pos + 1
+                    self.pos = pos + 1
                     return low + (m >> 32)
             return low if n == 1 else low + self._bounded(n)
         if size < 0:
             raise ValueError("negative size")
         if n == 1 or size == 0:
             return [low] * size
-        if self._pos + size > len(self._words):
+        if self.pos + size > len(self.words):
             self._refill(size)
-        start = self._pos
-        ms = [w * n for w in self._words[start:start + size]]
+        start = self.pos
+        ms = [w * n for w in self.words[start:start + size]]
         threshold = (_WORD - n) % n
         if threshold and min([m & _LOW for m in ms]) < threshold:
             # a word is rejected: the values shift onto later words
             return [low + self._bounded(n) for _ in range(size)]
-        self._pos = start + size
+        self.pos = start + size
         return [low + (m >> 32) for m in ms]
+
+
+def word_draws(rng) -> WordDraws:
+    """`rng` itself if it is a `WordDraws`, else a `WordDraws` reading it ahead."""
+    return rng if isinstance(rng, WordDraws) else WordDraws(rng)

@@ -1,9 +1,10 @@
 """Concrete group actions: F2 on its Cayley tree, SL(2,Z) on the Farey graph.
 
 Both models expose the same duck-typed surface: identity/multiply/invert,
-the (possibly improper) metric `distance`, parse/format for the canonical
-text forms, translation length, and seeded element sampling.  Everything
-downstream (hypgeom, walk, stats) is written against that surface only.
+the (possibly improper) metric `distance` and its all-pairs matrix
+`distances`, parse/format for the canonical text forms, translation
+length, and seeded element sampling.  Everything downstream (hypgeom,
+walk, stats) is written against that surface only.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -416,6 +418,16 @@ class FareyModel:
     def distance(self, g: FareyElement, h: FareyElement) -> int:
         # d(g*inf, h*inf) = d(inf, g^-1 h*inf): the first column of g^-1 h
         return dist_to_infinity(g.d * h.a - g.b * h.c, g.a * h.c - g.c * h.a)
+
+    def distances(self, points: Sequence[FareyElement]) -> np.ndarray:
+        """`distance` over every pair of `points`, as an int64 matrix: one
+        ladder per pair, the graph metric being symmetric."""
+        n = len(points)
+        dist = np.zeros((n, n), dtype=np.int64)
+        for i, g in enumerate(points):
+            for j in range(i + 1, n):
+                dist[i, j] = dist[j, i] = self.distance(g, points[j])
+        return dist
 
     def parse(self, text: str) -> FareyElement:
         return FareyElement.from_str(text)

@@ -8,7 +8,10 @@ coarse-geometry statement can be checked with no additive error.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 _LETTER_TO_CHAR = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -157,6 +160,26 @@ class FreeGroupModel:
     def distance(self, g: FreeWord, h: FreeWord) -> int:
         # d(g, h) = |g^-1 h| = |g| + |h| - 2 * common_prefix(g, h)
         return len(g) + len(h) - 2 * common_prefix_len(g, h)
+
+    def distances(self, points: Sequence[FreeWord]) -> np.ndarray:
+        """`distance` over every pair of `points`, as an int64 matrix.
+
+        The words are padded into the rows of one integer array, each row
+        ending in a sentinel column unique to it, so two rows differ by
+        their shorter word's end at the latest.  The first column where two
+        rows differ (`argmax`) is the words' common prefix length, the full
+        length for equal words.  Memory is n^2 times the longest word.
+        """
+        lengths = np.array([len(p) for p in points], dtype=np.int64)
+        n = len(points)
+        padded = np.zeros((n, int(lengths.max(initial=0)) + 1), dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = list(
+            chain.from_iterable(p.letters for p in points))
+        padded[np.arange(n), lengths] = np.arange(3, n + 3)  # letters are +-1, +-2
+        prefix = (padded[:, None, :] != padded[None, :, :]).argmax(axis=2)
+        dist = lengths[:, None] + lengths[None, :] - 2 * prefix
+        np.fill_diagonal(dist, 0)
+        return dist
 
     def parse(self, text: str) -> FreeWord:
         return FreeWord.from_str(text)

@@ -23,8 +23,11 @@ pair), so every draw matches the per-letter, per-generator samplers of
 `run_all_suites` and `calibrate_constants` seed are wrapped in
 `_draws.WordDraws`, which serves those RNG calls from 32-bit words read
 in bulk with numpy's values, at a fraction of the cost of a numpy call per
-letter or generator.  `_tally` counts every trial it runs
-(`SuiteResult.attempts`), accepted or not.
+letter or generator.  The Farey far pair reads that word buffer in place,
+so the two suites that draw far pairs wrap a plain generator they are
+given, which then runs ahead of the draws served.  `_tally` counts every
+trial it runs (`SuiteResult.attempts`), accepted or not; calibration
+stops a slack's run at its first counterexample.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hypgeom
-from ._draws import WordDraws
+from ._draws import WordDraws, word_draws
 from .errors import PreconditionError, UnsatisfiableConfigError
 from .hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from .models.farey import FareyElement, dist_to_infinity, random_product_entries
@@ -47,6 +50,8 @@ SLACK_GRID = tuple(x / 2.0 for x in range(0, 13))
 CORE_MAX = 3
 CONJ_MAX = 20
 _TREE_RADIUS = 20
+# trials per requested instance of the suites that calibration fits
+_REJECTION_BUDGET = 120
 
 
 @dataclass
@@ -99,21 +104,45 @@ def _far_pair_tree(model, rng, min_d: float):
     return z, model.multiply(z, u)
 
 
-def _far_pair_farey(model, rng, min_d: float):
+def _far_pair_farey(model, rng: WordDraws, min_d: float):
     """(z, x) with d(z, x) >= min_d by an outward random product (positive
     drift reaches min_d quickly).
 
-    x = z u grows u by one `sample_element(rng, 2)` product a step, kept
-    as four ints; d(z, x) is the ladder on u's first column, the value
-    `FareyModel.distance(z, x)` computes, and x is built once.
+    x = z u grows u by one `sample_element(rng, 2)` product a step, kept as
+    four ints; d(z, x) is the ladder on u's first column, the value
+    `FareyModel.distance(z, x)` computes, and x is built once.  A step is
+    served straight from `rng`'s word buffer: its generator count by
+    Lemire's rule for span 3, which rejects only the word 0, and each
+    generator as `word >> 30`, since span 4 rejects none.  A rejected count
+    word, or a buffer with fewer than three words left, sends the step
+    through `random_product_entries`, which draws the same values.
     """
     for _ in range(40):
         z = model.sample_element(rng, 4)
-        u = (1, 0, 0, 1)
+        a, b, c, d = 1, 0, 0, 1
         for _ in range(12 * max(1, int(min_d))):
-            u = random_product_entries(rng, 2, u)
-            if dist_to_infinity(u[0], u[2]) >= min_d:
-                return z, model.multiply(z, FareyElement(*u))
+            words, pos = rng.words, rng.pos
+            if pos + 2 < len(words) and words[pos]:
+                end = pos + 1 + (words[pos] * 3 >> 32)
+                rng.pos = end
+                for w in words[pos + 1:end]:
+                    k = w >> 30  # (R, L, R^-1, L^-1), as in random_product_entries
+                    if k == 0:
+                        b += a
+                        d += c
+                    elif k == 1:
+                        a += b
+                        c += d
+                    elif k == 2:
+                        b -= a
+                        d -= c
+                    else:
+                        a -= b
+                        c -= d
+            else:
+                a, b, c, d = random_product_entries(rng, 2, (a, b, c, d))
+            if dist_to_infinity(a, c) >= min_d:
+                return z, model.multiply(z, FareyElement(a, b, c, d))
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
 
 
@@ -146,16 +175,21 @@ def _draw_shadow_radius(shape: _Shape, rng, d: float) -> float:
     return float(rng.integers(0, min(int(d), shape.shadow_cap) + 1))
 
 
-def _tally(name: str, instances: int, trial, budget: int, fitted=None) -> SuiteResult:
+def _tally(name: str, instances: int, trial, budget: int, fitted=None,
+           stop_at_failure: bool = False) -> SuiteResult:
     """Run `trial` at most `budget * instances` times, stopping at
-    `instances` valid instances; None from a trial marks an invalid one."""
+    `instances` valid instances (or at the first failure, when asked); None
+    from a trial marks an invalid one."""
     produced = failures = attempts = 0
     while produced < instances and attempts < budget * instances:
         attempts += 1
         held = trial()
         if held is not None:
             produced += 1
-            failures += not held
+            if not held:
+                failures += 1
+                if stop_at_failure:
+                    break
     return SuiteResult(name, produced, failures, fitted or {}, attempts)
 
 
@@ -283,9 +317,7 @@ def composition_suite(model, instances: int, rng) -> SuiteResult:
     return _tally("shadow_composition", instances, trial, 60)
 
 
-def nested_separation_suite(model, instances: int, rng, slack: float) -> SuiteResult:
-    """Members of S_z(x, r) sit at distance >= gap from non-members of
-    S_z(x, r - gap - slack)."""
+def _nested_separation_trial(model, rng: WordDraws, slack: float):
     shape = _SHAPES[model.name]
 
     def trial():
@@ -304,13 +336,19 @@ def nested_separation_suite(model, instances: int, rng, slack: float) -> SuiteRe
         except PreconditionError:
             return None  # b_pt landed inside the inner shadow
 
-    return _tally("nested_separation", instances, trial, 120, fitted={"slack": slack})
+    return trial
 
 
-def basepoint_change_suite(model, instances: int, rng, product_slack: float,
-                           radius_slack: float) -> SuiteResult:
-    """S_z(x, r) lands inside S_y(x, d(x,y) - d(x,z) + r - radius_slack)
-    whenever (x . y)_z <= r - product_slack."""
+def nested_separation_suite(model, instances: int, rng, slack: float) -> SuiteResult:
+    """Members of S_z(x, r) sit at distance >= gap from non-members of
+    S_z(x, r - gap - slack).  A plain generator is wrapped in a `WordDraws`
+    (which reads it ahead) for the far pairs."""
+    return _tally("nested_separation", instances,
+                  _nested_separation_trial(model, word_draws(rng), slack),
+                  _REJECTION_BUDGET, fitted={"slack": slack})
+
+
+def _basepoint_change_trial(model, rng, product_slack: float, radius_slack: float):
     shape = _SHAPES[model.name]
 
     def trial():
@@ -330,12 +368,20 @@ def basepoint_change_suite(model, instances: int, rng, product_slack: float,
         except (UnsatisfiableConfigError, PreconditionError):
             return None
 
-    return _tally("basepoint_change", instances, trial, 120,
+    return trial
+
+
+def basepoint_change_suite(model, instances: int, rng, product_slack: float,
+                           radius_slack: float) -> SuiteResult:
+    """S_z(x, r) lands inside S_y(x, d(x,y) - d(x,z) + r - radius_slack)
+    whenever (x . y)_z <= r - product_slack."""
+    return _tally("basepoint_change", instances,
+                  _basepoint_change_trial(model, rng, product_slack, radius_slack),
+                  _REJECTION_BUDGET,
                   fitted={"product_slack": product_slack, "radius_slack": radius_slack})
 
 
-def shadow_complement_suite(model, instances: int, rng, slack: float) -> SuiteResult:
-    """The complement of S_z(x, r) is squeezed between two shadows from x."""
+def _shadow_complement_trial(model, rng: WordDraws, slack: float):
     shape = _SHAPES[model.name]
     r_lo = int(np.ceil(slack))
 
@@ -351,7 +397,16 @@ def shadow_complement_suite(model, instances: int, rng, slack: float) -> SuiteRe
         except PreconditionError:
             return None
 
-    return _tally("shadow_complement", instances, trial, 120, fitted={"slack": slack})
+    return trial
+
+
+def shadow_complement_suite(model, instances: int, rng, slack: float) -> SuiteResult:
+    """The complement of S_z(x, r) is squeezed between two shadows from x.
+    A plain generator is wrapped in a `WordDraws` (which reads it ahead)
+    for the far pairs."""
+    return _tally("shadow_complement", instances,
+                  _shadow_complement_trial(model, word_draws(rng), slack),
+                  _REJECTION_BUDGET, fitted={"slack": slack})
 
 
 def _prefixes(w: FreeWord) -> list[FreeWord]:
@@ -424,12 +479,18 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResu
 
 def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, float]:
     """Smallest slack values on the half-integer grid at which each suite
-    has zero failures over `instances` seeded trials."""
+    has zero failures over `instances` seeded trials.
 
-    def search(name, run_at) -> float:
+    Each slack runs the suite's trial from the same seed; a run stops at its
+    first counterexample, which settles that slack, so only the passing run
+    draws all its instances."""
+
+    def search(name, trial_at) -> float:
         for slack in SLACK_GRID:
+            trial = trial_at(slack, WordDraws(np.random.default_rng(seed)))
             try:
-                result = run_at(slack, WordDraws(np.random.default_rng(seed)))
+                result = _tally(name, instances, trial, _REJECTION_BUDGET,
+                                stop_at_failure=True)
             except UnsatisfiableConfigError:
                 continue
             if result.passed:
@@ -439,16 +500,12 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     shape = _SHAPES[model.name]
     fitted = {
         "nested_separation": search(
-            "nested_separation",
-            lambda s, rng: nested_separation_suite(model, instances, rng, slack=s)),
+            "nested_separation", lambda s, rng: _nested_separation_trial(model, rng, s)),
         "shadow_complement": search(
-            "shadow_complement",
-            lambda s, rng: shadow_complement_suite(model, instances, rng, slack=s)),
+            "shadow_complement", lambda s, rng: _shadow_complement_trial(model, rng, s)),
     }
     fitted["basepoint_product_slack"] = fitted["basepoint_radius_slack"] = search(
-        "basepoint_change",
-        lambda s, rng: basepoint_change_suite(model, instances, rng,
-                                              product_slack=s, radius_slack=s))
+        "basepoint_change", lambda s, rng: _basepoint_change_trial(model, rng, s, s))
     fitted["four_point_defect"] = hypgeom.estimate_delta(
         model, max(1000, instances), radius=shape.defect_radius, seed=seed,
     )

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypwalk._draws import CHUNK, WordDraws
+from word_streams import CraftedWords
 
 SPANS = [1, 2, 3, 4, 7, 21, 2**31 + 1, 3 * 10**9, 2**32]
 
@@ -48,19 +49,6 @@ def test_draws_cross_chunk_boundaries():
     assert served.integers(0, 2**32) == expected.integers(0, 2**32)
 
 
-class _CraftedWords:
-    """A stand-in generator whose 32-bit word stream starts with `words`
-    and continues with 2^31 (kept by every span here)."""
-
-    def __init__(self, words):
-        self.words = list(words)
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 2**32, np.uint32)
-        head, self.words = self.words[:size], self.words[size:]
-        return np.array(head + [2**31] * (size - len(head)), dtype=np.uint32)
-
-
 # span 3: threshold (2^32 - 3) % 3 = 1.  Word 0 gives a low half 0 < 1 and is
 # rejected; 0xAAAAAAAB = 3^-1 mod 2^32 gives a low half of exactly 1 and is
 # kept, as value (3 * 0xAAAAAAAB) >> 32 = 2; 2^31 gives value 1.
@@ -68,26 +56,26 @@ INVERSE_OF_3 = 0xAAAAAAAB
 
 
 def test_rejected_word_is_skipped_on_the_scalar_path():
-    served = WordDraws(_CraftedWords([0, INVERSE_OF_3, 0, 0, 2**31]))
+    served = WordDraws(CraftedWords([0, INVERSE_OF_3, 0, 0, 2**31]))
     assert served.integers(0, 3) == 2
     assert served.integers(10, 13) == 11  # two rejections, then 2^31
     assert served.integers(0, 2**32) == 2**31
 
 
 def test_rejected_word_is_skipped_on_the_size_path():
-    served = WordDraws(_CraftedWords([2**31, 0, INVERSE_OF_3, 0, 2**31, 7]))
+    served = WordDraws(CraftedWords([2**31, 0, INVERSE_OF_3, 0, 2**31, 7]))
     assert served.integers(0, 3, size=3) == [1, 2, 1]
     assert served.integers(0, 2**32) == 7
 
 
 def test_threshold_word_is_kept_on_both_paths():
-    served = WordDraws(_CraftedWords([INVERSE_OF_3, INVERSE_OF_3, 2**31]))
+    served = WordDraws(CraftedWords([INVERSE_OF_3, INVERSE_OF_3, 2**31]))
     assert served.integers(-1, 2, size=2) == [1, 1]
     assert served.integers(0, 3) == 1
 
 
 def test_span_of_one_takes_no_word():
-    served = WordDraws(_CraftedWords([5]))
+    served = WordDraws(CraftedWords([5]))
     assert served.integers(4, 5) == 4
     assert served.integers(4, 5, size=3) == [4, 4, 4]
     assert served.integers(0, 2**32) == 5

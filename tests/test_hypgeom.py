@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypwalk import hypgeom
 from hypwalk.errors import PreconditionError
@@ -122,6 +124,61 @@ def test_quasigeodesic_check():
         QuasiGeodesicParams(0.5, 0.0)
     with pytest.raises(ValueError):
         QuasiGeodesicParams(1.0, -1.0)
+
+
+def _points(model, rng, n):
+    """n points, mostly one generator apart (a walk that may backtrack),
+    with jumps, returns to the identity and repeats of earlier points."""
+    points = [model.sample_element(rng, 3)]
+    while len(points) < n:
+        kind = int(rng.integers(0, 8))
+        if kind == 0:
+            points.append(model.identity())
+        elif kind == 1:
+            points.append(points[int(rng.integers(0, len(points)))])
+        elif kind == 2:
+            points.append(model.sample_element(rng, 6))
+        else:
+            points.append(model.multiply(points[-1], model.sample_element(rng, 1)))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["free", "farey"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 16))
+def test_distances_match_pairwise_distance(name, seed, n):
+    model = free if name == "free" else farey
+    points = _points(model, np.random.default_rng(seed), n)
+    dist = model.distances(points)
+    assert dist.shape == (n, n)
+    assert dist.tolist() == [[model.distance(p, q) for q in points] for p in points]
+
+
+def _quasigeodesic_reference(model, path, params):
+    """The pair-by-pair check: running times, then every pair i < j."""
+    times = [0.0]
+    for prev, cur in zip(path, path[1:]):
+        times.append(times[-1] + model.distance(prev, cur))
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            span = times[j] - times[i]
+            d = model.distance(path[i], path[j])
+            if d > params.K * span + params.c or d < span / params.K - params.c:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+@pytest.mark.parametrize("K,c", [(1.0, 0.0), (1.0, 4.0), (2.0, 1.0)])
+def test_quasigeodesic_check_matches_pairwise_reference(model, K, c):
+    params = QuasiGeodesicParams(K, c)
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for _ in range(400):
+        path = _points(model, rng, int(rng.integers(1, 13)))
+        outcomes.append(hypgeom.quasigeodesic_check(model, path, params))
+        assert outcomes[-1] == _quasigeodesic_reference(model, path, params), path
+    assert 0 < sum(outcomes) < len(outcomes)  # both answers occur
 
 
 def test_estimate_delta():

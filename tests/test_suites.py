@@ -156,6 +156,44 @@ def test_suites_and_calibration_match_recorded_results(key):
     assert calibrate_constants(model, seed=seed, instances=150) == constants
 
 
+def test_calibration_stops_a_failing_slack_at_its_first_counterexample(monkeypatch):
+    """Each slack that fails stops at one counterexample, in fewer trials
+    than the full suite run at that slack and seed; the passing slack runs
+    exactly as the full suite does."""
+    from hypwalk import suites
+    from hypwalk._draws import WordDraws
+
+    runs = {}
+    tally = suites._tally
+
+    def recording(name, *args, **kwargs):
+        result = tally(name, *args, **kwargs)
+        runs.setdefault(name, []).append(result)
+        return result
+
+    monkeypatch.setattr(suites, "_tally", recording)
+    constants = calibrate_constants(farey, seed=3, instances=150)
+    monkeypatch.undo()
+    full_runs = {
+        "nested_separation": lambda s, rng: suites.nested_separation_suite(farey, 150, rng, s),
+        "shadow_complement": lambda s, rng: suites.shadow_complement_suite(farey, 150, rng, s),
+        "basepoint_change": lambda s, rng: suites.basepoint_change_suite(farey, 150, rng, s, s),
+    }
+    failing = 0
+    for name, full_run in full_runs.items():
+        *failed, passed = runs[name]
+        for slack, run in zip(suites.SLACK_GRID, runs[name]):
+            full = full_run(slack, WordDraws(np.random.default_rng(3)))
+            if run is passed:
+                assert (run.instances, run.failures, run.attempts) == (
+                    full.instances, 0, full.attempts)
+            else:
+                assert run.failures == 1 and full.failures >= 1
+                assert run.attempts < full.attempts
+        failing += len(failed)
+    assert failing >= 2 and constants == SUITE_PINS["farey", 3][1]
+
+
 def test_calibration_deterministic_and_exact_for_tree():
     c1 = calibrate_constants(free, seed=33, instances=300)
     c2 = calibrate_constants(free, seed=33, instances=300)
