@@ -3,9 +3,12 @@
 A step kernel walks a block of samples (the same steps as per-sample
 `walk.sample_walk`) and yields the block's state at each checkpoint.
 `_free_steps` keeps freely reduced words as an int8 letter
-stack plus lengths and applies a step as one numpy pass per letter position
-over all rows, reading the letters of each row's drawn word from a
-(support, longest word) table, so its cost does not grow with the support.
+stack on a floor column that no letter cancels, with the flat index of each
+row's top letter as its state, and applies a step as one short numpy pass
+per letter position over all rows (gather the top, compare it with the
+drawn letter's inverse, write above the top, move the top), reading the
+letters of each row's drawn word from a (support, longest word) table, so
+its cost does not grow with the support.
 `_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
 step as four numpy expressions, switching the block to python ints before
 an entry could overflow.  Each model's `_Geometry` gives, per row, d(1, w),
@@ -89,31 +92,50 @@ def _letter_table(dist: StepDistribution) -> np.ndarray:
     return table
 
 
+# the floor of every letter stack: the inverse of no letter and of no padding
+_FLOOR = 127
+
+
 def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
                 seed: int, ensemble: int):
     """Yield (stack, length) at each checkpoint t: row r's freely reduced w_t
-    is stack[r, :length[r]].  Both arrays change in place after a yield.
+    is stack[r, :length[r]].  The stack changes in place after a yield; each
+    length is a fresh array.
 
-    A step is one pass per letter position over all rows: each row pushes
-    the letter of its drawn word at that position, or cancels it against
-    its top letter; padding letters (0) change nothing.  Writes above a
-    row's top land in its stale region, which no observer reads.
+    Column 0 of each row holds _FLOOR, and the state is `top`, the flat
+    index of each row's top letter (its floor when w_t = 1).  A step is one
+    pass per letter position over all rows: each row cancels the letter of
+    its drawn word at that position against its top letter, or pushes it.
+    Nothing cancels the floor, and padding (letter 0, inverse 0) cancels
+    nothing and pushes nothing.  Every row writes the letter just above its
+    top, so a cancelled or padding letter lands in the row's stale region,
+    which no observer reads.
     """
     n = checkpoints[-1]
     idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
     table = _letter_table(dist)
     rows, cap = hi - lo, n * table.shape[1] + 1
-    stack = np.zeros((rows, cap), dtype=np.int8)
-    length = np.zeros(rows, dtype=np.int64)
-    flat, base = stack.reshape(-1), np.arange(rows) * cap
+    stack = np.empty((rows, cap + 1), dtype=np.int8)
+    stack[:, 0] = _FLOOR
+    flat, base = stack.reshape(-1), np.arange(rows) * (cap + 1)
+    above = flat[1:]  # above[top] is the slot just above each top
+    top = base.copy()
+    # per letter position: the inverse of each support word's letter there,
+    # and whether it is padding (None when that column has none)
+    columns = [(-letters, None if letters.all() else letters == 0) for letters in table.T]
+    moves = np.array([1, -1], dtype=np.int64)  # push, cancel
     cps = set(checkpoints)
     for i in range(n):
-        for letter in table[idx[i]].T:
-            cancel = (flat.take(base + length - 1) == -letter) & (length > 0)
-            flat[base + length] = letter
-            length += (letter != 0) - 2 * cancel
+        s = idx[i]
+        for inverses, padding in columns:
+            inverse = inverses.take(s)
+            cancel = flat.take(top) == inverse
+            above[top] = -inverse
+            top += moves.take(cancel.view(np.uint8))
+            if padding is not None:
+                top -= padding.take(s)
         if i + 1 in cps:
-            yield stack, length
+            yield stack[:, 1:], top - base
 
 
 def _widened(state: np.ndarray, scale: int) -> np.ndarray:
@@ -236,14 +258,16 @@ def _farey_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _cyclic_core_lengths(state) -> np.ndarray:
     """The translation length of each row's w in the tree: the length of its
-    cyclic core, w with the letters that cancel around its ends peeled."""
+    cyclic core, w with the letters that cancel around its ends peeled.
+    Only the first max(length) // 2 + 1 columns are read: a row peels at
+    most length // 2 letter pairs, so the last of them always fails."""
     stack, length = state
-    rows, cap = stack.shape
-    j = np.arange(cap)
-    rev_idx = np.clip(length[:, None] - 1 - j[None, :], 0, cap - 1)
+    rows = stack.shape[0]
+    j = np.arange(int(length.max()) // 2 + 1)
+    rev_idx = np.maximum(length[:, None] - 1 - j[None, :], 0)
     mirrored = stack[np.arange(rows)[:, None], rev_idx]
     valid = j[None, :] < (length[:, None] // 2)
-    match = (stack == -mirrored) & valid
+    match = (stack[:, :len(j)] == -mirrored) & valid
     peel = np.argmax(~match, axis=1)  # first position that fails to cancel
     return length - 2 * peel
 
@@ -277,10 +301,10 @@ class _Geometry(NamedTuple):
 _GEOMETRIES = {
     "free": _Geometry(
         steps=_free_steps,
-        distance=lambda state: state[1].copy(),
+        distance=lambda state: state[1],  # a fresh array at each checkpoint
         product=_common_prefix,
         translation_at_most=lambda state, B: _cyclic_core_lengths(state) <= B,
-        snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1].copy()),
+        snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1]),
         state_of=lambda g: (np.array([g.letters], dtype=np.int8), np.array([len(g.letters)])),
         identity=(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64)),
     ),

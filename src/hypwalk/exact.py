@@ -56,3 +56,32 @@ def midpoint_failure_probability(two_n: int) -> float:
         if t <= n:
             total += law[k] * at_least[t] * 0.25 * 3.0 ** (1 - t)
     return float(total)
+
+
+def translation_probability(n: int, B: float) -> float:
+    """P(tau(w_n) <= B), tau the translation length: the length of the
+    cyclic core.
+
+    A reduced word of length k = m + 2p >= 1 with cyclic core of length
+    m >= 1 is u c u^-1: c is one of C_m = 3^m + 2 + (-1)^m cyclically
+    reduced words, the last letter of u avoids c's first letter's inverse
+    and c's last letter (2 choices if p >= 1), and the rest of u gives
+    3^(p-1) choices.  Since w_n is uniform on its sphere of 4 3^(k-1) words,
+
+        P = P(w_n = 1) + sum_{k >= 1} P(|w_n| = k) N_B(k) / (4 3^(k-1)),
+
+    with N_B(k) the number of those words with m <= B.  A term's share is
+    (C_m / 3^m) (3/4) at p = 0 and (C_m / 3^m) 3^-p / 2 at p >= 1.  Only
+    cores of the parity of k, hence of n, occur: B = 1 gives the same
+    value as B = 0 at even n, and B = 3 the same as B = 2.
+    """
+    if B < 0:
+        raise ValueError("B must be >= 0")
+    law = distance_law(n)
+    total = law[0]
+    for m in range(1, min(int(B), n) + 1):
+        core_share = 1.0 + (2 + (-1) ** m) / 3.0 ** m  # C_m / 3^m
+        for k in range(m, n + 1, 2):
+            p = (k - m) // 2
+            total += law[k] * core_share * (0.75 if p == 0 else 0.5 * 3.0 ** -p)
+    return float(total)

@@ -4,12 +4,13 @@ The block step draw (`engines._draw_index_block`, one word per step and
 sample from the block's Philox stream) must give exactly the indices of
 `sample_words(seed, i, e, n)`, which `sample_walk` reads, row for row; the
 word-to-index conversion must equal the alias method in exact rationals;
-and every observer of the step kernels must equal the
-statistic recomputed from `sample_walk` plus the model's `distance`,
-`gromov_product`, translation length or trace.  Bad checkpoints are refused
-before any step is drawn.  The Farey kernel's int64
-state must widen to python ints before it can overflow, and the lockstep
-Farey distance and the scalar `dist_to_infinity` must both equal the
+the letter-stack kernel's state must hold, row for row, the reduced word
+of `sample_walk` at every checkpoint; and every observer of the step
+kernels must equal the statistic recomputed from `sample_walk` plus the
+model's `distance`, `gromov_product`, translation length or trace.  Bad
+checkpoints are refused before any step is drawn.  The Farey kernel's
+int64 state must widen to python ints before it can overflow, and the
+lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
 memoized recursion they replaced (`farey_recursion`).
 """
 
@@ -47,6 +48,9 @@ UNIFORM = StepDistribution([W("a"), W("A"), W("b"), W("B")], [0.25] * 4)
 # the benchmark's non-uniform law on multi-letter words
 MULTI = StepDistribution([W("ab"), W("BA"), W("a"), W("A"), W("bab"), W("BAB"), W("b"), W("B")],
                          [0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05])
+# the identity in the support: an all-padding row of the letter table
+WITH_IDENTITY = StepDistribution([FreeWord(), W("ab"), W("A"), W("bAB"), W("B")],
+                                 [0.3, 0.2, 0.2, 0.2, 0.1])
 FAREY_UNIFORM = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
 FAREY_FIVE = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
                               [0.3, 0.2, 0.2, 0.2, 0.1])
@@ -252,6 +256,29 @@ def test_bad_checkpoints_raise_before_any_draw(call, checkpoints, monkeypatch):
                             seed=1)
 
 
+# --- the letter-stack kernel's state ---
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, MULTI, WITH_IDENTITY],
+                         ids=["uniform", "multi", "with_identity"])
+def test_free_kernel_state_is_the_reduced_walk(dist):
+    # a partial second block, of a row count that is not a multiple of 4
+    lo, rows, checkpoints, seed = engines.BLOCK_SIZE, 301, [1, 4, 11, 30], 8
+    lengths, words = [], []
+    for stack, length in engines._free_steps(dist, checkpoints, lo, lo + rows, seed,
+                                             engines.ENSEMBLE_AUX):
+        assert stack.dtype == np.int8 and stack.shape[0] == rows
+        lengths.append(length)
+        words.append([tuple(stack[r, :length[r]].tolist()) for r in range(rows)])
+    for r in range(rows):
+        w = sample_walk(free, dist, checkpoints[-1], seed=seed, stream=lo + r,
+                        ensemble=engines.ENSEMBLE_AUX).locations
+        for j, t in enumerate(checkpoints):
+            # each yielded length is its own array: later steps leave it alone
+            assert lengths[j][r] == len(w[t]), (r, t)
+            assert words[j][r] == w[t].letters, (r, t)
+
+
 # --- every observer against the per-sample reference path ---
 
 CENTER_FREE = FreeWord((1, 2, 2, -1, 2))
@@ -298,12 +325,13 @@ OBSERVERS = {
         lambda m, w, t, s, v: gromov_product(m, m.identity(), w[t], v[t]))],
 }
 LAWS = {"uniform": (free, UNIFORM), "multi": (free, MULTI), "law40000": (free, None),
+        "with_identity": (free, WITH_IDENTITY),
         "farey_uniform": (farey, FAREY_UNIFORM), "farey_five": (farey, FAREY_FIVE),
         "farey_huge": (farey, FAREY_HUGE)}
 FREE_ONLY, FAREY_ONLY = {"cyclic_core"}, {"trace_small", "farey_translation_length"}
 OBSERVER_CASES = (
     [(name, law_id) for name in OBSERVERS if name not in FAREY_ONLY
-     for law_id in ("uniform", "multi", "law40000")]
+     for law_id in ("uniform", "multi", "law40000", "with_identity")]
     + [(name, law_id) for name in OBSERVERS if name not in FREE_ONLY
        for law_id in ("farey_uniform", "farey_five", "farey_huge")]
 )
