@@ -38,5 +38,8 @@ for model in (free, farey):
 # %% In the tree every statement is exact; the shadow-complement slack of 0.5
 # exists only because closed shadows tie at integer thresholds.
 from hypwalk import estimate_delta
+from hypwalk.engines import ENSEMBLE_CALIBRATE
+from hypwalk.walk import StreamDraws
 
-print("\ntree four-point defect (exactly 0):", estimate_delta(free, 2000, 12, seed=5))
+print("\ntree four-point defect (exactly 0):",
+      estimate_delta(free, 2000, 12, rng=StreamDraws(5, ENSEMBLE_CALIBRATE)))

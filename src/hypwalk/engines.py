@@ -54,6 +54,9 @@ ENSEMBLE_PRIMARY = 0
 ENSEMBLE_REFLECTED = 1
 ENSEMBLE_AUX = 2
 ENSEMBLE_TILTED = 3
+# the props battery's and calibration's instance draws (`walk.StreamDraws`)
+ENSEMBLE_PROPS = 4
+ENSEMBLE_CALIBRATE = 5
 ENSEMBLE_GRID_BASE = 8
 ENSEMBLE_ITERATED_BASE = 256
 

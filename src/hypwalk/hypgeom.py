@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._draws import WordDraws
 from .errors import PreconditionError
 
 
@@ -173,17 +172,16 @@ def quasigeodesic_check(model, path: Sequence, params: QuasiGeodesicParams) -> b
     return not bad.any()
 
 
-def estimate_delta(model, sample_count: int, radius: int, seed: int) -> float:
+def estimate_delta(model, sample_count: int, radius: int, rng) -> float:
     """Empirical hyperbolicity defect: the largest value of
 
         min((x . z)_w, (y . z)_w) - (x . y)_w
 
-    over seeded random quadruples within the given radius, clamped at 0.
-    This estimates 2*delta in the four-point formulation; deterministic for
-    a fixed seed."""
+    over random quadruples within the given radius, clamped at 0, drawn
+    from `rng` (a `walk.StreamDraws`).  This estimates 2*delta in the
+    four-point formulation; deterministic for a fixed stream."""
     if sample_count < 1 or radius < 1:
         raise ValueError("sample_count and radius must be >= 1")
-    rng = WordDraws(np.random.default_rng(seed))
     worst = 0.0
     for _ in range(sample_count):
         w = model.sample_element(rng, radius)

@@ -161,10 +161,8 @@ def random_product_entries(rng, radius: int,
 
     The product is kept in four Python ints and checks no determinant; the
     caller builds one `FareyElement` from the result.  With products of a
-    few generators, the cost is the RNG calls: on a `np.random.Generator`
-    each is a numpy call of a few microseconds, which is why the props
-    suites pass a `_draws.WordDraws`, serving the same values from 32-bit
-    words read in bulk.
+    few generators, the cost is the RNG calls, which a `walk.StreamDraws`
+    serves from Philox words read in bulk.
     """
     a, b, c, d = entries
     integers = rng.integers

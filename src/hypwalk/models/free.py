@@ -30,11 +30,7 @@ def random_reduced_letters(rng, length: int, last: int | None = None) -> list[in
     A walk from the identity draws its first letter with one scalar
     `rng.integers(0, 4)`; every further letter is one of the three that do
     not cancel its predecessor, all drawn by one `rng.integers(0, 3,
-    size=...)`.  numpy's bounded draw takes one 32-bit word per value in
-    both forms, so this gives the same letters and leaves the same generator
-    state as one scalar call per letter.  `rng` is a `np.random.Generator`
-    or a `_draws.WordDraws` (the props suites), which returns the same
-    values as Python ints, a list for `size=`.
+    size=...)`, which reads the same words as one scalar call per letter.
     """
     letters: list[int] = []
     if length <= 0:

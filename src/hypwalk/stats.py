@@ -20,16 +20,19 @@ import numpy as np
 from scipy.special import betaincinv, ndtri
 
 from . import engines
-from .walk import (StepDistribution, assert_nonelementary, check_samples, reflected,
-                   stream_generator)
+from .walk import (BLOCK_SIZE, StepDistribution, assert_nonelementary, block_words,
+                   check_samples, reflected, uniforms)
 
 DEFAULT_CONFIDENCE = 0.95
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
+    """Exact binomial confidence interval (every counting estimator's check
+    of its confidence)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
     alpha = 1.0 - confidence
     k, n = successes, trials
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
@@ -56,8 +59,6 @@ class TailEstimate:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise ValueError("values must be non-empty")
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
         thresholds = [float(t) for t in thresholds]
         if sorted(thresholds) != thresholds:
             raise ValueError("thresholds must be ascending")
@@ -244,6 +245,13 @@ def _iterated_increments(model, dist, k, n_iter, samples, seed, threads=1):
     return Y, X, Y - X
 
 
+def _step_counts(n_grid: Sequence[int]) -> list[int]:
+    n_grid = [int(m) for m in n_grid]
+    if not n_grid or min(n_grid) < 1:
+        raise ValueError("n_grid must be a non-empty list of step counts >= 1")
+    return n_grid
+
+
 def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
                    seed: int, thresholds: Sequence[float] | None = None,
                    confidence: float = DEFAULT_CONFIDENCE,
@@ -283,9 +291,8 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
     """
     if n_grid is None:
         n_grid = sorted({max(1, (n // k) * j // 8) for j in range(1, 9)})
-    n_grid = [int(m) for m in n_grid]
-    m_max = max(n_grid)
-    _, _, Z = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
+    n_grid = _step_counts(n_grid)
+    _, _, Z = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
     mean_z = float(Z.mean())
     if L is None:
         if L_factor is None:
@@ -305,9 +312,8 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     """P(|sum_{i<=m} (Y_i - mean Y)| >= epsilon*m) along n_grid; the mean is
     the pooled estimate over all increments.  Pass epsilon directly or
     epsilon_factor to use epsilon = epsilon_factor * mean."""
-    n_grid = [int(m) for m in n_grid]
-    m_max = max(n_grid)
-    Y, _, _ = _iterated_increments(model, dist, k, m_max, samples, seed, threads)
+    n_grid = _step_counts(n_grid)
+    Y, _, _ = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
     mean_y = float(Y.mean())
     if epsilon is None:
         if epsilon_factor is None:
@@ -334,17 +340,23 @@ def chernoff_bound(t: float, n: int) -> float:
 
 
 def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
-                       seed: int, stream: int = 0) -> tuple[float, float]:
+                       seed: int) -> tuple[float, float]:
     """Empirical P(sum of n exponentials >= (1 + t) * n * mean) next to the
-    closed-form bound."""
+    closed-form bound.  Sample r's i-th exponential is -mean * log1p(-u) on
+    its step-i word of the `ENSEMBLE_AUX` block streams, summed a block at a
+    time, so every (t, n) reads a prefix of the same draws."""
     check_samples(samples)
     if rate_mean <= 0:
         raise ValueError("rate_mean must be positive")
     bound = chernoff_bound(t, n)
-    gen = stream_generator(seed, stream, engines.ENSEMBLE_AUX)
-    draws = gen.exponential(scale=rate_mean, size=(samples, n))
-    empirical = float(np.mean(draws.sum(axis=1) >= (1.0 + t) * n * rate_mean))
-    return empirical, bound
+    hits = 0
+    for lo in range(0, samples, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, samples)
+        total = np.zeros(hi - lo)
+        for words in block_words(seed, lo, hi, engines.ENSEMBLE_AUX, n):
+            total -= rate_mean * np.log1p(-uniforms(words))
+        hits += int(np.count_nonzero(total >= (1.0 + t) * n * rate_mean))
+    return hits / samples, bound
 
 
 # Tilts (theta_1, theta_2) of the midpoint estimator, from the law of the

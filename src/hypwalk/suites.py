@@ -19,15 +19,11 @@ Instances come from the models' scalar samplers, which draw a free word
 in two RNG calls and a Farey product in four Python ints; the helpers
 here continue those walks the same way (the tree wander, the Farey far
 pair), so every draw matches the per-letter, per-generator samplers of
-`tests/scalar_samplers.py` value for value.  The generators that
-`run_all_suites` and `calibrate_constants` seed are wrapped in
-`_draws.WordDraws`, which serves those RNG calls from 32-bit words read
-in bulk with numpy's values, at a fraction of the cost of a numpy call per
-letter or generator.  The Farey far pair reads that word buffer in place,
-so the two suites that draw far pairs wrap a plain generator they are
-given, which then runs ahead of the draws served.  `_tally` counts every
-trial it runs (`SuiteResult.attempts`), accepted or not; calibration
-stops a slack's run at its first counterexample.
+`tests/scalar_samplers.py` value for value.  `rng` is a `walk.StreamDraws`
+(the Farey far pair reads its word buffer in place) on the namespace
+`ENSEMBLE_PROPS` or `ENSEMBLE_CALIBRATE`.  `_tally` counts every trial it
+runs (`SuiteResult.attempts`), accepted or not; calibration stops a slack's
+run at its first counterexample.
 """
 
 from __future__ import annotations
@@ -39,11 +35,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hypgeom
-from ._draws import WordDraws, word_draws
+from .engines import ENSEMBLE_CALIBRATE, ENSEMBLE_PROPS
 from .errors import PreconditionError, UnsatisfiableConfigError
 from .hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from .models.farey import FareyElement, dist_to_infinity, random_product_entries
 from .models.free import FreeWord, cyclic_reduce, random_conjugacy_instance, random_reduced_letters
+from .walk import StreamDraws
 
 SLACK_GRID = tuple(x / 2.0 for x in range(0, 13))
 # conjugacy instances g = v s v^-1: |s| in 1..CORE_MAX, |v| in 0..CONJ_MAX
@@ -104,29 +101,27 @@ def _far_pair_tree(model, rng, min_d: float):
     return z, model.multiply(z, u)
 
 
-def _far_pair_farey(model, rng: WordDraws, min_d: float):
+def _far_pair_farey(model, rng: StreamDraws, min_d: float):
     """(z, x) with d(z, x) >= min_d by an outward random product (positive
     drift reaches min_d quickly).
 
     x = z u grows u by one `sample_element(rng, 2)` product a step, kept as
     four ints; d(z, x) is the ladder on u's first column, the value
-    `FareyModel.distance(z, x)` computes, and x is built once.  A step is
-    served straight from `rng`'s word buffer: its generator count by
-    Lemire's rule for span 3, which rejects only the word 0, and each
-    generator as `word >> 30`, since span 4 rejects none.  A rejected count
-    word, or a buffer with fewer than three words left, sends the step
-    through `random_product_entries`, which draws the same values.
+    `FareyModel.distance(z, x)` computes, and x is built once.  A step reads
+    `rng`'s word buffer in place (count `word * 3 >> 64`, generators
+    `word >> 62`), or goes through `random_product_entries`, which draws the
+    same values, when fewer than three words are left.
     """
     for _ in range(40):
         z = model.sample_element(rng, 4)
         a, b, c, d = 1, 0, 0, 1
         for _ in range(12 * max(1, int(min_d))):
             words, pos = rng.words, rng.pos
-            if pos + 2 < len(words) and words[pos]:
-                end = pos + 1 + (words[pos] * 3 >> 32)
+            if pos + 2 < len(words):
+                end = pos + 1 + (words[pos] * 3 >> 64)
                 rng.pos = end
                 for w in words[pos + 1:end]:
-                    k = w >> 30  # (R, L, R^-1, L^-1), as in random_product_entries
+                    k = w >> 62  # (R, L, R^-1, L^-1), as in random_product_entries
                     if k == 0:
                         b += a
                         d += c
@@ -317,7 +312,7 @@ def composition_suite(model, instances: int, rng) -> SuiteResult:
     return _tally("shadow_composition", instances, trial, 60)
 
 
-def _nested_separation_trial(model, rng: WordDraws, slack: float):
+def _nested_separation_trial(model, rng: StreamDraws, slack: float):
     shape = _SHAPES[model.name]
 
     def trial():
@@ -341,10 +336,9 @@ def _nested_separation_trial(model, rng: WordDraws, slack: float):
 
 def nested_separation_suite(model, instances: int, rng, slack: float) -> SuiteResult:
     """Members of S_z(x, r) sit at distance >= gap from non-members of
-    S_z(x, r - gap - slack).  A plain generator is wrapped in a `WordDraws`
-    (which reads it ahead) for the far pairs."""
+    S_z(x, r - gap - slack)."""
     return _tally("nested_separation", instances,
-                  _nested_separation_trial(model, word_draws(rng), slack),
+                  _nested_separation_trial(model, rng, slack),
                   _REJECTION_BUDGET, fitted={"slack": slack})
 
 
@@ -381,7 +375,7 @@ def basepoint_change_suite(model, instances: int, rng, product_slack: float,
                   fitted={"product_slack": product_slack, "radius_slack": radius_slack})
 
 
-def _shadow_complement_trial(model, rng: WordDraws, slack: float):
+def _shadow_complement_trial(model, rng: StreamDraws, slack: float):
     shape = _SHAPES[model.name]
     r_lo = int(np.ceil(slack))
 
@@ -401,11 +395,9 @@ def _shadow_complement_trial(model, rng: WordDraws, slack: float):
 
 
 def shadow_complement_suite(model, instances: int, rng, slack: float) -> SuiteResult:
-    """The complement of S_z(x, r) is squeezed between two shadows from x.
-    A plain generator is wrapped in a `WordDraws` (which reads it ahead)
-    for the far pairs."""
+    """The complement of S_z(x, r) is squeezed between two shadows from x."""
     return _tally("shadow_complement", instances,
-                  _shadow_complement_trial(model, word_draws(rng), slack),
+                  _shadow_complement_trial(model, rng, slack),
                   _REJECTION_BUDGET, fitted={"slack": slack})
 
 
@@ -481,13 +473,17 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     """Smallest slack values on the half-integer grid at which each suite
     has zero failures over `instances` seeded trials.
 
-    Each slack runs the suite's trial from the same seed; a run stops at its
-    first counterexample, which settles that slack, so only the passing run
-    draws all its instances."""
+    Every slack, the four-point defect and the conjugator slack read the
+    stream of `seed` on `ENSEMBLE_CALIBRATE` from its start; a slack's run
+    stops at its first counterexample, which settles that slack, so only the
+    passing run draws all its instances."""
+
+    def draws() -> StreamDraws:
+        return StreamDraws(seed, ENSEMBLE_CALIBRATE)
 
     def search(name, trial_at) -> float:
         for slack in SLACK_GRID:
-            trial = trial_at(slack, WordDraws(np.random.default_rng(seed)))
+            trial = trial_at(slack, draws())
             try:
                 result = _tally(name, instances, trial, _REJECTION_BUDGET,
                                 stop_at_failure=True)
@@ -507,22 +503,22 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     fitted["basepoint_product_slack"] = fitted["basepoint_radius_slack"] = search(
         "basepoint_change", lambda s, rng: _basepoint_change_trial(model, rng, s, s))
     fitted["four_point_defect"] = hypgeom.estimate_delta(
-        model, max(1000, instances), radius=shape.defect_radius, seed=seed,
+        model, max(1000, instances), radius=shape.defect_radius, rng=draws(),
     )
     if shape.tree:
         fitted["conjugator_slack"] = conjugacy_suite(
-            model, instances, WordDraws(np.random.default_rng(seed)), slack=6.0
-        ).fitted["smallest_sufficient"]
+            model, instances, draws(), slack=6.0).fitted["smallest_sufficient"]
     return fitted
 
 
 def run_all_suites(model, instances: int, seed: int,
                    constants: dict[str, float] | None = None) -> list[SuiteResult]:
-    """The full verification battery at fitted (or supplied) constants."""
+    """The full verification battery at fitted (or supplied) constants, drawn
+    in turn from the stream of `seed` on `ENSEMBLE_PROPS`."""
     if constants is None:
-        constants = calibrate_constants(model, seed=seed + 1,
+        constants = calibrate_constants(model, seed=seed,
                                         instances=max(200, instances // 10))
-    rng = WordDraws(np.random.default_rng(seed))
+    rng = StreamDraws(seed, ENSEMBLE_PROPS)
     results = [
         gromov_product_suite(model, instances, rng),
         shadow_monotonicity_suite(model, instances, rng),

@@ -15,7 +15,9 @@ Each step uses one word, turned into a support index by Walker's alias
 method (`StepDistribution.indices`), so arbitrary finite distributions cost
 O(1) per draw.  `block_words` reads a block a step at a time (one
 `random_raw` per step); `sample_words`, which `sample_walk` uses, reads one
-sample's words, one step at a time, from its block's stream.
+sample's words, one step at a time, from its block's stream.  Everything
+else that draws (the props suites, calibration) reads a keyed stream in
+order through a `StreamDraws`.
 """
 
 from __future__ import annotations
@@ -68,9 +70,49 @@ def _philox(key: int, counter: int = 0) -> np.random.Philox:
     return np.random.Philox(_Key(key), counter=counter)
 
 
-def stream_generator(seed: int, index: int, ensemble: int = 0) -> np.random.Generator:
-    """A Generator on the Philox stream keyed by `_stream_key`."""
-    return np.random.Generator(_philox(_stream_key(seed, index, ensemble)))
+class StreamDraws:
+    """`integers(low, high[, size])` served in order from the Philox stream
+    of `_stream_key(seed, 0, ensemble)`: the next 64-bit word w gives
+    low + (w * n >> 64), n = high - low.  This multiply-shift rule (Lemire,
+    ACM TOMACS 29, 2019) has no rejection branch; its bias is below n * 2^-64.
+
+    `words[pos:]` are the buffered words not yet served.  A hot loop may
+    serve itself from them in place, by the rule above, and advance `pos`
+    past the words it used; it goes through `integers` whenever the buffer
+    runs short, which may replace `words`, so it re-reads both afterwards.
+    """
+
+    CHUNK = 1024  # words per random_raw call
+
+    __slots__ = ("_bitgen", "words", "pos")
+
+    def __init__(self, seed: int, ensemble: int):
+        self._bitgen = _philox(_stream_key(seed, 0, ensemble))
+        self.words: list[int] = []
+        self.pos = 0
+
+    def _refill(self, need: int) -> None:
+        """Keep the unread words and append whole chunks until `need` are left."""
+        words = self.words[self.pos:]
+        while len(words) < need:
+            words += self._bitgen.random_raw(self.CHUNK).tolist()
+        self.words, self.pos = words, 0
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        low = int(low)
+        n = int(high) - low
+        if not 0 < n <= 1 << 64:
+            raise ValueError("low >= high" if n < 1 else "span above 2^64")
+        if size is None:
+            if self.pos == len(self.words):
+                self._refill(1)
+            self.pos += 1
+            return low + (self.words[self.pos - 1] * n >> 64)
+        if self.pos + size > len(self.words):
+            self._refill(size)
+        start = self.pos
+        self.pos += size
+        return [low + (w * n >> 64) for w in self.words[start:self.pos]]
 
 
 def sample_words(seed: int, index: int, ensemble: int, n: int) -> np.ndarray:
@@ -131,10 +173,10 @@ def _build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDistribution:
     """Finite-support step law: elements with strictly positive weights
-    summing to 1 (within 1e-12)."""
+    summing to 1 (within 1e-12).  Equality and hashing are by identity."""
 
     support: tuple
     weights: np.ndarray

@@ -4,15 +4,14 @@ batched samplers (`FreeGroupModel.sample_word`, `FareyModel.sample_element`,
 against, draw for draw.
 
 Each function makes one scalar `rng.integers` call per letter or generator
-step on a plain `np.random.Generator` and builds a checked `FareyElement`
-after every step, as the props suites did before their draws were batched.
-The batched samplers, drawing from a `_draws.WordDraws` over a generator
-seeded alike, must return equal elements call for call and then give the
-same trailing draw, so the props and calibrate outputs do not move.  The
-batched far pair reads its growth steps straight off the `WordDraws` word
-buffer, falling back to per-value draws at a rejected word or the buffer's
-end; these oracles make every draw through `rng.integers`, so they also run
-on a `WordDraws` over a crafted word stream to pin those fallbacks.
+step and builds a checked `FareyElement` after every step, as the props
+suites did before their draws were batched.  Both sides run on a
+`walk.StreamDraws` seeded alike and must return equal elements call for
+call and then give the same trailing draw.  The batched far pair reads its
+growth steps straight off the `StreamDraws` word buffer, falling back to
+per-value draws at the buffer's end; these oracles make every draw through
+`rng.integers`, so they also run on a crafted word stream to pin that
+fallback.
 """
 
 from __future__ import annotations

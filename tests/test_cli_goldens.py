@@ -14,10 +14,11 @@ Farey translation length (which dropped the translation-decay summaries'
 summary.json, so a version bump alone does not break the pins.
 
 `SUITE_GOLDENS` pin `props` and `calibrate` on both models the same way.
-They were recorded while the instance samplers still drew one RNG value
-per letter or generator step, before those draws were batched; the two
-`props` seeds are ones where a suite fails, so the pins also hold the
-failure counts and the exit code 4.
+They were re-recorded once, together, when props and calibrate moved onto
+keyed Philox words (`walk.StreamDraws`; see README, "Determinism").  The two
+`props` seeds are the first at or after the previous pins' seeds where a
+suite fails on those words, so the pins also hold the failure counts and the
+exit code 4.
 """
 
 import hashlib
@@ -146,22 +147,22 @@ GOLDENS = [
 # summary digest); props and calibrate read only the model from the law
 SUITE_GOLDENS = [
     ("props-free", "props",
-     {"model": "free", "distribution": FREE_UNIFORM, "seed": 12345678901234567,
+     {"model": "free", "distribution": FREE_UNIFORM, "seed": 12345678901234570,
       "samples": 200}, 4,
-     "453e2655a328a64d0631ed25dbef734bec587e21cdf49644f45506bfeb7c4b22",
-     "d163e2b7333a3bb8acd0a78e674f7fddea34f76f94c1a7a1de7d28fffbb45516"),
+     "fb1c4e2de52e349f221ea2a55304a7156b6ffa5859e365f597e8c5932dd56835",
+     "e3b88fb7292b8b1c356dfaebd6fe2df5473fc4f13d1204e09b0d65e1653458a6"),
     ("props-farey", "props",
-     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 34, "samples": 200}, 4,
-     "e21a36cdddc053b074cb0c585cbeeee6826822f172240061712377735da2f63b",
-     "b7672785af24d4d064d3d10fe4c7f5cf154a02164e8a3579e819370843c832eb"),
+     {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 41, "samples": 200}, 4,
+     "d89fc95e8dbd7b8f0b36b3f90f1d3fb24c3f79ed319bd18460ed7546d26333b7",
+     "504f454250730d639b33ed467e28cf0964b0713b1c728cbcef3c74fa10e22d63"),
     ("calibrate-free", "calibrate",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 33, "samples": 200}, 0,
      "b7b547cedb9b880fd4db9e00b749dcbf1c4dfd5ddf25811897df3bc719c0edd2",
      "97e62ce4465fb421d86c3e3a0bf0b5640307219d1a399173037d12cd5b450a6c"),
     ("calibrate-farey", "calibrate",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 35, "samples": 200}, 0,
-     "7d85bb1bfacf64eff9a90688e318b9be76c880207973651854c37759b25b1f3c",
-     "706ee8379ec5a3d8ef2b60a46943a8c1df3e09c0d2c3538e2d607158e31b3acb"),
+     "3a3f2d1105beeb3a2092759a1c97ad792b6b63b1796f3c43f6ebe8ad2fd22a87",
+     "8d0cee48cb7bd5d9382afdb0edb50ba10cf0b3301678c4081f6f31511e88c75d"),
 ]
 
 

@@ -37,7 +37,6 @@ from hypwalk.walk import (
     reflected,
     sample_walk,
     sample_words,
-    stream_generator,
 )
 
 free = FreeGroupModel()
@@ -197,15 +196,6 @@ def test_first_row_self_check_raises(monkeypatch):
         engines.observe(free, UNIFORM, [10], engines.DISTANCE, samples=50, seed=1)
     with pytest.raises(RuntimeError, match="per-sample reader"):
         engines.free_midpoint_tilted(UNIFORM, 10, 50, 1, (0.5, 1.0))
-
-
-def test_stream_generator_is_the_keyed_philox():
-    # chernoff_empirical's stream: the same words as Philox(key=...)
-    for seed, index, ensemble in [(0, 0, 0), (5, 3, engines.ENSEMBLE_AUX),
-                                  ((1 << 64) - 1, MAX_SAMPLES - 1, (1 << 16) - 1)]:
-        key = walk._stream_key(seed, index, ensemble)
-        assert np.array_equal(stream_generator(seed, index, ensemble).bit_generator.random_raw(9),
-                              np.random.Philox(key=key).random_raw(9))
 
 
 @pytest.mark.parametrize("dist", [UNIFORM, MULTI], ids=["uniform", "multi"])

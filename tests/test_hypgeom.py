@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypwalk import hypgeom
+from hypwalk.engines import ENSEMBLE_CALIBRATE
 from hypwalk.errors import PreconditionError
 from hypwalk.hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from hypwalk.models.farey import FareyModel, R
 from hypwalk.models.free import FreeGroupModel, FreeWord, common_prefix_len
+from hypwalk.walk import StreamDraws
 
 free = FreeGroupModel()
 farey = FareyModel()
@@ -181,19 +183,23 @@ def test_quasigeodesic_check_matches_pairwise_reference(model, K, c):
     assert 0 < sum(outcomes) < len(outcomes)  # both answers occur
 
 
+def _draws(seed):
+    return StreamDraws(seed, ENSEMBLE_CALIBRATE)
+
+
 def test_estimate_delta():
-    assert hypgeom.estimate_delta(free, 500, 12, seed=1) == 0.0
-    d1 = hypgeom.estimate_delta(farey, 1500, 8, seed=1)
-    d2 = hypgeom.estimate_delta(farey, 3000, 8, seed=2)
+    assert hypgeom.estimate_delta(free, 500, 12, _draws(1)) == 0.0
+    d1 = hypgeom.estimate_delta(farey, 1500, 8, _draws(1))
+    d2 = hypgeom.estimate_delta(farey, 3000, 8, _draws(2))
     assert 0.0 < d1 <= 2.0
     assert abs(d1 - d2) <= 1.0  # stable under doubling the sample budget
     with pytest.raises(ValueError):
-        hypgeom.estimate_delta(free, 0, 5, seed=1)
+        hypgeom.estimate_delta(free, 0, 5, _draws(1))
     with pytest.raises(ValueError):
-        hypgeom.estimate_delta(free, 5, 0, seed=1)
+        hypgeom.estimate_delta(free, 5, 0, _draws(1))
 
 
 def test_estimate_delta_deterministic():
-    a = hypgeom.estimate_delta(farey, 400, 6, seed=7)
-    b = hypgeom.estimate_delta(farey, 400, 6, seed=7)
+    a = hypgeom.estimate_delta(farey, 400, 6, _draws(7))
+    b = hypgeom.estimate_delta(farey, 400, 6, _draws(7))
     assert a == b

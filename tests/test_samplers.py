@@ -1,32 +1,27 @@
 """The batched instance samplers against the scalar ones, draw for draw.
 
-`tests/scalar_samplers.py` keeps the samplers that made one `rng.integers`
-call per letter or generator step.  The props suites run the batched
-samplers on a `_draws.WordDraws`, which serves numpy's bounded draws from
-32-bit words read in bulk, so here each batched sampler draws from a
-`WordDraws` and its oracle from a plain `np.random.Generator` seeded alike.
-They must return equal elements call for call and then agree on one
-trailing full-word draw, which shows both consumed the same words.  The
-generator states themselves cannot be compared: `WordDraws` reads ahead.
-A numpy whose bounded draws differ between scalar and `size=` calls, or
-from `WordDraws`' conversion, fails here rather than silently moving the
-props outputs.
+`tests/scalar_samplers.py` keeps the samplers that make one `rng.integers`
+call per letter or generator step.  Here each batched sampler and its
+oracle draw from two `walk.StreamDraws` seeded alike.  They must return
+equal elements call for call and then agree on one trailing full-word draw,
+which shows both consumed the same words.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_samplers
 from hypwalk import suites
-from hypwalk._draws import CHUNK, WordDraws
+from hypwalk.engines import ENSEMBLE_PROPS
 from hypwalk.errors import UnsatisfiableConfigError
 from hypwalk.models import get_model
-from word_streams import CraftedWords
+from hypwalk.walk import StreamDraws
+from word_streams import crafted_draws
 
 free = get_model("free")
 farey = get_model("farey")
+CHUNK = StreamDraws.CHUNK
 
 seeds = st.integers(0, 2**64 - 1)
 radii = st.integers(1, 20)
@@ -40,14 +35,17 @@ def _outcome(sample, rng):
         return UnsatisfiableConfigError
 
 
-def _assert_same_draws(calls, seed):
+def _assert_same_draws(calls, new, old):
     """Run each (batched, scalar) pair of samplers in turn, the batched one
-    on a `WordDraws` and the scalar one on a plain generator seeded alike;
+    on `new` and the scalar one on `old`, two readers of one word stream;
     results must agree after every call, and so must one trailing draw."""
-    new, old = WordDraws(np.random.default_rng(seed)), np.random.default_rng(seed)
     for batched, scalar in calls:
         assert _outcome(batched, new) == _outcome(scalar, old)
-    assert new.integers(0, 2**32) == old.integers(0, 2**32)
+    assert new.integers(0, 2**64) == old.integers(0, 2**64)
+
+
+def _seeded(seed):
+    return StreamDraws(seed, ENSEMBLE_PROPS), StreamDraws(seed, ENSEMBLE_PROPS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,7 +57,7 @@ def test_sample_word_matches_scalar_draws(seed, lengths, radius):
                       lambda rng, n=length: scalar_samplers.sample_word(rng, n)))
         calls.append((lambda rng: free.sample_element(rng, radius),
                       lambda rng: scalar_samplers.sample_free_element(rng, radius)))
-    _assert_same_draws(calls, seed)
+    _assert_same_draws(calls, *_seeded(seed))
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,13 +67,13 @@ def test_farey_sample_element_matches_scalar_draws(seed, radius_list):
         [(lambda rng, k=k: farey.sample_element(rng, k),
           lambda rng, k=k: scalar_samplers.sample_farey_element(rng, k))
          for k in radius_list],
-        seed,
+        *_seeded(seed),
     )
 
 
 def _skip(k):
     """A pair of calls that draw k full words, moving later draws across chunk ends."""
-    return (lambda rng: list(rng.integers(0, 2**32, size=k)),) * 2
+    return (lambda rng: rng.integers(0, 2**64, size=k),) * 2
 
 
 def _far_pair_calls(min_ds):
@@ -89,13 +87,13 @@ def _far_pair_calls(min_ds):
 @example(seed=0, skip=0, min_ds=[0.0])
 @example(seed=1, skip=CHUNK - 3, min_ds=[0.0, 0.0, 0.5])
 def test_far_pair_farey_matches_scalar_draws(seed, skip, min_ds):
-    _assert_same_draws([_skip(skip), *_far_pair_calls(min_ds)], seed)
+    _assert_same_draws([_skip(skip), *_far_pair_calls(min_ds)], *_seeded(seed))
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, radius=radii, rs=st.lists(st.integers(0, 22), min_size=1, max_size=6))
 def test_shadow_member_tree_matches_scalar_draws(seed, radius, rs):
-    rng = np.random.default_rng(seed)
+    rng = StreamDraws(seed, ENSEMBLE_PROPS)
     calls = []
     for r in rs:
         # r past d(z, x) exercises the raise, which draws nothing
@@ -103,17 +101,17 @@ def test_shadow_member_tree_matches_scalar_draws(seed, radius, rs):
         calls.append((lambda g, z=z, x=x, r=r: suites._shadow_member_tree(free, g, z, x, r),
                       lambda g, z=z, x=x, r=r: scalar_samplers.shadow_member_tree(
                           free, g, z, x, r)))
-    _assert_same_draws(calls, seed)
+    _assert_same_draws(calls, *_seeded(seed))
 
 
-# crafted streams: the far pair reads its growth steps straight off the word
-# buffer, and must fall back to the per-value draws exactly where those differ
+# a crafted stream: the far pair reads its growth steps straight off the word
+# buffer, and must fall back to the per-value draws at the buffer's end
 
 
 def _step_starts(monkeypatch, words, min_d):
     """Where in `words` the second and later growth steps of one far pair
     start: the buffer position at each ladder call but the last."""
-    rng = WordDraws(CraftedWords(words))
+    rng = crafted_draws(words)
     starts = []
     ladder = suites.dist_to_infinity
     monkeypatch.setattr(suites, "dist_to_infinity",
@@ -123,37 +121,19 @@ def _step_starts(monkeypatch, words, min_d):
     return starts[:-1]
 
 
-def _assert_same_crafted_draws(monkeypatch, calls, words):
-    """As `_assert_same_draws`, with both sides on `words`; returns the
-    buffer positions at which growth steps went through
-    `random_product_entries` (radius 2)."""
+@pytest.mark.parametrize("offset", [1, 2, 3])
+def test_far_pair_step_straddles_chunk_refill(monkeypatch, offset):
+    words = StreamDraws(9, ENSEMBLE_PROPS).integers(0, 2**64, size=2 * CHUNK)
+    start = _step_starts(monkeypatch, words, 4.0)[0]
+    words[start] = 2**64 - 1  # count 2: the second step takes three words
+    # draw words first so that the step starts `offset` words before the
+    # chunk's end: its words run into the next chunk, or end the chunk exactly
+    skip = CHUNK - offset - start
     fallbacks = []
     product = suites.random_product_entries
     monkeypatch.setattr(suites, "random_product_entries",
                         lambda rng, k, *u: fallbacks.append((k, rng.pos)) or product(rng, k, *u))
-    new, old = WordDraws(CraftedWords(words)), WordDraws(CraftedWords(words))
-    for batched, scalar in calls:
-        assert _outcome(batched, new) == _outcome(scalar, old)
-    assert new.integers(0, 2**32) == old.integers(0, 2**32)
-    return [pos for k, pos in fallbacks if k == 2]
-
-
-def test_far_pair_rejected_count_word_mid_growth(monkeypatch):
-    words = np.random.default_rng(8).integers(0, 2**32, size=2 * CHUNK).tolist()
-    starts = _step_starts(monkeypatch, words, 4.0)
-    assert len(starts) >= 2
-    words[starts[1]] = 0  # the third step's count word: span 3 rejects it
-    assert _assert_same_crafted_draws(monkeypatch, _far_pair_calls([4.0]), words) == [starts[1]]
-
-
-@pytest.mark.parametrize("offset", [1, 2, 3])
-def test_far_pair_step_straddles_chunk_refill(monkeypatch, offset):
-    words = np.random.default_rng(9).integers(0, 2**32, size=2 * CHUNK).tolist()
-    start = _step_starts(monkeypatch, words, 4.0)[0]
-    words[start] = 2**32 - 1  # count 2: the second step takes three words
-    # draw words first so that the step starts `offset` words before the
-    # chunk's end: its words run into the next chunk, or end the chunk exactly
-    skip = CHUNK - offset - start
-    fallbacks = _assert_same_crafted_draws(
-        monkeypatch, [_skip(skip), *_far_pair_calls([4.0])], [2**31] * skip + words)
-    assert (CHUNK - offset in fallbacks) == (offset < 3)
+    stream = [2**63] * skip + words
+    _assert_same_draws([_skip(skip), *_far_pair_calls([4.0])],
+                       crafted_draws(stream), crafted_draws(stream))
+    assert ((2, CHUNK - offset) in fallbacks) == (offset < 3)

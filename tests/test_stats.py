@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta, norm
+from scipy.stats import beta, gamma, norm
 
-from hypwalk import engines, stats
+from hypwalk import engines, stats, walk
 from hypwalk.errors import ElementaryDistributionError
 from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.walk import StepDistribution, iterated_decomposition, sample_walk, stream_generator
+from hypwalk.walk import StepDistribution, iterated_decomposition, sample_walk
 
 free = FreeGroupModel()
 farey = FareyModel()
@@ -48,7 +48,8 @@ def test_tail_monotone_and_ci_order():
 
 def test_exponential_tail_oracle():
     # closed form: P(X >= t) = exp(-t) for a mean-1 exponential
-    gen = stream_generator(11, 0)
+    # numpy's exponentials on the keyed Philox stream of seed 11, sample 0
+    gen = np.random.Generator(walk._philox(walk._stream_key(11, 0)))
     vals = gen.exponential(scale=1.0, size=100_000)
     ts = list(range(0, 9))
     est = stats.empirical_tail(vals, [float(t) for t in ts])
@@ -271,6 +272,33 @@ def test_bernstein_trivial():
     assert res2.series.probabilities == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("confidence", [1.5, float("nan"), -1.0, 0.0, 1.0])
+def test_counting_estimators_reject_confidence_outside_zero_one(confidence):
+    d = uniform_free()
+    common = {"samples": 20, "seed": 1, "confidence": confidence}
+    calls = [
+        lambda: stats.clopper_pearson(3, 10, confidence),
+        lambda: stats.empirical_tail([1.0], [1.0], confidence=confidence),
+        lambda: stats.linear_progress_decay(free, d, 0.25, [4, 8], **common),
+        lambda: stats.translation_decay(free, d, 0.0, [2, 4], **common),
+        lambda: stats.z_sum_deviation(free, d, 2, 8, 1.0, n_grid=[1, 2], **common),
+        lambda: stats.bernstein_check(free, d, 2, 0.5, [1, 2], **common),
+        lambda: stats.midpoint_failure_decay(free, d, [4, 8], estimator="frequency", **common),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="confidence"):
+            call()
+
+
+@pytest.mark.parametrize("n_grid", [[-1, 2, 4], [0, 2], []])
+def test_step_count_grids_reject_entries_below_one(n_grid):
+    d = uniform_free()
+    with pytest.raises(ValueError, match="n_grid"):
+        stats.z_sum_deviation(free, d, 2, 8, 1.0, 20, 1, n_grid=n_grid)
+    with pytest.raises(ValueError, match="n_grid"):
+        stats.bernstein_check(free, d, 2, 0.5, n_grid, 20, 1)
+
+
 def test_chernoff_bound_values():
     assert stats.chernoff_bound(0.0, 5) == 1.0
     assert stats.chernoff_bound(1.0, 1) == pytest.approx(2 / math.e, abs=1e-15)
@@ -291,6 +319,22 @@ def test_chernoff_empirical():
     assert emp2 <= bound2
     with pytest.raises(ValueError):
         stats.chernoff_empirical(0.0, t=1.0, n=5, samples=10, seed=1)
+
+
+def test_chernoff_empirical_reads_the_aux_words_by_inversion():
+    # sample i's exponentials are -log1p(-u) of its n ENSEMBLE_AUX words, summed in step order
+    t, n, seed = 0.5, 10, 9
+    hits = 0
+    for i in range(300):
+        total = 0.0
+        for u in walk.uniforms(walk.sample_words(seed, i, engines.ENSEMBLE_AUX, n)):
+            total -= np.log1p(-u)
+        hits += total >= (1.0 + t) * n
+    assert stats.chernoff_empirical(1.0, t, n, 300, seed)[0] == hits / 300
+    # over two blocks, the estimate tracks the exact Gamma(n, 1) tail
+    emp, _ = stats.chernoff_empirical(2.0, t, n, 20_000, seed)
+    p = gamma.sf((1.0 + t) * n, n)
+    assert abs(emp - p) <= 5 * math.sqrt(p * (1 - p) / 20_000)
 
 
 def test_midpoint_failure_small_lengths():

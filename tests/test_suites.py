@@ -1,8 +1,8 @@
 """Randomized predicate suites and slack calibration, both models."""
 
-import numpy as np
 import pytest
 
+from hypwalk.engines import ENSEMBLE_CALIBRATE, ENSEMBLE_PROPS
 from hypwalk.models import get_model
 from hypwalk.suites import (
     calibrate_constants,
@@ -12,13 +12,14 @@ from hypwalk.suites import (
     run_all_suites,
     shadow_member,
 )
+from hypwalk.walk import StreamDraws
 
 free = get_model("free")
 farey = get_model("farey")
 
 # (name, instances, failures, fitted) of run_all_suites(model, 150, seed) and
-# calibrate_constants(model, seed, 150), recorded before the suites were
-# rewritten as trials; failure counts are pinned as they came
+# calibrate_constants(model, seed, 150), recorded when props and calibration
+# moved onto keyed Philox words; failure counts are pinned as they came
 SUITE_PINS = {
     ('free', 3): (
         [
@@ -50,7 +51,7 @@ SUITE_PINS = {
             ("metric_nest", 150, 0, {}),
             ("shadow_composition", 150, 0, {}),
             ("nested_separation", 150, 0, {"slack": 0.0}),
-            ("basepoint_change", 150, 2, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("basepoint_change", 150, 1, {"product_slack": 0.5, "radius_slack": 0.5}),
             ("shadow_complement", 150, 0, {"slack": 0.5}),
         ],
         {
@@ -91,7 +92,7 @@ SUITE_PINS = {
             ("metric_nest", 150, 0, {}),
             ("shadow_composition", 150, 0, {}),
             ("nested_separation", 150, 0, {"slack": 0.0}),
-            ("basepoint_change", 150, 0, {"product_slack": 0.5, "radius_slack": 0.5}),
+            ("basepoint_change", 150, 0, {"product_slack": 1.0, "radius_slack": 1.0}),
             ("shadow_complement", 150, 0, {"slack": 0.5}),
         ],
         {
@@ -110,7 +111,7 @@ SUITE_PINS = {
             ("metric_nest", 150, 0, {}),
             ("shadow_composition", 150, 0, {}),
             ("nested_separation", 150, 0, {"slack": 0.0}),
-            ("basepoint_change", 150, 1, {"product_slack": 0.0, "radius_slack": 0.0}),
+            ("basepoint_change", 150, 0, {"product_slack": 0.5, "radius_slack": 0.5}),
             ("shadow_complement", 150, 0, {"slack": 0.5}),
             ("quasigeodesic_conjugator", 150, 0, {"K": 1.0, "c": 0.0}),
             ("conjugacy_shadow_conditions", 150, 0, {"slack": 2.0, "smallest_sufficient": 1.5}),
@@ -118,8 +119,8 @@ SUITE_PINS = {
         {
             "nested_separation": 0.0,
             "shadow_complement": 0.5,
-            "basepoint_product_slack": 0.0,
-            "basepoint_radius_slack": 0.0,
+            "basepoint_product_slack": 0.5,
+            "basepoint_radius_slack": 0.5,
             "four_point_defect": 0.0,
             "conjugator_slack": 1.5,
         },
@@ -132,7 +133,7 @@ SUITE_PINS = {
             ("metric_nest", 150, 0, {}),
             ("shadow_composition", 150, 0, {}),
             ("nested_separation", 150, 0, {"slack": 0.0}),
-            ("basepoint_change", 150, 0, {"product_slack": 1.0, "radius_slack": 1.0}),
+            ("basepoint_change", 150, 1, {"product_slack": 0.5, "radius_slack": 0.5}),
             ("shadow_complement", 150, 0, {"slack": 0.5}),
         ],
         {
@@ -161,7 +162,6 @@ def test_calibration_stops_a_failing_slack_at_its_first_counterexample(monkeypat
     than the full suite run at that slack and seed; the passing slack runs
     exactly as the full suite does."""
     from hypwalk import suites
-    from hypwalk._draws import WordDraws
 
     runs = {}
     tally = suites._tally
@@ -183,7 +183,7 @@ def test_calibration_stops_a_failing_slack_at_its_first_counterexample(monkeypat
     for name, full_run in full_runs.items():
         *failed, passed = runs[name]
         for slack, run in zip(suites.SLACK_GRID, runs[name]):
-            full = full_run(slack, WordDraws(np.random.default_rng(3)))
+            full = full_run(slack, StreamDraws(3, ENSEMBLE_CALIBRATE))
             if run is passed:
                 assert (run.instances, run.failures, run.attempts) == (
                     full.instances, 0, full.attempts)
@@ -225,7 +225,7 @@ def test_full_battery_farey():
 
 
 def test_product_bound_ten_thousand_instances_farey():
-    rng = np.random.default_rng(39)
+    rng = StreamDraws(39, ENSEMBLE_PROPS)
     result = product_bound_suite(farey, 10_000, rng)
     assert result.instances == 10_000
     assert result.failures == 0
@@ -234,7 +234,7 @@ def test_product_bound_ten_thousand_instances_farey():
 def test_shadow_member_helper_is_actually_a_member():
     from hypwalk.hypgeom import Shadow, in_shadow
 
-    rng = np.random.default_rng(40)
+    rng = StreamDraws(40, ENSEMBLE_PROPS)
     for model, radius in ((free, 15), (farey, 6)):
         for _ in range(100):
             z = model.sample_element(rng, 4)
@@ -251,11 +251,11 @@ def test_quasigeodesic_suite_rejects_farey():
     from hypwalk.errors import UnsatisfiableConfigError
 
     with pytest.raises(UnsatisfiableConfigError):
-        quasigeodesic_suite(farey, 10, np.random.default_rng(0))
+        quasigeodesic_suite(farey, 10, StreamDraws(0, ENSEMBLE_PROPS))
 
 
 def test_conjugacy_suite_reports_smallest_slack():
-    res = conjugacy_suite(free, 2000, np.random.default_rng(41), slack=2.0)
+    res = conjugacy_suite(free, 2000, StreamDraws(41, ENSEMBLE_PROPS), slack=2.0)
     assert res.failures == 0
     # |s| <= 3 forces slack at least |s|/2 = 1.5 on some instance
     assert res.fitted["smallest_sufficient"] == 1.5
@@ -267,7 +267,7 @@ def test_conjugacy_suite_computes_each_product_once(monkeypatch):
     calls = []
     product = suites.gromov_product
     monkeypatch.setattr(suites, "gromov_product", lambda *a: calls.append(a) or product(*a))
-    res = conjugacy_suite(free, 300, np.random.default_rng(41), slack=2.0)
+    res = conjugacy_suite(free, 300, StreamDraws(41, ENSEMBLE_PROPS), slack=2.0)
     assert res.instances == 300 and len(calls) == 2 * 300
 
 

@@ -48,6 +48,12 @@ def test_distribution_validation():
             StepDistribution([W("a"), W("A"), W("b")], [bad, 0.5, 0.5])
 
 
+def test_distribution_equality_is_identity_and_it_hashes():
+    d, twin = uniform_free(), uniform_free()
+    assert d == d and d != twin
+    assert hash(d) == hash(d) and len({d, twin}) == 2
+
+
 def test_reflected():
     d = StepDistribution([W("a"), W("b")], [0.7, 0.3])
     r = reflected(d)

@@ -1,17 +1,25 @@
-"""A stand-in generator with a crafted 32-bit word stream, for driving
-`_draws.WordDraws`, and the loops that read its buffer, through chosen words."""
+"""A `walk.StreamDraws` over a crafted 64-bit word stream, for driving the
+reader, and the loops that read its buffer, through chosen words."""
 
 import numpy as np
 
+from hypwalk.walk import StreamDraws
+
 
 class CraftedWords:
-    """A stand-in generator whose 32-bit word stream starts with `words`
-    and continues with 2^31 (kept by every span here)."""
+    """A stand-in bit generator whose word stream starts with `words` and
+    continues with 2^63."""
 
     def __init__(self, words):
         self.words = list(words)
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 2**32, np.uint32)
+    def random_raw(self, size):
         head, self.words = self.words[:size], self.words[size:]
-        return np.array(head + [2**31] * (size - len(head)), dtype=np.uint32)
+        return np.array(head + [2**63] * (size - len(head)), dtype=np.uint64)
+
+
+def crafted_draws(words) -> StreamDraws:
+    """A `StreamDraws` that reads `words` in place of its Philox stream."""
+    rng = StreamDraws(0, 0)
+    rng._bitgen = CraftedWords(words)
+    return rng
