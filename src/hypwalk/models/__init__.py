@@ -3,8 +3,9 @@
 Both models expose the same duck-typed surface: identity/multiply/invert,
 the (possibly improper) metric `distance` and its all-pairs matrix
 `distances`, parse/format for the canonical text forms, translation
-length, and seeded element sampling.  Everything downstream (hypgeom,
-walk, stats) is written against that surface only.
+length, and `sample_element(rng, radius)`, which draws from a
+`walk.StreamDraws`.  Everything downstream (hypgeom, walk, stats) is
+written against that surface only.
 """
 
 from __future__ import annotations

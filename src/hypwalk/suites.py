@@ -16,14 +16,14 @@ the exact improper metric, with small radii so acceptance stays usable.
 The conjugator suites need the tree's exact conjugacy and run on F2 only.
 
 Instances come from the models' scalar samplers, which draw a free word
-in two RNG calls and a Farey product in four Python ints; the helpers
-here continue those walks the same way (the tree wander, the Farey far
-pair), so every draw matches the per-letter, per-generator samplers of
+in two RNG calls and a Farey product in one; the helpers here continue
+those walks the same way (the tree wander, the Farey far pair), so every
+draw matches the per-letter, per-generator samplers of
 `tests/scalar_samplers.py` value for value.  `rng` is a `walk.StreamDraws`
-(the Farey far pair reads its word buffer in place) on the namespace
-`ENSEMBLE_PROPS` or `ENSEMBLE_CALIBRATE`.  `_tally` counts every trial it
-runs (`SuiteResult.attempts`), accepted or not; calibration stops a slack's
-run at its first counterexample.
+on the namespace `ENSEMBLE_PROPS` or `ENSEMBLE_CALIBRATE`.  `_tally` counts
+every trial it runs (`SuiteResult.attempts`), accepted or not; calibration
+stops a slack's run at its first counterexample, and `props` fits only the
+slacks it verifies at.
 """
 
 from __future__ import annotations
@@ -101,43 +101,22 @@ def _far_pair_tree(model, rng, min_d: float):
     return z, model.multiply(z, u)
 
 
-def _far_pair_farey(model, rng: StreamDraws, min_d: float):
+def _far_pair_farey(model, rng, min_d: float):
     """(z, x) with d(z, x) >= min_d by an outward random product (positive
     drift reaches min_d quickly).
 
     x = z u grows u by one `sample_element(rng, 2)` product a step, kept as
-    four ints; d(z, x) is the ladder on u's first column, the value
-    `FareyModel.distance(z, x)` computes, and x is built once.  A step reads
-    `rng`'s word buffer in place (count `word * 3 >> 64`, generators
-    `word >> 62`), or goes through `random_product_entries`, which draws the
-    same values, when fewer than three words are left.
+    four ints by `random_product_entries`; d(z, x) is the ladder on u's
+    first column, the value `FareyModel.distance(z, x)` computes, and x is
+    built once.
     """
     for _ in range(40):
         z = model.sample_element(rng, 4)
-        a, b, c, d = 1, 0, 0, 1
+        u = (1, 0, 0, 1)
         for _ in range(12 * max(1, int(min_d))):
-            words, pos = rng.words, rng.pos
-            if pos + 2 < len(words):
-                end = pos + 1 + (words[pos] * 3 >> 64)
-                rng.pos = end
-                for w in words[pos + 1:end]:
-                    k = w >> 62  # (R, L, R^-1, L^-1), as in random_product_entries
-                    if k == 0:
-                        b += a
-                        d += c
-                    elif k == 1:
-                        a += b
-                        c += d
-                    elif k == 2:
-                        b -= a
-                        d -= c
-                    else:
-                        a -= b
-                        c -= d
-            else:
-                a, b, c, d = random_product_entries(rng, 2, (a, b, c, d))
-            if dist_to_infinity(a, c) >= min_d:
-                return z, model.multiply(z, FareyElement(a, b, c, d))
+            u = random_product_entries(rng, 2, u)
+            if dist_to_infinity(u[0], u[2]) >= min_d:
+                return z, model.multiply(z, FareyElement(*u))
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
 
 
@@ -469,21 +448,18 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResu
 # --- calibration ---
 
 
-def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, float]:
-    """Smallest slack values on the half-integer grid at which each suite
-    has zero failures over `instances` seeded trials.
+def _fit_slacks(model, seed: int, instances: int) -> dict[str, float]:
+    """Smallest slack values on the half-integer grid at which the
+    nested-separation, shadow-complement and basepoint-change suites have
+    zero failures over `instances` seeded trials.
 
-    Every slack, the four-point defect and the conjugator slack read the
-    stream of `seed` on `ENSEMBLE_CALIBRATE` from its start; a slack's run
-    stops at its first counterexample, which settles that slack, so only the
-    passing run draws all its instances."""
-
-    def draws() -> StreamDraws:
-        return StreamDraws(seed, ENSEMBLE_CALIBRATE)
+    Each search reads the stream of `seed` on `ENSEMBLE_CALIBRATE` from its
+    start; a slack's run stops at its first counterexample, which settles
+    that slack, so only the passing run draws all its instances."""
 
     def search(name, trial_at) -> float:
         for slack in SLACK_GRID:
-            trial = trial_at(slack, draws())
+            trial = trial_at(slack, StreamDraws(seed, ENSEMBLE_CALIBRATE))
             try:
                 result = _tally(name, instances, trial, _REJECTION_BUDGET,
                                 stop_at_failure=True)
@@ -493,7 +469,6 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
                 return slack
         raise UnsatisfiableConfigError(f"no slack on {SLACK_GRID} fits {name}")
 
-    shape = _SHAPES[model.name]
     fitted = {
         "nested_separation": search(
             "nested_separation", lambda s, rng: _nested_separation_trial(model, rng, s)),
@@ -502,22 +477,31 @@ def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, flo
     }
     fitted["basepoint_product_slack"] = fitted["basepoint_radius_slack"] = search(
         "basepoint_change", lambda s, rng: _basepoint_change_trial(model, rng, s, s))
+    return fitted
+
+
+def calibrate_constants(model, seed: int, instances: int = 800) -> dict[str, float]:
+    """The fitted slacks (`_fit_slacks`), the four-point defect and, on the
+    tree, the smallest sufficient conjugator slack, each read from the start
+    of the stream of `seed` on `ENSEMBLE_CALIBRATE`."""
+    shape = _SHAPES[model.name]
+    fitted = _fit_slacks(model, seed, instances)
     fitted["four_point_defect"] = hypgeom.estimate_delta(
-        model, max(1000, instances), radius=shape.defect_radius, rng=draws(),
-    )
+        model, max(1000, instances), shape.defect_radius, StreamDraws(seed, ENSEMBLE_CALIBRATE))
     if shape.tree:
         fitted["conjugator_slack"] = conjugacy_suite(
-            model, instances, draws(), slack=6.0).fitted["smallest_sufficient"]
+            model, instances, StreamDraws(seed, ENSEMBLE_CALIBRATE), 6.0
+        ).fitted["smallest_sufficient"]
     return fitted
 
 
 def run_all_suites(model, instances: int, seed: int,
                    constants: dict[str, float] | None = None) -> list[SuiteResult]:
     """The full verification battery at fitted (or supplied) constants, drawn
-    in turn from the stream of `seed` on `ENSEMBLE_PROPS`."""
+    in turn from the stream of `seed` on `ENSEMBLE_PROPS`.  Only the slacks
+    are fitted here, the values `calibrate_constants` reports for them."""
     if constants is None:
-        constants = calibrate_constants(model, seed=seed,
-                                        instances=max(200, instances // 10))
+        constants = _fit_slacks(model, seed, max(200, instances // 10))
     rng = StreamDraws(seed, ENSEMBLE_PROPS)
     results = [
         gromov_product_suite(model, instances, rng),

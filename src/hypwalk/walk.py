@@ -71,32 +71,29 @@ def _philox(key: int, counter: int = 0) -> np.random.Philox:
 
 
 class StreamDraws:
-    """`integers(low, high[, size])` served in order from the Philox stream
-    of `_stream_key(seed, 0, ensemble)`: the next 64-bit word w gives
-    low + (w * n >> 64), n = high - low.  This multiply-shift rule (Lemire,
-    ACM TOMACS 29, 2019) has no rejection branch; its bias is below n * 2^-64.
-
-    `words[pos:]` are the buffered words not yet served.  A hot loop may
-    serve itself from them in place, by the rule above, and advance `pos`
-    past the words it used; it goes through `integers` whenever the buffer
-    runs short, which may replace `words`, so it re-reads both afterwards.
+    """`integers(low, high[, size])` and `counted(most, span)` served in
+    order from the Philox stream of `_stream_key(seed, 0, ensemble)`: the
+    next 64-bit word w gives low + (w * n >> 64), n = high - low.  This
+    multiply-shift rule (Lemire, ACM TOMACS 29, 2019) has no rejection
+    branch; its bias is below n * 2^-64.  The buffered words are private:
+    every draw goes through these two methods, so only they spell the rule.
     """
 
     CHUNK = 1024  # words per random_raw call
 
-    __slots__ = ("_bitgen", "words", "pos")
+    __slots__ = ("_bitgen", "_words", "_pos")
 
     def __init__(self, seed: int, ensemble: int):
         self._bitgen = _philox(_stream_key(seed, 0, ensemble))
-        self.words: list[int] = []
-        self.pos = 0
+        self._words: list[int] = []
+        self._pos = 0
 
     def _refill(self, need: int) -> None:
         """Keep the unread words and append whole chunks until `need` are left."""
-        words = self.words[self.pos:]
+        words = self._words[self._pos:]
         while len(words) < need:
             words += self._bitgen.random_raw(self.CHUNK).tolist()
-        self.words, self.pos = words, 0
+        self._words, self._pos = words, 0
 
     def integers(self, low: int, high: int, size: int | None = None):
         low = int(low)
@@ -104,15 +101,26 @@ class StreamDraws:
         if not 0 < n <= 1 << 64:
             raise ValueError("low >= high" if n < 1 else "span above 2^64")
         if size is None:
-            if self.pos == len(self.words):
+            if self._pos == len(self._words):
                 self._refill(1)
-            self.pos += 1
-            return low + (self.words[self.pos - 1] * n >> 64)
-        if self.pos + size > len(self.words):
+            self._pos += 1
+            return low + (self._words[self._pos - 1] * n >> 64)
+        if self._pos + size > len(self._words):
             self._refill(size)
-        start = self.pos
-        self.pos += size
-        return [low + (w * n >> 64) for w in self.words[start:self.pos]]
+        start = self._pos
+        self._pos += size
+        return [low + (w * n >> 64) for w in self._words[start:self._pos]]
+
+    def counted(self, most: int, span: int) -> list[int]:
+        """`integers(0, span, size=integers(0, most + 1))` in one call: a
+        count word, then that many value words."""
+        if not 0 <= most < 1 << 64 or not 0 < span <= 1 << 64:
+            raise ValueError("count or span out of range")
+        if self._pos + most >= len(self._words):  # fewer than most + 1 words left
+            self._refill(most + 1)
+        words, pos = self._words, self._pos
+        self._pos = end = pos + 1 + (words[pos] * (most + 1) >> 64)
+        return [w * span >> 64 for w in words[pos + 1:end]]
 
 
 def sample_words(seed: int, index: int, ensemble: int, n: int) -> np.ndarray:

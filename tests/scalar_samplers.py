@@ -7,11 +7,9 @@ Each function makes one scalar `rng.integers` call per letter or generator
 step and builds a checked `FareyElement` after every step, as the props
 suites did before their draws were batched.  Both sides run on a
 `walk.StreamDraws` seeded alike and must return equal elements call for
-call and then give the same trailing draw.  The batched far pair reads its
-growth steps straight off the `StreamDraws` word buffer, falling back to
-per-value draws at the buffer's end; these oracles make every draw through
-`rng.integers`, so they also run on a crafted word stream to pin that
-fallback.
+call and then give the same trailing draw.  The batched Farey samplers
+draw each product as one counted run (`StreamDraws.counted`); these
+oracles draw its length and every generator through `rng.integers`.
 """
 
 from __future__ import annotations

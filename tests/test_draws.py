@@ -4,8 +4,9 @@ guard that the package reads no other random number generator.
 The props suites, calibration and `hypgeom.estimate_delta` draw through
 `StreamDraws`: value j is low + (w_j * n >> 64) for word j of the Philox
 stream of `_stream_key(seed, 0, ensemble)`, one word per value, whether it
-is served alone or in a `size=` list.  Crafted word streams pin the ends of
-the range.
+is served alone, in a `size=` list or in a counted run (a count word, then
+that many values).  Crafted word streams pin the ends of the range and a
+counted run across a chunk's end.
 """
 
 import re
@@ -79,6 +80,49 @@ def test_extreme_words_give_the_ends_of_the_range():
     assert served.integers(0, 2**64) == 2**63
 
 
+def _twin_counted(rng, most, span):
+    """The counted run as two `integers` calls."""
+    return rng.integers(0, span, size=rng.integers(0, most + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       calls=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(SPANS), st.booleans()),
+                      min_size=1, max_size=60))
+def test_counted_run_matches_integers(seed, calls):
+    """Counted runs, each followed by one single draw or not, give the values
+    and leave the stream where the twin reader's `integers` calls do."""
+    served, twin = (StreamDraws(seed, engines.ENSEMBLE_PROPS) for _ in range(2))
+    for most, span, single in calls:
+        run = served.counted(most, span)
+        assert run == _twin_counted(twin, most, span)
+        assert len(run) <= most and all(type(v) is int and 0 <= v < span for v in run)
+        if single:
+            assert served.integers(0, span) == twin.integers(0, span)
+    assert served.integers(0, 2**64) == twin.integers(0, 2**64)
+
+
+@pytest.mark.parametrize("offset", [1, 2, 3])
+def test_counted_run_across_a_chunk_end(offset):
+    """The largest count word of `counted(2, 4)` sits `offset` words before a
+    chunk's end: its two values run into the next chunk (offsets 1 and 2)
+    or end the chunk exactly (offset 3)."""
+    head = _raw_words(9, engines.ENSEMBLE_PROPS, CHUNK - offset)
+    values = [3 * 2**62, 2**62 - 1, 2**63 + 7]
+    words = head + [2**64 - 1] + values
+    served, twin = crafted_draws(words), crafted_draws(words)
+    assert served.integers(0, 2**64, size=CHUNK - offset) == head
+    twin.integers(0, 2**64, size=CHUNK - offset)
+    assert served.counted(2, 4) == _twin_counted(twin, 2, 4) == [3, 0]
+    assert served.integers(0, 2**64) == twin.integers(0, 2**64) == values[2]
+
+
+@pytest.mark.parametrize("most,span", [(-1, 4), (2, 0), (2, 2**64 + 1)])
+def test_counted_run_out_of_range_raises(most, span):
+    with pytest.raises(ValueError, match="out of range"):
+        StreamDraws(0, engines.ENSEMBLE_PROPS).counted(most, span)
+
+
 @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (-1, -1)])
 @pytest.mark.parametrize("size", [None, 4])
 def test_empty_range_raises(low, high, size):
@@ -103,9 +147,17 @@ _OTHER_RNGS = re.compile(
 )
 
 
+# the reader's word buffer (public or private) and the shift of its word rule
+_READER_INSIDES = re.compile(r"\.\s*_?(?:words|pos)\b|>>\s*6[0-4]\b")
+
+
 def test_package_reads_only_keyed_philox_streams():
+    """No module draws from another generator, and none but `walk.py`
+    touches `StreamDraws`' word buffer or spells its word rule."""
     files = sorted(Path(hypwalk.__file__).parent.rglob("*.py"))
-    assert {"walk.py", "suites.py", "free.py"} <= {f.name for f in files}
+    assert {"walk.py", "suites.py", "free.py", "farey.py"} <= {f.name for f in files}
     found = [f"{f.name}: {m.group(0)!r}" for f in files
              for m in _OTHER_RNGS.finditer(f.read_text())]
+    found += [f"{f.name}: {m.group(0)!r}" for f in files if f.name != "walk.py"
+              for m in _READER_INSIDES.finditer(f.read_text())]
     assert not found, found

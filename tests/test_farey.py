@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypwalk.engines import ENSEMBLE_PROPS
 from hypwalk.models.farey import (
     IDENTITY,
     INFINITY,
@@ -26,6 +27,7 @@ from hypwalk.models.farey import (
     translation_length,
     translation_length_detail,
 )
+from hypwalk.walk import StreamDraws
 
 model = FareyModel()
 
@@ -151,7 +153,7 @@ def test_translation_length_powers_against_oracle():
 
 
 def test_anosov_iff_positive_translation_length():
-    rng = np.random.default_rng(5)
+    rng = StreamDraws(5, ENSEMBLE_PROPS)
     for _ in range(60):
         g = model.sample_element(rng, 10)
         det = translation_length_detail(g, 48)
@@ -225,7 +227,7 @@ def test_exact_translation_length_known_values():
 
 
 def test_determinant_preserved_under_long_products():
-    rng = np.random.default_rng(8)
+    rng = StreamDraws(8, ENSEMBLE_PROPS)
     g = IDENTITY
     for _ in range(300):
         g = g * model.sample_element(rng, 1)

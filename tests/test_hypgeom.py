@@ -19,6 +19,10 @@ W = FreeWord.from_str
 ONE = W("")
 
 
+def _draws(seed):
+    return StreamDraws(seed, ENSEMBLE_CALIBRATE)
+
+
 def test_gromov_product_examples():
     assert gromov_product(free, ONE, W("aab"), W("aaba")) == 3.0
     assert gromov_product(free, ONE, W("aab"), W("aab")) == 3.0
@@ -150,7 +154,7 @@ def _points(model, rng, n):
        n=st.integers(1, 16))
 def test_distances_match_pairwise_distance(name, seed, n):
     model = free if name == "free" else farey
-    points = _points(model, np.random.default_rng(seed), n)
+    points = _points(model, _draws(seed), n)
     dist = model.distances(points)
     assert dist.shape == (n, n)
     assert dist.tolist() == [[model.distance(p, q) for q in points] for p in points]
@@ -174,17 +178,13 @@ def _quasigeodesic_reference(model, path, params):
 @pytest.mark.parametrize("K,c", [(1.0, 0.0), (1.0, 4.0), (2.0, 1.0)])
 def test_quasigeodesic_check_matches_pairwise_reference(model, K, c):
     params = QuasiGeodesicParams(K, c)
-    rng = np.random.default_rng(17)
+    rng = _draws(17)
     outcomes = []
     for _ in range(400):
         path = _points(model, rng, int(rng.integers(1, 13)))
         outcomes.append(hypgeom.quasigeodesic_check(model, path, params))
         assert outcomes[-1] == _quasigeodesic_reference(model, path, params), path
     assert 0 < sum(outcomes) < len(outcomes)  # both answers occur
-
-
-def _draws(seed):
-    return StreamDraws(seed, ENSEMBLE_CALIBRATE)
 
 
 def test_estimate_delta():

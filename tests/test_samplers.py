@@ -7,7 +7,6 @@ equal elements call for call and then agree on one trailing full-word draw,
 which shows both consumed the same words.
 """
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from hypwalk.engines import ENSEMBLE_PROPS
 from hypwalk.errors import UnsatisfiableConfigError
 from hypwalk.models import get_model
 from hypwalk.walk import StreamDraws
-from word_streams import crafted_draws
 
 free = get_model("free")
 farey = get_model("farey")
@@ -102,38 +100,3 @@ def test_shadow_member_tree_matches_scalar_draws(seed, radius, rs):
                       lambda g, z=z, x=x, r=r: scalar_samplers.shadow_member_tree(
                           free, g, z, x, r)))
     _assert_same_draws(calls, *_seeded(seed))
-
-
-# a crafted stream: the far pair reads its growth steps straight off the word
-# buffer, and must fall back to the per-value draws at the buffer's end
-
-
-def _step_starts(monkeypatch, words, min_d):
-    """Where in `words` the second and later growth steps of one far pair
-    start: the buffer position at each ladder call but the last."""
-    rng = crafted_draws(words)
-    starts = []
-    ladder = suites.dist_to_infinity
-    monkeypatch.setattr(suites, "dist_to_infinity",
-                        lambda p, q: starts.append(rng.pos) or ladder(p, q))
-    suites._far_pair_farey(farey, rng, min_d)
-    monkeypatch.undo()
-    return starts[:-1]
-
-
-@pytest.mark.parametrize("offset", [1, 2, 3])
-def test_far_pair_step_straddles_chunk_refill(monkeypatch, offset):
-    words = StreamDraws(9, ENSEMBLE_PROPS).integers(0, 2**64, size=2 * CHUNK)
-    start = _step_starts(monkeypatch, words, 4.0)[0]
-    words[start] = 2**64 - 1  # count 2: the second step takes three words
-    # draw words first so that the step starts `offset` words before the
-    # chunk's end: its words run into the next chunk, or end the chunk exactly
-    skip = CHUNK - offset - start
-    fallbacks = []
-    product = suites.random_product_entries
-    monkeypatch.setattr(suites, "random_product_entries",
-                        lambda rng, k, *u: fallbacks.append((k, rng.pos)) or product(rng, k, *u))
-    stream = [2**63] * skip + words
-    _assert_same_draws([_skip(skip), *_far_pair_calls([4.0])],
-                       crafted_draws(stream), crafted_draws(stream))
-    assert ((2, CHUNK - offset) in fallbacks) == (offset < 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta, gamma, norm
+from scipy.stats import beta, binom, gamma, norm
 
 from hypwalk import engines, stats, walk
 from hypwalk.errors import ElementaryDistributionError
@@ -47,14 +47,27 @@ def test_tail_monotone_and_ci_order():
 
 
 def test_exponential_tail_oracle():
-    # closed form: P(X >= t) = exp(-t) for a mean-1 exponential
-    # numpy's exponentials on the keyed Philox stream of seed 11, sample 0
-    gen = np.random.Generator(walk._philox(walk._stream_key(11, 0)))
-    vals = gen.exponential(scale=1.0, size=100_000)
-    ts = list(range(0, 9))
-    est = stats.empirical_tail(vals, [float(t) for t in ts])
-    for t, lo, hi in zip(ts, est.ci_low, est.ci_high):
-        assert lo <= math.exp(-t) <= hi
+    """The tail intervals against the closed form P(X >= t) = exp(-t) of a
+    mean-1 exponential, at t = 0..8 over 40 seeds of 100 000 values each,
+    drawn by inversion, -log1p(-u), of the keyed Philox stream of the seed.
+
+    At t = 0 every value counts, so that interval reaches 1 and covers.  The
+    other 320 each cover with probability at least 0.95, so at most 28 of
+    them may miss.  Were they independent, a false failure would have
+    chance P(Bin(320, 0.05) > 28) = 1.7e-3; the thresholds of one sample
+    are positively correlated, which widens the spread a little.  20 missed
+    when this test was written.
+    """
+    ts = range(0, 9)
+    assert binom.sf(28, 320, 0.05) < 2e-3
+    misses = 0
+    for seed in range(40):
+        words = walk._philox(walk._stream_key(seed, 0)).random_raw(100_000)
+        est = stats.empirical_tail(-np.log1p(-walk.uniforms(words)), [float(t) for t in ts])
+        assert est.ci_high[0] == 1.0
+        misses += sum(not lo <= math.exp(-t) <= hi
+                      for t, lo, hi in zip(ts, est.ci_low, est.ci_high))
+    assert misses <= 28, misses
 
 
 def test_clopper_pearson_edges():

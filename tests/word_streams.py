@@ -1,5 +1,6 @@
 """A `walk.StreamDraws` over a crafted 64-bit word stream, for driving the
-reader, and the loops that read its buffer, through chosen words."""
+reader through chosen words: the ends of a value's range, and a counted
+run's count word placed at a chunk's end."""
 
 import numpy as np
 
