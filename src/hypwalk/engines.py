@@ -2,13 +2,11 @@
 
 A step kernel walks a block of samples (the same steps as per-sample
 `walk.sample_walk`) and yields the block's state at each checkpoint.
-`_free_steps` keeps freely reduced words as an int8 letter
-stack on a floor column that no letter cancels, with the flat index of each
-row's top letter as its state, and applies a step as one short numpy pass
-per letter position over all rows (gather the top, compare it with the
-drawn letter's inverse, write above the top, move the top), reading the
-letters of each row's drawn word from a (support, longest word) table, so
-its cost does not grow with the support.
+`_free_steps` keeps freely reduced words as int8 letter stacks
+(`_letter_stacks`) on a floor column that no letter cancels, with the flat
+index of each row's top letter as its state, and applies a step as one
+short numpy pass per letter position over all rows, reading the letters of
+each row's drawn word from a (support, longest word) table.
 `_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
 step as four numpy expressions, switching the block to python ints before
 an entry could overflow.  Each model's `_Geometry` gives, per row, d(1, w),
@@ -22,8 +20,9 @@ difference lives in `_GEOMETRIES`.  `observe` runs a model's kernel with an
 observer over the blocks; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
 `dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`).
-`free_midpoint_tilted` keeps its own step law, which depends on the state,
-on its own stream namespace.
+`free_midpoint_tilted` shares the letter stacks and their push; only its
+step choice differs, a law that depends on the state, drawn on its own
+stream namespace.
 
 Steps come from the block's one Philox stream (`walk.block_words`): one
 `random_raw` per step gives that step's word for every row, and
@@ -99,25 +98,24 @@ def _letter_table(dist: StepDistribution) -> np.ndarray:
 _FLOOR = 127
 
 
-def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
-                seed: int, ensemble: int):
-    """Yield (stack, length) at each checkpoint t: row r's freely reduced w_t
-    is stack[r, :length[r]].  The stack changes in place after a yield; each
-    length is a fresh array.
+def _letter_stacks(table: np.ndarray, rows: int, n: int):
+    """Letter stacks for `rows` freely reduced words, each a product of at
+    most n support words whose letters `table` holds (`_letter_table`):
+    (stack, base, top, push).  Row r's word is stack[r, 1:top[r] - base[r] + 1].
 
-    Column 0 of each row holds _FLOOR, and the state is `top`, the flat
-    index of each row's top letter (its floor when w_t = 1).  A step is one
-    pass per letter position over all rows: each row cancels the letter of
-    its drawn word at that position against its top letter, or pushes it.
-    Nothing cancels the floor, and padding (letter 0, inverse 0) cancels
-    nothing and pushes nothing.  Every row writes the letter just above its
-    top, so a cancelled or padding letter lands in the row's stale region,
-    which no observer reads.
+    Column 0 of each row, at flat index base[r], holds _FLOOR, and `top`
+    holds the flat index of each row's top letter (its floor when the word
+    is 1).  push(s) multiplies row r's word by support word s[r] in place,
+    as one pass per letter position over all rows (gather the top, compare
+    it with the letter's inverse, write above the top, move the top): each
+    row cancels the letter of its word at that position against its top
+    letter, or pushes it.  Nothing cancels the floor, and padding (letter 0,
+    inverse 0) cancels nothing and pushes nothing.  Every row writes the
+    letter just above its top, so a cancelled or padding letter lands in
+    the row's stale region, which no reader uses.  Its cost does not grow
+    with the support.
     """
-    n = checkpoints[-1]
-    idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-    table = _letter_table(dist)
-    rows, cap = hi - lo, n * table.shape[1] + 1
+    cap = n * table.shape[1] + 1
     stack = np.empty((rows, cap + 1), dtype=np.int8)
     stack[:, 0] = _FLOOR
     flat, base = stack.reshape(-1), np.arange(rows) * (cap + 1)
@@ -127,9 +125,9 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
     # and whether it is padding (None when that column has none)
     columns = [(-letters, None if letters.all() else letters == 0) for letters in table.T]
     moves = np.array([1, -1], dtype=np.int64)  # push, cancel
-    cps = set(checkpoints)
-    for i in range(n):
-        s = idx[i]
+
+    def push(s: np.ndarray) -> None:
+        nonlocal top  # moved in place
         for inverses, padding in columns:
             inverse = inverses.take(s)
             cancel = flat.take(top) == inverse
@@ -137,6 +135,21 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
             top += moves.take(cancel.view(np.uint8))
             if padding is not None:
                 top -= padding.take(s)
+
+    return stack, base, top, push
+
+
+def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
+                seed: int, ensemble: int):
+    """Yield (stack, length) at each checkpoint t: row r's freely reduced w_t
+    is stack[r, :length[r]].  The stack changes in place after a yield; each
+    length is a fresh array.  One `_letter_stacks` push per step."""
+    n = checkpoints[-1]
+    idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
+    stack, base, top, push = _letter_stacks(_letter_table(dist), hi - lo, n)
+    cps = set(checkpoints)
+    for i in range(n):
+        push(idx[i])
         if i + 1 in cps:
             yield stack[:, 1:], top - base
 
@@ -385,21 +398,19 @@ def product_with_walk(law: StepDistribution, ensemble: int):
     return fold
 
 
-def _cancellations(stack: np.ndarray, length: np.ndarray, letters: np.ndarray,
+def _cancellations(flat: np.ndarray, top: np.ndarray, letters: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """C[s, r]: how many letters of support word g_s cancel against row r's
-    word x_r, so |x_r g_s| = |x_r| + len(g_s) - 2 C[s, r].  `letters` holds
-    the support words' letters zero-padded on the right."""
-    rows, cap = stack.shape
-    flat = stack.reshape(-1)
-    base = np.arange(rows) * cap
-    cancelled = np.zeros((len(lengths), rows), dtype=np.int64)
-    alive = np.ones((len(lengths), rows), dtype=bool)
+    word x_r, the letter stack below flat index top[r] (`_letter_stacks`),
+    so |x_r g_s| = |x_r| + len(g_s) - 2 C[s, r].  `letters` holds the
+    support words' letters zero-padded on the right."""
+    cancelled = np.zeros((len(lengths), len(top)), dtype=np.int64)
+    alive = np.ones((len(lengths), len(top)), dtype=bool)
     for t in range(int(lengths.max())):
-        pos = length - 1 - t
-        # the letter t places below the top of each stack (0 past the bottom)
-        top = np.where(pos >= 0, flat.take(base + np.maximum(pos, 0)), 0)
-        alive &= (top[None, :] == -letters[:, t, None]) & (t < lengths)[:, None]
+        # the letter t places below each top; a row reaches its floor, which
+        # cancels no letter, before it reads below it (clipped at row 0)
+        below = flat.take(top - t, mode="clip")
+        alive &= (below[None, :] == -letters[:, t, None]) & (t < lengths)[:, None]
         cancelled += alive
     return cancelled
 
@@ -429,7 +440,7 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     table = _letter_table(dist)
     wmax = table.shape[1]
     # letters padded to twice the longest word, so letters[s, c + q] exists
-    # for every cancellation count c and write offset q below wmax
+    # for every cancellation count c and offset q below wmax
     letters = np.pad(table, ((0, 0), (0, wmax)))
     span = wmax + 1
     # per (word s, tilt index, cancellations c), tilt index 0, 1, 2 meaning
@@ -440,25 +451,23 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     weight_table = (dist.weights[:, None, None] * np.exp(-tilt_d)).reshape(-1)
     tilt_d = tilt_d.reshape(-1)
     word_base = (np.arange(size) * (3 * span))[:, None]
-    cap = two_n * wmax + 1
 
     def run_block(lo: int, hi: int):
         rows = hi - lo
-        stack = np.zeros((rows, cap), dtype=np.int8)
-        length = np.zeros(rows, dtype=np.int64)
+        stack, base, top, push = _letter_stacks(table, rows, two_n)
         flat = stack.reshape(-1)
         row_ids = np.arange(rows)
-        row_base = row_ids * cap
         log_w = np.zeros(rows)
         tilt = np.ones(rows, dtype=np.int64)
         for i, words in enumerate(block_words(seed, lo, hi, ENSEMBLE_TILTED, two_n)):
             u = uniforms(words)
             if i == n:
-                mid_flat, k = flat.copy(), length.copy()
+                # w_n's letters sit at flat indices base + 1 .. base + k
+                mid_flat, k = flat.copy(), top - base
                 j, h = k.copy(), np.zeros(rows, dtype=np.int64)
             if i >= n:
                 tilt = np.where(2 * j >= k, 2, 0)
-            cancelled = _cancellations(stack, length, letters, lengths)
+            cancelled = _cancellations(flat, top, letters, lengths)
             cell = word_base + tilt * span + cancelled
             cum = weight_table.take(cell)
             for s in range(1, size):
@@ -466,23 +475,21 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
             choice = (cum[:-1] <= u * cum[-1]).sum(axis=0)
             pick = choice * rows + row_ids
             log_w += np.log(cum[-1]) + tilt_d.take(cell.reshape(-1).take(pick))
-            # the chosen word cancels c letters, then pushes its remaining
-            # m - c; writes past the new length land in the stale region
-            c = cancelled.reshape(-1).take(pick)
-            m = lengths[choice]
-            for q in range(wmax):
-                flat[row_base + length - c + q] = letters[choice, c + q]
-            length = length + m - 2 * c
+            push(choice)
             if i < n:
                 continue
-            # x = w_n[:j] followed by a branch of height h off the w_n path
+            # the chosen word cancels c letters, then pushes its remaining
+            # m - c; x = w_n[:j] followed by a branch of height h off the
+            # w_n path
+            c = cancelled.reshape(-1).take(pick)
+            m = lengths[choice]
             dh = np.minimum(h, c)
             h -= dh
             j -= c - dh
             for q in range(wmax):
                 pushing = q < m - c
                 along = ((h == 0) & (j < k)
-                         & (mid_flat.take(row_base + j) == letters[choice, c + q]))
+                         & (mid_flat.take(base + 1 + j) == letters[choice, c + q]))
                 j += pushing & along
                 h += pushing & ~along
         return 2 * j < k, log_w

@@ -398,9 +398,7 @@ class FareyModel:
     """
 
     name = "farey"
-
-    def __init__(self, delta: float = 0.5):
-        self.delta = delta
+    delta = 0.5
 
     def identity(self) -> FareyElement:
         return IDENTITY

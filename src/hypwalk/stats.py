@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import betaincinv, ndtri
 
 from . import engines
-from .walk import (BLOCK_SIZE, StepDistribution, assert_nonelementary, block_words,
-                   check_samples, reflected, uniforms)
+from .walk import (StepDistribution, assert_nonelementary, block_words, check_samples,
+                   reflected, uniforms)
 
 DEFAULT_CONFIDENCE = 0.95
 
@@ -350,8 +350,7 @@ def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
         raise ValueError("rate_mean must be positive")
     bound = chernoff_bound(t, n)
     hits = 0
-    for lo in range(0, samples, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, samples)
+    for lo, hi in engines._blocks(samples):
         total = np.zeros(hi - lo)
         for words in block_words(seed, lo, hi, engines.ENSEMBLE_AUX, n):
             total -= rate_mean * np.log1p(-uniforms(words))

@@ -460,12 +460,7 @@ def _fit_slacks(model, seed: int, instances: int) -> dict[str, float]:
     def search(name, trial_at) -> float:
         for slack in SLACK_GRID:
             trial = trial_at(slack, StreamDraws(seed, ENSEMBLE_CALIBRATE))
-            try:
-                result = _tally(name, instances, trial, _REJECTION_BUDGET,
-                                stop_at_failure=True)
-            except UnsatisfiableConfigError:
-                continue
-            if result.passed:
+            if _tally(name, instances, trial, _REJECTION_BUDGET, stop_at_failure=True).passed:
                 return slack
         raise UnsatisfiableConfigError(f"no slack on {SLACK_GRID} fits {name}")
 

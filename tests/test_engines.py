@@ -14,9 +14,11 @@ lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
 memoized recursion they replaced (`farey_recursion`).
 """
 
+import ast
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,31 @@ def test_free_kernel_state_is_the_reduced_walk(dist):
             # each yielded length is its own array: later steps leave it alone
             assert lengths[j][r] == len(w[t]), (r, t)
             assert words[j][r] == w[t].letters, (r, t)
+
+
+
+# names the letter stacks go by; only `_letter_stacks` may write into them
+_STACK_NAMES = {"flat", "above", "stack"}
+
+
+def test_only_the_letter_stack_helper_writes_letter_stacks():
+    """No function of `engines` but `_letter_stacks` (and the `push` it
+    returns) assigns into a subscript of a letter stack, so every F2 walk
+    steps through the one push/cancel pass."""
+    source = Path(engines.__file__).read_text()
+    tree = ast.parse(source)
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_letter_stacks")
+    inside = {id(node) for node in ast.walk(helper)}
+
+    def writes(nodes):
+        return [f"line {node.lineno}: {ast.get_source_segment(source, node)}" for node in nodes
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id in _STACK_NAMES]
+
+    assert writes(ast.walk(helper))  # the scan sees the helper's own writes
+    found = writes(node for node in ast.walk(tree) if id(node) not in inside)
+    assert not found, found
 
 
 # --- every observer against the per-sample reference path ---

@@ -1,6 +1,7 @@
 """The midpoint-failure estimators: the tilted (importance-sampling) default
 against the exact oracle and against counting, and the determinism of both."""
 
+import hashlib
 import json
 import math
 
@@ -57,6 +58,32 @@ def test_tilted_engine_matches_reference(dist, thetas):
         ref_hit, ref_log_w = _reference_tilted(dist, two_n, seed, i, thetas)
         assert hit[i] == ref_hit, i
         assert log_w[i] == pytest.approx(ref_log_w, rel=1e-12, abs=1e-12), i
+
+
+# sha256 of hit.tobytes() and log_w.tobytes() of the tilted walk at seed
+# 19 and MIDPOINT_TILTS over 16 400 samples (two blocks), recorded before
+# the walk moved onto `_free_steps`' letter stacks: its outputs stay byte
+# for byte, at either thread count
+TILTED_DIGESTS = {
+    ("uniform", 12): ("542623c37612ab37d5085f697cd10cb829b19ae2f0e309930a88a017d2dbe911",
+                      "26658e5eb82e6359fe97559972858c743b7d277b499c5784d766d4bd0b2167fa"),
+    ("uniform", 40): ("b23845c0cf6edaa17ff82a70cdae221bb04940f96db14ea2e85038b2c3535156",
+                      "37de33d10a0c84dc87e3da1fcbba0c27cd1a7dcb1d79e180288a96c7c79d9ba2"),
+    ("multi", 12): ("cd01f38760db2114554c5f269887d46f9ff51d3cb41f2800536538f5f2355e8e",
+                    "aec23ac7d01843fe6d5c368cc0b49935e3b7dffa1725a3db10ace72f3d233c12"),
+    ("multi", 40): ("f4cfbcd00ae1286fd3076f5a57bbf7815a902a320acb289ee522168f38a89646",
+                    "10a51bc0bd5d12d1ab267fcbc5f81667aac91a5d51f5590119694f9c2d9185c3"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law,two_n", sorted(TILTED_DIGESTS))
+def test_tilted_engine_bytes_unchanged(law, two_n, threads):
+    dist = {"uniform": UNIFORM, "multi": MULTI}[law]
+    hit, log_w = engines.free_midpoint_tilted(dist, two_n, 16_400, 19, stats.MIDPOINT_TILTS,
+                                              threads=threads)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (hit, log_w))
+    assert digests == TILTED_DIGESTS[law, two_n]
 
 
 def test_tilts_are_the_roots_of_the_increment_law():
