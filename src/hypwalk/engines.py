@@ -7,8 +7,8 @@ A step kernel walks a block of samples (the same steps as per-sample
 index of each row's top letter as its state, and applies a step as one
 short numpy pass per letter position over all rows, reading the letters of
 each row's drawn word from a (support, longest word) table.
-`_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies a
-step as four numpy expressions, switching the block to python ints before
+`_farey_steps` keeps exact 2x2 matrices as four int64 rows, applies a step
+as one gather and four multiplies, and goes on in python ints before
 an entry could overflow.  Each model's `_Geometry` gives, per row, d(1, w),
 the Gromov product (u . w)_1 of two states (a common prefix in the tree,
 (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph) and whether the
@@ -154,39 +154,49 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
             yield stack[:, 1:], top - base
 
 
-def _widened(state: np.ndarray, scale: int) -> np.ndarray:
-    """`state` as python ints (dtype object) once an entry exceeds
-    _INT64_MAX // scale, so that a sum of entries times integers whose
-    absolute values sum to at most `scale` cannot overflow int64."""
-    if state.dtype == object or np.abs(state).max() <= _INT64_MAX // scale:
-        return state
-    return state.astype(object)
-
-
 def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
                  seed: int, ensemble: int):
     """Yield, at each checkpoint t, w_t = [[a, b], [c, d]] of every row as a
-    (4, rows) array of a, b, c, d.
+    (4, rows) array of a, b, c, d, a fresh array at every step.
 
-    The state is int64 while every entry stays within _INT64_MAX // S, S the
-    largest absolute column sum of a support matrix (at least 2, so a + d
-    fits too): the next step then cannot overflow.  Once an entry passes
-    that bound the block goes on in python ints (dtype object), exactly.
+    A step gathers the drawn matrices' entries from a (4, support) table
+    and writes its products into the new state in place.  The state is
+    int64 while every entry stays within _INT64_MAX // S, S the largest
+    absolute column sum of a support matrix (at least 2, so a + d fits
+    too): the next step then cannot overflow.  A step multiplies the
+    largest entry by at most S, so `bound` tracks an upper bound on it and
+    the true maximum is read only when the bound passes the guard.  Once an
+    entry passes it the block goes on in python ints (dtype object),
+    exactly; a block whose S passes int64 starts in them.
     """
     n = checkpoints[-1]
     idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
     entries = [g.entries() for g in dist.support]
     scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in entries))
-    state = np.zeros((4, hi - lo), dtype=np.int64)
+    guard, bound = _INT64_MAX // scale, 1
+    dtype = object if bound > guard else np.int64
+    table = np.array(entries, dtype=dtype).T.copy()
+    state = np.zeros((4, hi - lo), dtype=dtype)
     state[0] = state[3] = 1
-    state = _widened(state, scale)
-    table = np.array(entries, dtype=state.dtype)
     cps = set(checkpoints)
     for i in range(n):
-        e, f, g, h = table[idx[i]].T
-        a, b, c, d = state
-        state = _widened(np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]),
-                         scale)
+        drawn = table.take(idx[i], axis=1)  # e, f, g, h of each row's step
+        ef, gh = drawn[:2], drawn[2:]
+        # (a, b) -> (a e + b g, a f + b h), and (c, d) the same; ef, then gh,
+        # holds the second products once read.  No view of the old state
+        # outlives the step, so its memory is free for the next one.
+        new = np.empty_like(state)
+        np.multiply(state[0], ef, out=new[:2])
+        np.multiply(state[2], ef, out=new[2:])
+        new[:2] += np.multiply(state[1], gh, out=ef)
+        new[2:] += np.multiply(state[3], gh, out=gh)
+        state = new
+        if state.dtype != object:
+            bound *= scale
+            if bound > guard:
+                bound = int(np.abs(state).max())
+                if bound > guard:
+                    state, table = state.astype(object), table.astype(object)
         if i + 1 in cps:
             yield state
 
@@ -240,23 +250,31 @@ def _common_prefix(u, w) -> np.ndarray:
 def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """`dist_to_infinity(p, q)` per row for coprime columns p, q (int64 or
     python ints): its two-state ladder down the Euclidean remainders, all
-    rows in lockstep."""
+    rows in lockstep.  A row's cost of X at rung k is k less the earlier
+    rungs on which E was cheaper, so `saved` counts those rungs and this
+    one.  A row finishes when its remainder reaches 1; a rung on which some
+    row does compacts the live arrays with one index and `take`, and the
+    others compact nothing."""
     den = np.abs(q)
     out = (den != 0).astype(np.int64)  # 0 at infinity, 1 at the integers
     live = np.flatnonzero(den > 1)
-    den, r = den[live], p[live] % den[live]
-    cost = np.zeros(len(live), dtype=np.int64)  # of X
+    den = den.take(live)
+    r = p.take(live) % den
+    saved = np.zeros(len(live), dtype=np.int64)
     cheaper = np.zeros(len(live), dtype=bool)  # E costs one less than X
+    rung = 0
     while len(live):
-        if not r.all():  # Euclid reached 0 before 1: it would never end
-            raise ValueError("slope columns must be coprime")
-        done = r == 1
-        out[live[done]] = cost[done] - cheaper[done] + 2
-        keep = ~done
-        live, den, r, cost, cheaper = live[keep], den[keep], r[keep], cost[keep], cheaper[keep]
-        cost = cost + 1 - cheaper
-        cheaper = (den - r < r) & ~cheaper
+        if r.min() <= 1:
+            if not r.all():  # Euclid reached 0 before 1: it would never end
+                raise ValueError("slope columns must be coprime")
+            done = r == 1
+            out[live[done]] = rung + 2 - saved[done]
+            keep = np.flatnonzero(~done)
+            live, den, r, saved, cheaper = (x.take(keep) for x in (live, den, r, saved, cheaper))
+        cheaper = (den - r < r) > cheaper  # and E was not cheaper before
+        saved += cheaper
         den, r = r, den % r
+        rung += 1
     return out
 
 

@@ -15,6 +15,7 @@ memoized recursion they replaced (`farey_recursion`).
 """
 
 import ast
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -459,6 +460,145 @@ def test_lockstep_distance_rejects_non_coprime_columns():
         engines._dists_to_infinity(np.array([1, 2]), np.array([3, 4]))
     with pytest.raises(ValueError, match="coprime"):
         dist_to_infinity(2, 4)
+
+
+# --- the Farey kernel's bytes, widening step and snapshots, and ladder edges ---
+
+
+def _states(geom, walk):
+    for state in walk():
+        yield state.T  # a row per sample
+
+
+def _digest(arrays) -> str:
+    """sha256 over each array's dtype and contents (its python ints when the
+    dtype is object, whose bytes are pointers)."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str(a.dtype).encode())
+        h.update(repr(a.tolist()).encode() if a.dtype == object else a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the Farey kernel's states, and of d(1, w_t) and (w_s . w_t)_1
+# with s the checkpoint before t (`pair_products`), at every checkpoint, at
+# seed 23, recorded before the kernel and the ladder moved to column gathers,
+# in-place products, the growth bound and one compaction index per rung:
+# their outputs stay byte for byte, at either thread count
+FAREY_DIGESTS = {
+    "uniform": ("2d576a5ec85c44ab34b037f2172044780a441c581962a0013ca825793d92f776",
+                "fd50bb2a4aa91b24e0e65a5fc44d7b73f75c190921649938cbacf82c40e45abe"),
+    "huge": ("e81266e1c56517638c1f967ad6ba60c5c51c27fcf95749ba398755c4c56c97a9",
+             "c1ef6985db28da35327e063da17afc9722bd2c6bcadc531776edd0993816e7b2"),
+}
+# law: (law, checkpoints, samples); the uniform law over two blocks, the
+# huge one past the int64 guard from its second step on
+FAREY_DIGEST_CASES = {
+    "uniform": (FAREY_UNIFORM, [1, 2, 10, 33, 64, 100], 16_400),
+    "huge": (FAREY_HUGE, [1, 2, 5, 12, 20], 600),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law_id", sorted(FAREY_DIGESTS))
+def test_farey_engine_bytes_unchanged(law_id, threads):
+    dist, checkpoints, samples = FAREY_DIGEST_CASES[law_id]
+    pairs = dict(zip(checkpoints, [0, *checkpoints[:-1]]))
+    states = engines.observe(farey, dist, checkpoints, _states, samples, 23, threads=threads)
+    products = engines.observe(farey, dist, checkpoints, engines.pair_products(pairs),
+                               samples, 23, threads=threads)
+    digests = tuple(_digest(out[t] for t in checkpoints) for out in (states, products))
+    assert digests == FAREY_DIGESTS[law_id]
+
+
+def test_support_entries_above_int64_run_in_python_ints():
+    big = FareyElement(1, 1 << 70, 0, 1)
+    dist = StepDistribution([big, big.inverse(), L, L.inverse()], [0.3, 0.3, 0.2, 0.2])
+    checkpoints, samples, seed = [1, 3], 40, 29
+    got = engines.observe(farey, dist, checkpoints, engines.DISTANCE, samples, seed)
+    for i in range(samples):
+        w = sample_walk(farey, dist, 3, seed=seed, stream=i).locations
+        for t in checkpoints:
+            assert got[t][i] == farey.distance(farey.identity(), w[t]), (i, t)
+
+
+# S = 3: the positive matrix [[2, 1], [1, 1]] and its inverse, the former
+# drawn more often, so the block passes the guard in mid-walk
+FAREY_S3 = StepDistribution([FareyElement(2, 1, 1, 1), FareyElement(1, -1, -1, 2)],
+                            [0.8, 0.2])
+
+
+@pytest.mark.parametrize("dist,n,samples", [(FAREY_HUGE, 6, 50), (FAREY_S3, 90, 200)],
+                         ids=["huge", "column_sum_3"])
+def test_farey_kernel_widens_at_the_step_the_max_passes_the_guard(dist, n, samples):
+    # the reference rule: the block goes on in python ints from the first
+    # step after which an entry exceeds _INT64_MAX // S
+    seed, ensemble = 37, 0
+    entries = [g.entries() for g in dist.support]
+    scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in entries))
+    guard = engines._INT64_MAX // scale
+    idx = engines._draw_index_block(dist, n, 0, samples, seed, ensemble)
+    ref = [FareyElement(1, 0, 0, 1)] * samples
+    wide = False
+    dtypes, expected = [], []
+    for i in range(n):
+        ref = [w * dist.support[s] for w, s in zip(ref, idx[i].tolist())]
+        wide = wide or max(abs(x) for w in ref for x in w.entries()) > guard
+        dtypes.append(np.dtype(object) if wide else np.dtype(np.int64))
+        expected.append([w.entries() for w in ref])
+    got = list(engines._farey_steps(dist, range(1, n + 1), 0, samples, seed, ensemble))
+    assert [s.dtype for s in got] == dtypes
+    assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+    assert all(s.T.tolist() == [list(e) for e in exp] for s, exp in zip(got, expected))
+
+
+@pytest.mark.parametrize("dist", [FAREY_UNIFORM, FAREY_HUGE], ids=["uniform", "huge"])
+def test_kept_farey_states_outlive_later_steps(dist):
+    # `pair_products` keeps the snapshot of a state for later checkpoints
+    checkpoints = [1, 2, 3, 7, 8]
+    snapshot = engines._GEOMETRIES["farey"].snapshot
+
+    def keep(geom, walk):
+        kept = []
+        for state in walk():
+            kept.append((snapshot(state), state.copy()))
+            yield geom.distance(state)
+        assert all(np.array_equal(a, b) for a, b in kept)
+        assert len({id(a) for a, _ in kept}) == len(kept)
+
+    engines.observe(farey, dist, checkpoints, keep, 300, 41)
+
+
+def _fibonacci(k: int) -> tuple[int, int]:
+    """(F_{k+1}, F_k): every Euclidean quotient is 1, the longest ladder for
+    its size."""
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = a + b, a
+    return a, b
+
+
+LADDER_CASES = {
+    # p = 1 mod |q| for every live row: all finish on the first rung
+    "first_rung": [(1, 2), (1, 5), (4, 3), (-2, 3), (11, -5), (1, 1000)],
+    # no live row: |q| <= 1
+    "none_live": [(1, 0), (-1, 0), (5, 1), (-3, -1), (0, 1)],
+    # long ladders beside short ones, so most rungs finish no row
+    "fibonacci": [_fibonacci(90), (1, 2), _fibonacci(40), (1, 0), (3, 7),
+                  (-_fibonacci(60)[0], _fibonacci(60)[1]), _fibonacci(89)[::-1], (2, 1)],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_lockstep_distance_ladder_edges(case, dtype):
+    cols = LADDER_CASES[case]
+    if dtype is object and case == "fibonacci":
+        cols = cols + [_fibonacci(300), _fibonacci(250)[::-1]]
+    p, q = (np.array(v, dtype=dtype) for v in zip(*cols))
+    got = engines._dists_to_infinity(p, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [recursive_dist_to_infinity(a, b) for a, b in cols]
 
 
 @pytest.mark.parametrize("samples", [0, -1])
