@@ -152,32 +152,44 @@ R = FareyElement(1, 1, 0, 1)
 L = FareyElement(1, 0, 1, 1)
 
 
-def random_product_entries(rng, radius: int,
-                           entries: tuple[int, int, int, int] = (1, 0, 0, 1)
-                           ) -> tuple[int, int, int, int]:
-    """The entries (a, b, c, d) of [[a, b], [c, d]] times a product of at
-    most `radius` generators from (R, L, R^-1, L^-1), drawn as one counted
-    run `rng.counted(radius, 4)` of a `walk.StreamDraws`.
+def random_product_entries(rng, radius: int, steps: int = 1, far: float | None = None):
+    """The entries (a, b, c, d) of [[a, b], [c, d]] after `steps` products
+    from 1, each of at most `radius` generators from (R, L, R^-1, L^-1) and
+    drawn as one counted run of `rng.runs(radius, 4)` (a `walk.StreamDraws`).
+    Given `far`, the walk stops at the first step whose slope a/c is at
+    distance >= far from infinity, or returns None if none is.  R^+-1 keep
+    the first column, so the slope is measured only after a run with L^+-1.
 
     The product is kept in four Python ints and checks no determinant; the
     caller builds one `FareyElement` from the result.  Every SL(2,Z) product
     the package samples goes through this one generator switch.
     """
-    a, b, c, d = entries
-    for k in rng.counted(radius, 4):
-        if k == 0:  # times R = [[1, 1], [0, 1]]
+    if far is not None and far <= 0:
+        steps, far = 1, None  # the first step reaches far, as 1 itself does
+    a, b, c, d = 1, 0, 0, 1
+    moved = False  # the slope moved since it was last measured
+    for k in rng.runs(radius, 4):
+        if k is None:  # a run ends: one step taken
+            if moved and far is not None and dist_to_infinity(a, c) >= far:
+                return a, b, c, d
+            moved = False
+            steps -= 1
+            if not steps:
+                return (a, b, c, d) if far is None else None
+        elif k == 0:  # times R = [[1, 1], [0, 1]]
             b += a
             d += c
         elif k == 1:  # times L = [[1, 0], [1, 1]]
             a += b
             c += d
+            moved = True
         elif k == 2:  # times R^-1
             b -= a
             d -= c
         else:  # times L^-1
             a -= b
             c -= d
-    return a, b, c, d
+            moved = True
 
 
 def dist_to_infinity(p: int, q: int) -> int:

@@ -16,14 +16,15 @@ the exact improper metric, with small radii so acceptance stays usable.
 The conjugator suites need the tree's exact conjugacy and run on F2 only.
 
 Instances come from the models' scalar samplers, which draw a free word
-in two RNG calls and a Farey product in one; the helpers here continue
-those walks the same way (the tree wander, the Farey far pair), so every
-draw matches the per-letter, per-generator samplers of
-`tests/scalar_samplers.py` value for value.  `rng` is a `walk.StreamDraws`
-on the namespace `ENSEMBLE_PROPS` or `ENSEMBLE_CALIBRATE`.  `_tally` counts
-every trial it runs (`SuiteResult.attempts`), accepted or not; calibration
-stops a slack's run at its first counterexample, and `props` fits only the
-slacks it verifies at.
+in two RNG calls and a Farey product as one counted run; the helpers here
+continue those walks the same way (the tree wander; the Farey far pair, one
+pass over `StreamDraws.runs` that measures its distance only after a run
+that moves the slope), so every draw matches the per-letter, per-generator
+samplers of `tests/scalar_samplers.py` value for value.  `rng` is a
+`walk.StreamDraws` on the namespace `ENSEMBLE_PROPS` or
+`ENSEMBLE_CALIBRATE`.  `_tally` counts every trial it runs
+(`SuiteResult.attempts`), accepted or not; calibration stops a slack's run
+at its first counterexample, and `props` fits only the slacks it verifies at.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from . import hypgeom
 from .engines import ENSEMBLE_CALIBRATE, ENSEMBLE_PROPS
 from .errors import PreconditionError, UnsatisfiableConfigError
 from .hypgeom import QuasiGeodesicParams, Shadow, gromov_product
-from .models.farey import FareyElement, dist_to_infinity, random_product_entries
+from .models.farey import FareyElement, random_product_entries
 from .models.free import FreeWord, cyclic_reduce, random_conjugacy_instance, random_reduced_letters
 from .walk import StreamDraws
 
@@ -82,13 +83,14 @@ def _shadow_member_tree(model, rng, z, x, r: float):
 
 def _shadow_member_farey(model, rng, z, x, r: float):
     """A point of S_z(x, r) by rejection: 40 tries, two of three near x."""
+    d_zx = model.distance(z, x)  # `gromov_product`'s terms, d(z, x) once
     for t in range(40):
         if t % 3 < 2:
             # points near x have product against x close to d(z, x)
             y = model.multiply(x, model.sample_element(rng, 3))
         else:
             y = model.sample_element(rng, 8)
-        if gromov_product(model, z, x, y) >= r:
+        if 0.5 * (d_zx + model.distance(z, y) - model.distance(x, y)) >= r:
             return y
     raise UnsatisfiableConfigError("rejection sampling found no shadow member")
 
@@ -105,18 +107,16 @@ def _far_pair_farey(model, rng, min_d: float):
     """(z, x) with d(z, x) >= min_d by an outward random product (positive
     drift reaches min_d quickly).
 
-    x = z u grows u by one `sample_element(rng, 2)` product a step, kept as
-    four ints by `random_product_entries`; d(z, x) is the ladder on u's
-    first column, the value `FareyModel.distance(z, x)` computes, and x is
-    built once.
+    x = z u grows u by one `sample_element(rng, 2)` product a step, all in
+    one `random_product_entries` call over `rng.runs(2, 4)`; d(z, x) is the
+    ladder on u's first column, the value `FareyModel.distance(z, x)`
+    computes, measured only after a run with L^+-1, and x is built once.
     """
     for _ in range(40):
         z = model.sample_element(rng, 4)
-        u = (1, 0, 0, 1)
-        for _ in range(12 * max(1, int(min_d))):
-            u = random_product_entries(rng, 2, u)
-            if dist_to_infinity(u[0], u[2]) >= min_d:
-                return z, model.multiply(z, FareyElement(*u))
+        u = random_product_entries(rng, 2, 12 * max(1, int(min_d)), min_d)
+        if u is not None:
+            return z, model.multiply(z, FareyElement(*u))
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
 
 

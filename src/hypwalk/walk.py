@@ -22,6 +22,7 @@ order through a `StreamDraws`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -71,12 +72,14 @@ def _philox(key: int, counter: int = 0) -> np.random.Philox:
 
 
 class StreamDraws:
-    """`integers(low, high[, size])` and `counted(most, span)` served in
-    order from the Philox stream of `_stream_key(seed, 0, ensemble)`: the
-    next 64-bit word w gives low + (w * n >> 64), n = high - low.  This
+    """`integers(low, high[, size])` and `runs(most, span)` served in order
+    from the Philox stream of `_stream_key(seed, 0, ensemble)`: the next
+    64-bit word w gives low + (w * n >> 64), n = high - low.  This
     multiply-shift rule (Lemire, ACM TOMACS 29, 2019) has no rejection
     branch; its bias is below n * 2^-64.  The buffered words are private:
     every draw goes through these two methods, so only they spell the rule.
+    `runs` reads counted runs in place, one after another for as long as its
+    caller iterates, so that a walk of many products takes one call.
     """
 
     CHUNK = 1024  # words per random_raw call
@@ -105,22 +108,32 @@ class StreamDraws:
                 self._refill(1)
             self._pos += 1
             return low + (self._words[self._pos - 1] * n >> 64)
+        if not isinstance(size, numbers.Integral) or size < 0:
+            raise ValueError(f"size must be a non-negative integer, got {size!r}")
         if self._pos + size > len(self._words):
             self._refill(size)
         start = self._pos
         self._pos += size
         return [low + (w * n >> 64) for w in self._words[start:self._pos]]
 
-    def counted(self, most: int, span: int) -> list[int]:
-        """`integers(0, span, size=integers(0, most + 1))` in one call: a
-        count word, then that many value words."""
+    def runs(self, most: int, span: int):
+        """Yield counted runs, each `integers(0, span, size=integers(0, most + 1))`
+        value by value and then None, rereading the buffer at each run."""
         if not 0 <= most < 1 << 64 or not 0 < span <= 1 << 64:
             raise ValueError("count or span out of range")
-        if self._pos + most >= len(self._words):  # fewer than most + 1 words left
-            self._refill(most + 1)
-        words, pos = self._words, self._pos
-        self._pos = end = pos + 1 + (words[pos] * (most + 1) >> 64)
-        return [w * span >> 64 for w in words[pos + 1:end]]
+        return self._runs(most, span)
+
+    def _runs(self, most: int, span: int):
+        while True:
+            words, pos = self._words, self._pos
+            if pos + most >= len(words):  # fewer than most + 1 words left
+                self._refill(most + 1)
+                words, pos = self._words, 0
+            self._pos = end = pos + 1 + (words[pos] * (most + 1) >> 64)
+            while pos + 1 < end:  # an index loop, not a slice: runs are short
+                pos += 1
+                yield words[pos] * span >> 64
+            yield None
 
 
 def sample_words(seed: int, index: int, ensemble: int, n: int) -> np.ndarray:

@@ -1,15 +1,17 @@
 """The per-letter and per-generator instance samplers: the reference that the
 batched samplers (`FreeGroupModel.sample_word`, `FareyModel.sample_element`,
-`suites._far_pair_farey` and `suites._shadow_member_tree`) are checked
-against, draw for draw.
+`suites._far_pair_farey`, `suites._shadow_member_tree` and
+`suites._shadow_member_farey`) are checked against, draw for draw.
 
 Each function makes one scalar `rng.integers` call per letter or generator
 step and builds a checked `FareyElement` after every step, as the props
 suites did before their draws were batched.  Both sides run on a
 `walk.StreamDraws` seeded alike and must return equal elements call for
 call and then give the same trailing draw.  The batched Farey samplers
-draw each product as one counted run (`StreamDraws.counted`); these
-oracles draw its length and every generator through `rng.integers`.
+draw each product as one counted run of `StreamDraws.runs`, and the far
+pair measures its distance only after a run that moves the slope; these
+oracles draw each product's length and every generator through
+`rng.integers` and measure with the model distance after every step.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from hypwalk.errors import UnsatisfiableConfigError
+from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import IDENTITY, L, R
 from hypwalk.models.free import GENERATOR_LETTERS, FreeWord
 
@@ -57,6 +60,19 @@ def far_pair_farey(model, rng, min_d: float):
             if model.distance(z, x) >= min_d:
                 return z, x
     raise UnsatisfiableConfigError(f"no pair at distance >= {min_d} found")
+
+
+def shadow_member_farey(model, rng, z, x, r: float):
+    """A point of S_z(x, r) by rejection: 40 tries, two of three near x,
+    each tested by `gromov_product`."""
+    for t in range(40):
+        if t % 3 < 2:
+            y = model.multiply(x, sample_farey_element(rng, 3))
+        else:
+            y = sample_farey_element(rng, 8)
+        if gromov_product(model, z, x, y) >= r:
+            return y
+    raise UnsatisfiableConfigError("rejection sampling found no shadow member")
 
 
 def shadow_member_tree(model, rng, z, x, r: float):

@@ -4,9 +4,9 @@ guard that the package reads no other random number generator.
 The props suites, calibration and `hypgeom.estimate_delta` draw through
 `StreamDraws`: value j is low + (w_j * n >> 64) for word j of the Philox
 stream of `_stream_key(seed, 0, ensemble)`, one word per value, whether it
-is served alone, in a `size=` list or in a counted run (a count word, then
-that many values).  Crafted word streams pin the ends of the range and a
-counted run across a chunk's end.
+is served alone, in a `size=` list or in a counted run of `runs` (a count
+word, then that many values).  Crafted word streams pin the ends of the
+range and a counted run across a chunk's end.
 """
 
 import re
@@ -80,9 +80,14 @@ def test_extreme_words_give_the_ends_of_the_range():
     assert served.integers(0, 2**64) == 2**63
 
 
-def _twin_counted(rng, most, span):
-    """The counted run as two `integers` calls."""
+def _twin_run(rng, most, span):
+    """A counted run as two `integers` calls."""
     return rng.integers(0, span, size=rng.integers(0, most + 1))
+
+
+def _next_run(runs):
+    """The values of the next run of a `runs` reader, up to its None."""
+    return list(iter(runs.__next__, None))
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,12 +95,16 @@ def _twin_counted(rng, most, span):
        calls=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(SPANS), st.booleans()),
                       min_size=1, max_size=60))
 def test_counted_run_matches_integers(seed, calls):
-    """Counted runs, each followed by one single draw or not, give the values
-    and leave the stream where the twin reader's `integers` calls do."""
+    """Runs of several live `runs` readers, each run followed by one single
+    draw or not, give the values and leave the stream where the twin
+    reader's `integers` calls do."""
     served, twin = (StreamDraws(seed, engines.ENSEMBLE_PROPS) for _ in range(2))
+    live = {}
     for most, span, single in calls:
-        run = served.counted(most, span)
-        assert run == _twin_counted(twin, most, span)
+        if (most, span) not in live:
+            live[most, span] = served.runs(most, span)
+        run = _next_run(live[most, span])
+        assert run == _twin_run(twin, most, span)
         assert len(run) <= most and all(type(v) is int and 0 <= v < span for v in run)
         if single:
             assert served.integers(0, span) == twin.integers(0, span)
@@ -104,23 +113,35 @@ def test_counted_run_matches_integers(seed, calls):
 
 @pytest.mark.parametrize("offset", [1, 2, 3])
 def test_counted_run_across_a_chunk_end(offset):
-    """The largest count word of `counted(2, 4)` sits `offset` words before a
-    chunk's end: its two values run into the next chunk (offsets 1 and 2)
-    or end the chunk exactly (offset 3)."""
+    """The largest count word of a `runs(2, 4)` run sits `offset` words
+    before a chunk's end: its two values run into the next chunk (offsets 1
+    and 2) or end the chunk exactly (offset 3)."""
     head = _raw_words(9, engines.ENSEMBLE_PROPS, CHUNK - offset)
     values = [3 * 2**62, 2**62 - 1, 2**63 + 7]
     words = head + [2**64 - 1] + values
     served, twin = crafted_draws(words), crafted_draws(words)
     assert served.integers(0, 2**64, size=CHUNK - offset) == head
     twin.integers(0, 2**64, size=CHUNK - offset)
-    assert served.counted(2, 4) == _twin_counted(twin, 2, 4) == [3, 0]
+    assert _next_run(served.runs(2, 4)) == _twin_run(twin, 2, 4) == [3, 0]
     assert served.integers(0, 2**64) == twin.integers(0, 2**64) == values[2]
 
 
 @pytest.mark.parametrize("most,span", [(-1, 4), (2, 0), (2, 2**64 + 1)])
 def test_counted_run_out_of_range_raises(most, span):
+    """`runs` raises at the call, before its first value is asked for."""
     with pytest.raises(ValueError, match="out of range"):
-        StreamDraws(0, engines.ENSEMBLE_PROPS).counted(most, span)
+        StreamDraws(0, engines.ENSEMBLE_PROPS).runs(most, span)
+
+
+@pytest.mark.parametrize("size", [-2, -1, 2.5, 1.0, "3"])
+def test_bad_size_raises_and_keeps_the_stream(size):
+    """A negative or non-integer `size` is refused before the reader moves,
+    so the next draw is the word after the last one served."""
+    served, twin = (StreamDraws(5, engines.ENSEMBLE_PROPS) for _ in range(2))
+    assert served.integers(0, 7, size=3) == twin.integers(0, 7, size=3)
+    with pytest.raises(ValueError, match="size"):
+        served.integers(0, 7, size=size)
+    assert served.integers(0, 2**64, size=2) == twin.integers(0, 2**64, size=2)
 
 
 @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (-1, -1)])

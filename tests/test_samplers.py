@@ -7,11 +7,14 @@ equal elements call for call and then agree on one trailing full-word draw,
 which shows both consumed the same words.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_samplers
 from hypwalk import suites
+from hypwalk.models import farey as farey_module
+from hypwalk.models.farey import IDENTITY, L, R, dist_to_infinity, random_product_entries
 from hypwalk.engines import ENSEMBLE_PROPS
 from hypwalk.errors import UnsatisfiableConfigError
 from hypwalk.models import get_model
@@ -100,3 +103,58 @@ def test_shadow_member_tree_matches_scalar_draws(seed, radius, rs):
                       lambda g, z=z, x=x, r=r: scalar_samplers.shadow_member_tree(
                           free, g, z, x, r)))
     _assert_same_draws(calls, *_seeded(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, radius=st.integers(1, 8),
+       rs=st.lists(st.integers(0, 12).map(lambda k: k / 2), min_size=1, max_size=6))
+def test_shadow_member_farey_matches_scalar_draws(seed, radius, rs):
+    rng = StreamDraws(seed, ENSEMBLE_PROPS)
+    calls = []
+    for r in rs:
+        # radii past what 40 tries reach exercise the raise after all 40 draws
+        z, x = farey.sample_element(rng, 4), farey.sample_element(rng, radius)
+        calls.append((lambda g, z=z, x=x, r=r: suites._shadow_member_farey(farey, g, z, x, r),
+                      lambda g, z=z, x=x, r=r: scalar_samplers.shadow_member_farey(
+                          farey, g, z, x, r)))
+    _assert_same_draws(calls, *_seeded(seed))
+
+
+def _walk_by_hand(rng, steps, far):
+    """`random_product_entries(rng, 2, steps, far)` with each run drawn by
+    `integers` and the slope measured after every step: its result, and how
+    many of the steps taken drew L or L^-1."""
+    gens = (R, L, R.inverse(), L.inverse())
+    u, with_l = IDENTITY, 0
+    for _ in range(steps):
+        run = rng.integers(0, 4, size=rng.integers(0, 3))
+        for k in run:
+            u = u * gens[k]
+        with_l += any(k % 2 for k in run)
+        if dist_to_infinity(u.a, u.c) >= far:
+            return u.entries(), with_l
+    return None, with_l
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_far_walk_measures_only_after_runs_with_l(seed, monkeypatch):
+    """The far walk calls `dist_to_infinity` once per step whose run holds
+    L^+-1 and on no other; 61 is past the reach of 30 steps of two."""
+    measured = []
+    monkeypatch.setattr(farey_module, "dist_to_infinity",
+                        lambda p, q: measured.append((p, q)) or dist_to_infinity(p, q))
+    new, old = _seeded(seed)
+    for far in (0.5, 3.0, 6.0, 9.5, 61.0):
+        measured.clear()
+        got = random_product_entries(new, 2, 30, far)
+        want, with_l = _walk_by_hand(old, 30, far)
+        assert got == want and len(measured) == with_l
+    assert new.integers(0, 2**64) == old.integers(0, 2**64)
+
+
+@pytest.mark.parametrize("far", [0.0, -1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_far_walk_at_far_zero_returns_after_one_step(seed, far):
+    new, old = _seeded(seed)
+    assert random_product_entries(new, 2, 30, far) == random_product_entries(old, 2)
+    assert new.integers(0, 2**64) == old.integers(0, 2**64)
