@@ -7,11 +7,15 @@ A step kernel walks a block of samples (the same steps as per-sample
 index of each row's top letter as its state, and applies a step as one
 short numpy pass per letter position over all rows, reading the letters of
 each row's drawn word from a (support, longest word) table.
-`_farey_steps` keeps exact 2x2 matrices as four int64 rows, applies a step
-as one gather and four multiplies, and goes on in python ints before
-an entry could overflow.  Each model's `_Geometry` gives, per row, d(1, w),
-the Gromov product (u . w)_1 of two states (a common prefix in the tree,
-(d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the Farey graph) and whether the
+`_farey_steps` keeps exact 2x2 matrices as four int64 rows and applies up
+to four steps in one pass: one gather of the product of each row's drawn
+matrices from a table of products of support matrices, and four
+multiplies.  A pass runs in int64 only while none of its steps can pass the
+overflow guard; the block goes on in python ints at the step an entry
+passes it.  Each model's `_Geometry` gives, per row, d(1, w),
+the Gromov product (u . w)_1 of two states from their known distances (a
+common prefix in the tree, (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the
+Farey graph, one ladder per row) and whether the
 translation length of w is at most B (the cyclic core's length in the tree;
 on the Farey graph |trace| <= 2, then the exact length where B > 0).
 Observers fold the states into one statistic per sample through it, so
@@ -157,48 +161,71 @@ def _free_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi:
 def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi: int,
                  seed: int, ensemble: int):
     """Yield, at each checkpoint t, w_t = [[a, b], [c, d]] of every row as a
-    (4, rows) array of a, b, c, d, a fresh array at every step.
+    (4, rows) array of a, b, c, d, a fresh array at every pass.
 
-    A step gathers the drawn matrices' entries from a (4, support) table
-    and writes its products into the new state in place.  The state is
-    int64 while every entry stays within _INT64_MAX // S, S the largest
+    A pass applies j <= k consecutive steps: it gathers the product of each
+    row's j drawn matrices from a (4, support^j) table of products of j
+    support matrices, at column idx[t] support^(j-1) + ... + idx[t+j-1],
+    and writes its products into the new state in place.  k is the largest
+    of 1..4 with support^k <= 256 and S^(k+2) <= _INT64_MAX, S the largest
     absolute column sum of a support matrix (at least 2, so a + d fits
-    too): the next step then cannot overflow.  A step multiplies the
-    largest entry by at most S, so `bound` tracks an upper bound on it and
-    the true maximum is read only when the bound passes the guard.  Once an
-    entry passes it the block goes on in python ints (dtype object),
-    exactly; a block whose S passes int64 starts in them.
+    too); a checkpoint ends a pass.  The state is int64 while every entry
+    stays within _INT64_MAX // S: the next step then cannot overflow.  The
+    largest column sum is submultiplicative, so a step multiplies the
+    largest entry by at most S, and `bound` tracks an upper bound on it;
+    the true maximum is read only when the bound passes the guard.  A pass
+    of j > 1 steps runs only while bound S^j is within the guard, so none of
+    its steps can pass it; otherwise, if the true maximum still fails that
+    test, a single step is taken.
+    Once an entry passes the guard the block goes on in python ints (dtype
+    object), exactly, at the step where it passed; a block whose S passes
+    int64 starts in them.
     """
     n = checkpoints[-1]
     idx = _draw_index_block(dist, n, lo, hi, seed, ensemble)
-    entries = [g.entries() for g in dist.support]
-    scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in entries))
+    size, support = dist.size(), [g.entries() for g in dist.support]
+    scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in support))
+    k = next((j for j in (4, 3, 2) if size ** j <= 256 and scale ** (j + 2) <= _INT64_MAX), 1)
     guard, bound = _INT64_MAX // scale, 1
     dtype = object if bound > guard else np.int64
-    table = np.array(entries, dtype=dtype).T.copy()
+    products = [support]  # products[j - 1]: the products of j support matrices
+    for _ in range(k - 1):
+        products.append([(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                         for a, b, c, d in products[-1] for e, f, g, h in support])
+    tables = [np.array(p, dtype=dtype).T.copy() for p in products]
     state = np.zeros((4, hi - lo), dtype=dtype)
     state[0] = state[3] = 1
-    cps = set(checkpoints)
-    for i in range(n):
-        drawn = table.take(idx[i], axis=1)  # e, f, g, h of each row's step
-        ef, gh = drawn[:2], drawn[2:]
-        # (a, b) -> (a e + b g, a f + b h), and (c, d) the same; ef, then gh,
-        # holds the second products once read.  No view of the old state
-        # outlives the step, so its memory is free for the next one.
-        new = np.empty_like(state)
-        np.multiply(state[0], ef, out=new[:2])
-        np.multiply(state[2], ef, out=new[2:])
-        new[:2] += np.multiply(state[1], gh, out=ef)
-        new[2:] += np.multiply(state[3], gh, out=gh)
-        state = new
-        if state.dtype != object:
-            bound *= scale
-            if bound > guard:
+    i = 0
+    for checkpoint in checkpoints:
+        while i < checkpoint:
+            j = min(k, checkpoint - i)
+            if j > 1 and state.dtype != object and bound * scale ** j > guard:
                 bound = int(np.abs(state).max())
+                if bound * scale ** j > guard:
+                    j = 1
+            col = idx[i]
+            for row in idx[i + 1:i + j]:
+                col = col * size + row
+            drawn = tables[j - 1].take(col, axis=1)  # e, f, g, h of each row's product
+            ef, gh = drawn[:2], drawn[2:]
+            # (a, b) -> (a e + b g, a f + b h), and (c, d) the same; ef, then gh,
+            # holds the second products once read.  No view of the old state
+            # outlives the pass, so its memory is free for the next one.
+            new = np.empty_like(state)
+            np.multiply(state[0], ef, out=new[:2])
+            np.multiply(state[2], ef, out=new[2:])
+            new[:2] += np.multiply(state[1], gh, out=ef)
+            new[2:] += np.multiply(state[3], gh, out=gh)
+            state = new
+            i += j
+            if state.dtype != object:
+                bound *= scale ** j
                 if bound > guard:
-                    state, table = state.astype(object), table.astype(object)
-        if i + 1 in cps:
-            yield state
+                    bound = int(np.abs(state).max())
+                    if bound > guard:
+                        state = state.astype(object)
+                        tables = [t.astype(object) for t in tables]
+        yield state
 
 
 def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
@@ -278,16 +305,16 @@ def _dists_to_infinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _farey_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(u . w)_1 = (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2, with
-    u^-1 = [[d, -b], [-c, a]].  Both operands are python ints when
+def _farey_product(u: np.ndarray, w: np.ndarray, du, dw) -> np.ndarray:
+    """(u . w)_1 = (du + dw - d(1, u^-1 w)) / 2 from the known distances
+    du = d(1, u) and dw = d(1, w), with u^-1 = [[d, -b], [-c, a]]: one
+    ladder per row.  Both operands are python ints when
     max|u| max|w| > _INT64_MAX // 2 and int64 otherwise (then both fit), so
     no entry of u^-1 w can overflow."""
     big = int(np.abs(u).max()) * int(np.abs(w).max()) > _INT64_MAX // 2
     u, w = (x.astype(object if big else np.int64, copy=False) for x in (u, w))
     a, b, c, d = u
-    d_uw = _dists_to_infinity(d * w[0] - b * w[2], a * w[2] - c * w[0])
-    return 0.5 * (_dists_to_infinity(a, c) + _dists_to_infinity(w[0], w[2]) - d_uw)
+    return 0.5 * (du + dw - _dists_to_infinity(d * w[0] - b * w[2], a * w[2] - c * w[0]))
 
 
 def _cyclic_core_lengths(state) -> np.ndarray:
@@ -325,7 +352,7 @@ class _Geometry(NamedTuple):
 
     steps: Callable  # (dist, checkpoints, lo, hi, seed, ensemble) -> states
     distance: Callable  # state -> d(1, w)
-    product: Callable  # (state u, state w) -> (u . w)_1
+    product: Callable  # (state u, state w, d(1, u), d(1, w)) -> (u . w)_1
     translation_at_most: Callable  # (state, B) -> translation length of w <= B
     snapshot: Callable  # state -> a copy that outlives the next step
     state_of: Callable  # element -> its state as one row that broadcasts
@@ -336,7 +363,7 @@ _GEOMETRIES = {
     "free": _Geometry(
         steps=_free_steps,
         distance=lambda state: state[1],  # a fresh array at each checkpoint
-        product=_common_prefix,
+        product=lambda u, w, du, dw: _common_prefix(u, w),
         translation_at_most=lambda state, B: _cyclic_core_lengths(state) <= B,
         snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1]),
         state_of=lambda g: (np.array([g.letters], dtype=np.int8), np.array([len(g.letters)])),
@@ -347,7 +374,7 @@ _GEOMETRIES = {
         distance=lambda state: _dists_to_infinity(state[0], state[2]),
         product=_farey_product,
         translation_at_most=_farey_translation_at_most,
-        snapshot=lambda state: state,  # each step builds a new array
+        snapshot=lambda state: state,  # each pass builds a new array
         state_of=lambda g: np.array(g.entries(), dtype=object)[:, None],
         identity=np.array([[1], [0], [0], [1]], dtype=np.int64),
     ),
@@ -386,11 +413,13 @@ def pair_products(pairs: Mapping[int, int]):
     checkpoints, sources = sorted(pairs), set(pairs.values())
 
     def fold(geom, walk):
-        kept = {0: geom.identity}
+        kept = {0: (geom.identity, 0)}  # a source's snapshot and distance
         for t, state in zip(checkpoints, walk(), strict=True):
-            yield np.stack([geom.distance(state), geom.product(kept[pairs[t]], state)], axis=1)
+            u, du = kept[pairs[t]]
+            dw = geom.distance(state)
+            yield np.stack([dw, geom.product(u, state, du, dw)], axis=1)
             if t in sources:
-                kept[t] = geom.snapshot(state)
+                kept[t] = (geom.snapshot(state), dw)
 
     return fold
 
@@ -400,8 +429,9 @@ def center_product(center):
 
     def fold(geom, walk):
         x = geom.state_of(center)
+        dx = geom.distance(x)
         for state in walk():
-            yield geom.product(x, state)
+            yield geom.product(x, state, dx, geom.distance(state))
 
     return fold
 
@@ -411,7 +441,7 @@ def product_with_walk(law: StepDistribution, ensemble: int):
 
     def fold(geom, walk):
         for v, w in zip(walk(), walk(law, ensemble)):
-            yield geom.product(v, w)
+            yield geom.product(v, w, geom.distance(v), geom.distance(w))
 
     return fold
 

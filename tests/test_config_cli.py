@@ -378,14 +378,24 @@ def test_cli_threads_below_one_exit_2(threads, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_threads_flag_deterministic(tmp_path):
+THREADS_CASES = {
+    "free-linear-progress": ("linear-progress", dict(L=0.25, n_grid=[10, 20], samples=30_000)),
+    # the grouped SL(2,Z) kernel over two blocks, at checkpoints off its pass length
+    "farey-translation-decay-B0": ("translation-decay", dict(
+        model="farey", distribution=FAREY_UNIFORM, B=0.0, n_grid=[7, 13], samples=16_400)),
+    "farey-translation-decay-B1": ("translation-decay", dict(
+        model="farey", distribution=FAREY_UNIFORM, B=1.0, n_grid=[7, 13], samples=16_400)),
+}
+
+
+@pytest.mark.parametrize("case", list(THREADS_CASES))
+def test_cli_threads_flag_deterministic(case, tmp_path):
+    subcommand, fields = THREADS_CASES[case]
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    p1 = _write_cfg(tmp_path, "c1.json", L=0.25, n_grid=[10, 20], samples=30_000,
-                    output_path=str(out1))
-    p2 = _write_cfg(tmp_path, "c2.json", L=0.25, n_grid=[10, 20], samples=30_000,
-                    output_path=str(out2))
-    assert _run_cli(["linear-progress", "--config", str(p1), "--threads", "1"]).returncode == 0
-    assert _run_cli(["linear-progress", "--config", str(p2), "--threads", "4"]).returncode == 0
+    p1 = _write_cfg(tmp_path, "c1.json", **fields, output_path=str(out1))
+    p2 = _write_cfg(tmp_path, "c2.json", **fields, output_path=str(out2))
+    assert _run_cli([subcommand, "--config", str(p1), "--threads", "1"]).returncode == 0
+    assert _run_cli([subcommand, "--config", str(p2), "--threads", "4"]).returncode == 0
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 

@@ -406,7 +406,8 @@ def test_farey_pair_product_widens_int64_operands():
     u_state = np.array(u.entries(), dtype=np.int64)[:, None]
     w_state = np.array([w.entries() for w in ws], dtype=np.int64).T
     assert big_b * big_c > 1 << 63
-    got = engines._farey_product(u_state, w_state)
+    distance = engines._GEOMETRIES["farey"].distance
+    got = engines._farey_product(u_state, w_state, distance(u_state), distance(w_state))
     assert got.tolist() == [gromov_product(farey, farey.identity(), u, w) for w in ws]
 
 
@@ -550,6 +551,63 @@ def test_farey_kernel_widens_at_the_step_the_max_passes_the_guard(dist, n, sampl
     assert [s.dtype for s in got] == dtypes
     assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
     assert all(s.T.tolist() == [list(e) for e in exp] for s, exp in zip(got, expected))
+
+
+R2, L2 = R * R, L * L
+# the kernel's pass length k: 4 on uniform R, L and on the one-element law,
+# 2 on eight elements, 1 on FAREY_HUGE; FAREY_S3 and the one-element law
+# pass the int64 guard in mid-walk
+GROUPED_LAWS = {
+    "uniform": FAREY_UNIFORM,
+    "eight": StepDistribution([R, L, R.inverse(), L.inverse(), R2, L2, R2.inverse(),
+                               L2.inverse()], [0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05]),
+    "column_sum_3": FAREY_S3,
+    "huge": FAREY_HUGE,
+    "one_element": StepDistribution([FareyElement(2, 1, 1, 1)], [1.0]),
+}
+
+
+@pytest.mark.parametrize("law_id", sorted(GROUPED_LAWS))
+def test_grouped_farey_kernel_matches_per_step_reference(law_id):
+    # checkpoints off the pass length, so passes of every length 1..k end
+    # on them; the reference takes one step at a time and goes on in python
+    # ints from the first step after which an entry exceeds _INT64_MAX // S
+    dist, samples, seed, ensemble = GROUPED_LAWS[law_id], 200, 43, 0
+    checkpoints = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 90]
+    entries = [g.entries() for g in dist.support]
+    scale = max(2, *(max(abs(e) + abs(g), abs(f) + abs(h)) for e, f, g, h in entries))
+    guard = engines._INT64_MAX // scale
+    idx = engines._draw_index_block(dist, checkpoints[-1], 0, samples, seed, ensemble)
+    ref, wide, expected = [FareyElement(1, 0, 0, 1)] * samples, False, []
+    for i in range(checkpoints[-1]):
+        ref = [w * dist.support[s] for w, s in zip(ref, idx[i].tolist())]
+        wide = wide or max(abs(x) for w in ref for x in w.entries()) > guard
+        if i + 1 in checkpoints:
+            expected.append((np.dtype(object) if wide else np.dtype(np.int64),
+                             [list(w.entries()) for w in ref]))
+    got = list(engines._farey_steps(dist, checkpoints, 0, samples, seed, ensemble))
+    assert [(s.dtype, s.T.tolist()) for s in got] == expected
+
+
+def test_pair_products_run_two_ladders_per_checkpoint(monkeypatch):
+    # d(1, w_t), and d(1, w_s^-1 w_t) for the product; d(1, w_s) is kept
+    # from the checkpoint that computed it
+    calls = []
+    ladder = engines._dists_to_infinity
+
+    def counted(p, q):
+        calls.append(len(p))
+        return ladder(p, q)
+
+    monkeypatch.setattr(engines, "_dists_to_infinity", counted)
+    pairs = {3: 0, 5: 3, 8: 3, 13: 8, 21: 0}
+    got = engines.observe(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 300, 47)
+    assert calls == [300] * (2 * len(pairs))
+    for i in range(0, 300, 37):
+        w = sample_walk(farey, FAREY_UNIFORM, 21, seed=47, stream=i).locations
+        for t, s in pairs.items():
+            assert got[t][i].tolist() == [farey.distance(farey.identity(), w[t]),
+                                          gromov_product(farey, farey.identity(), w[s], w[t])]
 
 
 @pytest.mark.parametrize("dist", [FAREY_UNIFORM, FAREY_HUGE], ids=["uniform", "huge"])
