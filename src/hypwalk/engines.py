@@ -20,13 +20,15 @@ translation length of w is at most B (the cyclic core's length in the tree;
 on the Farey graph |trace| <= 2, then the exact length where B > 0).
 Observers fold the states into one statistic per sample through it, so
 every observer is written once for both models, and every model
-difference lives in `_GEOMETRIES`.  `observe` runs a model's kernel with an
+difference lives in `_GEOMETRIES`; a product against w_0 = 1 is 0 and
+needs no state of the identity.  `observe` runs a model's kernel with an
 observer over the blocks; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
 `dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`).
 `free_midpoint_tilted` shares the letter stacks and their push; only its
 step choice differs, a law that depends on the state, drawn on its own
-stream namespace.
+stream namespace, and its one event array, the branch depth
+(w_n . x)_1, is read off the stack.
 
 Steps come from the block's one Philox stream (`walk.block_words`): one
 `random_raw` per step gives that step's word for every row, and
@@ -348,7 +350,8 @@ def _farey_translation_at_most(state: np.ndarray, B: float) -> np.ndarray:
 
 class _Geometry(NamedTuple):
     """A model as the engines see it: its step kernel, and functions of the
-    states it yields, one value per row."""
+    states it yields, one value per row.  No state of the identity is kept:
+    the one product it would enter, (1 . w)_1, is 0."""
 
     steps: Callable  # (dist, checkpoints, lo, hi, seed, ensemble) -> states
     distance: Callable  # state -> d(1, w)
@@ -356,7 +359,6 @@ class _Geometry(NamedTuple):
     translation_at_most: Callable  # (state, B) -> translation length of w <= B
     snapshot: Callable  # state -> a copy that outlives the next step
     state_of: Callable  # element -> its state as one row that broadcasts
-    identity: object  # the state of the identity
 
 
 _GEOMETRIES = {
@@ -367,7 +369,6 @@ _GEOMETRIES = {
         translation_at_most=lambda state, B: _cyclic_core_lengths(state) <= B,
         snapshot=lambda state: (state[0][:, :state[1].max()].copy(), state[1]),
         state_of=lambda g: (np.array([g.letters], dtype=np.int8), np.array([len(g.letters)])),
-        identity=(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64)),
     ),
     "farey": _Geometry(
         steps=_farey_steps,
@@ -376,7 +377,6 @@ _GEOMETRIES = {
         translation_at_most=_farey_translation_at_most,
         snapshot=lambda state: state,  # each pass builds a new array
         state_of=lambda g: np.array(g.entries(), dtype=object)[:, None],
-        identity=np.array([[1], [0], [0], [1]], dtype=np.int64),
     ),
 }
 
@@ -407,17 +407,22 @@ def pair_products(pairs: Mapping[int, int]):
     """(d(1, w_t), (w_s . w_t)_1) per row at each checkpoint t, s = pairs[t],
     so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1.  The
     checkpoints are the keys of `pairs`; s is 0 (w_0 = 1) or an earlier
-    checkpoint."""
+    checkpoint.  (1 . w_t)_1 is 0, so a checkpoint paired with 0 computes
+    no product; its zeros are float, the dtype of a Farey product."""
     if any(s != 0 and not (s in pairs and s < t) for t, s in pairs.items()):
         raise ValueError("each checkpoint must pair with 0 or an earlier checkpoint")
     checkpoints, sources = sorted(pairs), set(pairs.values())
 
     def fold(geom, walk):
-        kept = {0: (geom.identity, 0)}  # a source's snapshot and distance
+        kept = {}  # a source's snapshot and distance
         for t, state in zip(checkpoints, walk(), strict=True):
-            u, du = kept[pairs[t]]
             dw = geom.distance(state)
-            yield np.stack([dw, geom.product(u, state, du, dw)], axis=1)
+            if pairs[t] == 0:
+                product = np.zeros(len(dw))
+            else:
+                u, du = kept[pairs[t]]
+                product = geom.product(u, state, du, dw)
+            yield np.stack([dw, product], axis=1)
             if t in sources:
                 kept[t] = (geom.snapshot(state), dw)
 
@@ -446,19 +451,19 @@ def product_with_walk(law: StepDistribution, ensemble: int):
     return fold
 
 
-def _cancellations(flat: np.ndarray, top: np.ndarray, letters: np.ndarray,
+def _cancellations(flat: np.ndarray, top: np.ndarray, table: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """C[s, r]: how many letters of support word g_s cancel against row r's
     word x_r, the letter stack below flat index top[r] (`_letter_stacks`),
-    so |x_r g_s| = |x_r| + len(g_s) - 2 C[s, r].  `letters` holds the
-    support words' letters zero-padded on the right."""
+    so |x_r g_s| = |x_r| + len(g_s) - 2 C[s, r].  `table` holds the
+    support words' letters (`_letter_table`)."""
     cancelled = np.zeros((len(lengths), len(top)), dtype=np.int64)
     alive = np.ones((len(lengths), len(top)), dtype=bool)
     for t in range(int(lengths.max())):
         # the letter t places below each top; a row reaches its floor, which
         # cancels no letter, before it reads below it (clipped at row 0)
         below = flat.take(top - t, mode="clip")
-        alive &= (below[None, :] == -letters[:, t, None]) & (t < lengths)[:, None]
+        alive &= (below[None, :] == -table[:, t, None]) & (t < lengths)[:, None]
         cancelled += alive
     return cancelled
 
@@ -474,10 +479,13 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     likelihood ratio mu/nu is exp(log-weight) = prod Z(x) exp(theta D) and
     exp(log-weight) * hit has mean P(failure) under mu.  theta is
     thetas[0] over the first half; over the second half it is thetas[1]
-    while the event does not hold (2j >= |w_n|, with the branch depth
-    j = (w_n . x)_1 updated as each letter cancels or is pushed) and 0 once
-    it does.  One uniform per step: `walk.uniforms` of the sample's
-    ENSEMBLE_TILTED words.
+    while the event does not hold (2j >= |w_n|) and 0 once it does.  The
+    branch depth j = (w_n . x)_1 is the walk's only event state, read off
+    the letter stack: a step that cancels c letters cuts it to
+    min(j, |x| - c), and the pushed letters extend it while they match a
+    copy of w_n's stack (the branch off the w_n path is |x| - j high).
+    One uniform per step: `walk.uniforms` of the sample's ENSEMBLE_TILTED
+    words.
     """
     check_samples(samples)
     if two_n < 2 or two_n % 2 != 0:
@@ -487,9 +495,6 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
     lengths = np.array([len(g) for g in dist.support], dtype=np.int64)
     table = _letter_table(dist)
     wmax = table.shape[1]
-    # letters padded to twice the longest word, so letters[s, c + q] exists
-    # for every cancellation count c and offset q below wmax
-    letters = np.pad(table, ((0, 0), (0, wmax)))
     span = wmax + 1
     # per (word s, tilt index, cancellations c), tilt index 0, 1, 2 meaning
     # theta = 0, thetas[0], thetas[1]: mu(g_s) exp(-theta D) and theta D
@@ -512,10 +517,10 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
             if i == n:
                 # w_n's letters sit at flat indices base + 1 .. base + k
                 mid_flat, k = flat.copy(), top - base
-                j, h = k.copy(), np.zeros(rows, dtype=np.int64)
+                j = k.copy()
             if i >= n:
                 tilt = np.where(2 * j >= k, 2, 0)
-            cancelled = _cancellations(flat, top, letters, lengths)
+            cancelled = _cancellations(flat, top, table, lengths)
             cell = word_base + tilt * span + cancelled
             cum = weight_table.take(cell)
             for s in range(1, size):
@@ -523,23 +528,18 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
             choice = (cum[:-1] <= u * cum[-1]).sum(axis=0)
             pick = choice * rows + row_ids
             log_w += np.log(cum[-1]) + tilt_d.take(cell.reshape(-1).take(pick))
-            push(choice)
             if i < n:
+                push(choice)
                 continue
-            # the chosen word cancels c letters, then pushes its remaining
-            # m - c; x = w_n[:j] followed by a branch of height h off the
-            # w_n path
-            c = cancelled.reshape(-1).take(pick)
-            m = lengths[choice]
-            dh = np.minimum(h, c)
-            h -= dh
-            j -= c - dh
-            for q in range(wmax):
-                pushing = q < m - c
-                along = ((h == 0) & (j < k)
-                         & (mid_flat.take(base + 1 + j) == letters[choice, c + q]))
-                j += pushing & along
-                h += pushing & ~along
+            # the chosen word cancels c letters of x, which keeps at most its
+            # first |x| - c letters on the w_n path
+            j = np.minimum(j, top - base - cancelled.reshape(-1).take(pick))
+            push(choice)
+            # the pushed letters extend the common prefix while they match
+            # w_n's; a row off the path already mismatches at j
+            limit = np.minimum(top - base, k)
+            for _ in range(wmax):
+                j += (j < limit) & (flat.take(base + 1 + j) == mid_flat.take(base + 1 + j))
         return 2 * j < k, log_w
 
     parts = _run_blocks(run_block, samples, threads)

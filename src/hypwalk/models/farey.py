@@ -251,10 +251,8 @@ def slope_distance(u: Slope, v: Slope) -> int:
     return dist_to_infinity(w.p, w.q)
 
 
-def bounded_bfs_distances(
-    q_max: int, value_bound: int, source: Slope = INFINITY
-) -> Dict[Slope, int]:
-    """Brute-force BFS distances from `source` on the subgraph of slopes with
+def bounded_bfs_distances(q_max: int, value_bound: int) -> Dict[Slope, int]:
+    """Brute-force BFS distances from infinity on the subgraph of slopes with
     |q| <= q_max and |p| <= value_bound * q (plus the integers and infinity).
 
     This is the independent oracle: it never calls `slope_distance`.  The
@@ -296,8 +294,8 @@ def bounded_bfs_distances(
                 if in_range(r, sden):
                     yield Slope(r, sden)
 
-    dist: Dict[Slope, int] = {source: 0}
-    queue = deque([source])
+    dist: Dict[Slope, int] = {INFINITY: 0}
+    queue = deque([INFINITY])
     while queue:
         cur = queue.popleft()
         d = dist[cur]

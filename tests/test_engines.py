@@ -591,7 +591,8 @@ def test_grouped_farey_kernel_matches_per_step_reference(law_id):
 
 def test_pair_products_run_two_ladders_per_checkpoint(monkeypatch):
     # d(1, w_t), and d(1, w_s^-1 w_t) for the product; d(1, w_s) is kept
-    # from the checkpoint that computed it
+    # from the checkpoint that computed it.  A checkpoint paired with 0 runs
+    # only the first: (1 . w_t)_1 is 0
     calls = []
     ladder = engines._dists_to_infinity
 
@@ -602,12 +603,21 @@ def test_pair_products_run_two_ladders_per_checkpoint(monkeypatch):
     monkeypatch.setattr(engines, "_dists_to_infinity", counted)
     pairs = {3: 0, 5: 3, 8: 3, 13: 8, 21: 0}
     got = engines.observe(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 300, 47)
-    assert calls == [300] * (2 * len(pairs))
+    assert calls == [300] * (2 * len(pairs) - 2)  # 3 -> 0 and 21 -> 0 run one
     for i in range(0, 300, 37):
         w = sample_walk(farey, FAREY_UNIFORM, 21, seed=47, stream=i).locations
         for t, s in pairs.items():
             assert got[t][i].tolist() == [farey.distance(farey.identity(), w[t]),
                                           gromov_product(farey, farey.identity(), w[s], w[t])]
+
+
+def test_common_prefix_of_empty_snapshots():
+    # a walk that stays at 1 keeps snapshots with no letter column, so the
+    # tree's product compares zero columns
+    law = StepDistribution([FreeWord()], [1.0])
+    pairs = {1: 0, 2: 1}
+    got = engines.observe(free, law, pairs, engines.pair_products(pairs), 50, 5)
+    assert all(not got[t].any() for t in pairs)
 
 
 @pytest.mark.parametrize("dist", [FAREY_UNIFORM, FAREY_HUGE], ids=["uniform", "huge"])
