@@ -301,18 +301,18 @@ def _error(code: int, reason: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: the subcommand is a positional
+    choice, and every subcommand takes the same options."""
     parser = argparse.ArgumentParser(
         prog="hypwalk",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--assert", dest="do_assert", action="store_true",
-                       help="exit 4 unless the acceptance assertions hold")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (default: 1)")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--assert", dest="do_assert", action="store_true",
+                        help="exit 4 unless the acceptance assertions hold")
+    parser.add_argument("--threads", type=int, default=1, help="worker cap (default: 1)")
     return parser
 
 

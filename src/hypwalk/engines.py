@@ -24,7 +24,10 @@ difference lives in `_GEOMETRIES`; a product against w_0 = 1 is 0 and
 needs no state of the identity.  `observe` runs a model's kernel with an
 observer over the blocks; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
-`dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`).
+`dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`),
+and Farey translation lengths run `translation_length`'s continued fraction
+and ladder the same way (`_translation_lengths`), in int64 for rows whose
+entries are below _LENGTH_INT64 and in python ints for the others.
 `free_midpoint_tilted` shares the letter stacks and their push; only its
 step choice differs, a law that depends on the state, drawn on its own
 stream namespace, and its one event array, the branch depth
@@ -47,7 +50,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .models.farey import FareyElement, translation_length
 from .walk import BLOCK_SIZE, StepDistribution, block_words, check_samples, uniforms
 
 _INT64_MAX = 2 ** 63 - 1
@@ -335,16 +337,124 @@ def _cyclic_core_lengths(state) -> np.ndarray:
     return length - 2 * peel
 
 
+def _next_quotient(P, Q, D, root):
+    """The continued-fraction digit q of (P + sqrt D) / Q, and the (P, Q) of
+    the next complete quotient, as in `translation_length`."""
+    q = (P + root + (Q < 0)) // Q
+    P = q * Q - P
+    return q, P, (D - P * P) // Q
+
+
+def _translation_lengths(m: np.ndarray) -> np.ndarray:
+    """`translation_length` of each column of m, hyperbolic elements as four
+    rows a, b, c, d (int64 or python ints), all columns in lockstep.
+
+    Pre-period: step each row's (P, Q) until (P + sqrt D) / Q is reduced
+    (Q > 0, P <= r, Q - P <= r and r < P + Q, r = isqrt D; P > 0 follows).
+    Q stays even, P has the parity of the trace and r the other, so none of
+    these comparisons can meet equality.  By Galois' theorem a reduced
+    quadratic irrational is purely periodic, so that pair starts the
+    period.  Period: step on until each row returns to it, carrying the
+    period matrix as its columns (m00, m10), (m01, m11) and the min-plus
+    ladder matrix as its columns X = (a00, a10), E = (a01, a11); the
+    identity's infinite entries may be 1, which the first digit's minima
+    never pick.  Every row in the loop has taken the same number of digits,
+    so the rows that finish on one rung share their period's length, and an
+    odd period is squared in closed form (trace T^2 + 2, as det = -1).  A
+    period of length l has trace T >= F_(l+1) (Fibonacci) and T <= |trace|,
+    so a row still stepping past the longest such l raises.  The power j
+    comes from the trace recurrence, as in `translation_length`.
+    """
+    a, _, c, d = m
+    tr = a + d
+    up = tr > 0
+    t = np.where(up, tr, -tr)
+    P = np.where(up, a - d, d - a)
+    Q = np.where(up, 2 * c, -2 * c)
+    D = t * t - 4
+    root = t - 1  # isqrt D, as (t - 1)^2 <= t^2 - 4 < t^2 for t >= 3
+
+    def reduced(P, Q, root):
+        return (Q > 0) & (P <= root) & (Q - P <= root) & (root < P + Q)
+
+    todo = np.flatnonzero(~reduced(P, Q, root))
+    while len(todo):
+        _, p, q = _next_quotient(P[todo], Q[todo], D[todo], root[todo])
+        P[todo], Q[todo] = p, q
+        todo = todo[~reduced(p, q, root[todo])]
+
+    rows, t_max = len(t), t.max()
+    longest, f, g = 0, 1, 1  # F_(longest + 1) = f <= t_max < g
+    while g <= t_max:
+        longest, f, g = longest + 1, g, f + g
+    # per row: the trace of its period matrix, and a00, a11 and a01 + a10 of
+    # its ladder matrix, the period twice where its length is odd
+    trace, a00, a11, cross = (np.empty(rows, dtype=t.dtype) for _ in range(4))
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    M = np.stack([one, zero, zero, one])  # m00, m10, m01, m11
+    X, E = np.stack([zero, one]), np.stack([one, zero])
+    live, P0, Q0, p, q = np.arange(rows), P, Q, P, Q
+    length = 0
+    while len(live):
+        if length == longest:
+            raise ArithmeticError("a reduced continued fraction did not return to its first pair")
+        digit, p, q = _next_quotient(p, q, D, root)
+        M = np.concatenate([M[:2] * digit + M[2:], M[:2]])
+        X, E = np.minimum(X, E) + 1, np.minimum(X - 1, E) + digit
+        length += 1
+        done = (p == P0) & (q == Q0)
+        if done.any():
+            (m00, _, _, m11), (x00, x10), (x01, x11) = (v[:, done] for v in (M, X, E))
+            T, x01_10 = m00 + m11, x01 + x10
+            if length % 2:  # the period twice: tr M^2 and the min-plus square
+                T, x00, x11, x01_10 = (T * T + 2, np.minimum(2 * x00, x01_10),
+                                       np.minimum(x01_10, 2 * x11),
+                                       x01_10 + 2 * np.minimum(x00, x11))
+            finished = live[done]
+            trace[finished], a00[finished], a11[finished], cross[finished] = T, x00, x11, x01_10
+            keep = np.flatnonzero(~done)
+            live, P0, Q0, p, q, D, root = (v.take(keep) for v in (live, P0, Q0, p, q, D, root))
+            M, X, E = (v.take(keep, axis=1) for v in (M, X, E))
+
+    # t_j = tr(period^j): t_0 = 2, t_1 = trace, t_j = trace t_(j-1) - t_(j-2)
+    # (trace >= 3, so t_j >= t_(j-1) + t_(j-2) >= F_(j+3) and j < longest)
+    j, prev, cur = np.ones_like(t), np.full_like(t, 2), trace.copy()
+    grow, power = np.flatnonzero(cur < t), 1
+    while len(grow) and power < longest:
+        prev[grow], cur[grow] = cur[grow], trace[grow] * cur[grow] - prev[grow]
+        j[grow] += 1
+        power += 1
+        grow = grow[cur[grow] < t[grow]]
+    if (cur != t).any():
+        raise ArithmeticError("no power of the period matrix has the element's trace")
+    return (j * np.minimum(np.minimum(a00, a11), cross / 2)).astype(np.float64)
+
+
+# entries below this keep every quantity of `_translation_lengths` in int64.
+# With N the largest |entry|, |trace| <= 2N.  Through the pre-period
+# |Q| <= 2|c| + 4 sqrt D < 10N: Q' = -Q f f', f and f' the quotient's and
+# its conjugate's parts past the digit, so |Q| grows only on a step where
+# |f'| > 1, by at most 2 sqrt D, and at most twice before the pair is
+# reduced (then 0 < P < sqrt D and 0 < Q < 2 sqrt D).  So |P'| < sqrt D +
+# |Q| < 12N and P^2 < 144 N^2 < 2^62.  Period matrices and the trace
+# recurrence stay below |trace|^2.
+_LENGTH_INT64 = 1 << 27
+
+
 def _farey_translation_at_most(state: np.ndarray, B: float) -> np.ndarray:
     """Whether each row's translation length on the Farey graph is at most
     B: it is 0 exactly when |trace| <= 2, and otherwise positive and exact
-    (`translation_length`), so only B > 0 needs it."""
+    (`_translation_lengths`), so only B > 0 needs it.  Rows whose entries
+    are all below _LENGTH_INT64 run in int64, the others in python ints."""
     small = np.abs(state[0] + state[3]) <= 2
     if B > 0:
         rows = np.flatnonzero(~small)
-        # python ints: the period matrices outgrow int64
-        tau = [translation_length(FareyElement(*m)) for m in state[:, rows].T.tolist()]
-        small[rows] = np.array(tau) <= B
+        m = state[:, rows]
+        fits = np.abs(m).max(axis=0) < _LENGTH_INT64
+        for part, dtype in ((fits, np.int64), (~fits, object)):
+            sel = np.flatnonzero(part)
+            if len(sel):
+                small[rows[sel]] = _translation_lengths(m[:, sel].astype(dtype)) <= B
     return small
 
 

@@ -393,7 +393,8 @@ def translation_length(m: FareyElement) -> float:
     trace, prev, cur, j = m00 + m11, 2, m00 + m11, 1
     while cur < t:
         prev, cur, j = cur, trace * cur - prev, j + 1
-    assert cur == t, f"no power of the period matrix has trace {t}"
+    if cur != t:
+        raise ArithmeticError(f"no power of the period matrix has trace {t}")
     return float(j * min(a00, a11, (a01 + a10) / 2))
 
 

@@ -191,7 +191,7 @@ def translation_decay(model, dist: StepDistribution, B: float,
     """P(translation length of w_n <= B) along n_grid, all read off one walk
     per sample.  Exact on both models (`engines.translation_at_most`).
     """
-    if B < 0:
+    if not B >= 0:  # NaN too
         raise ValueError("B must be >= 0")
     assert_nonelementary(model, dist)
     n_grid = [int(n) for n in n_grid]

@@ -11,7 +11,8 @@ model's `distance`, `gromov_product`, translation length or trace.  Bad
 checkpoints are refused before any step is drawn.  The Farey kernel's
 int64 state must widen to python ints before it can overflow, and the
 lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
-memoized recursion they replaced (`farey_recursion`).
+memoized recursion they replaced (`farey_recursion`), and the lockstep
+translation length must equal the scalar `translation_length` row for row.
 """
 
 import ast
@@ -20,6 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from hypothesis import strategies as st
 from farey_recursion import recursive_dist_to_infinity
 from hypwalk import engines, walk
 from hypwalk.hypgeom import gromov_product
-from hypwalk.models.farey import FareyElement, FareyModel, L, R, dist_to_infinity
+from hypwalk.models.farey import (
+    FareyElement,
+    FareyModel,
+    L,
+    R,
+    dist_to_infinity,
+    translation_length,
+)
 from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
 from hypwalk.stats import chernoff_empirical
 from hypwalk.walk import (
@@ -668,6 +677,147 @@ def test_lockstep_distance_ladder_edges(case, dtype):
     assert got.dtype == np.int64
     assert got.tolist() == [recursive_dist_to_infinity(a, b) for a, b in cols]
 
+
+
+# --- the lockstep translation length against the scalar one ---
+
+
+def assert_lengths_match(columns):
+    """`engines._translation_lengths` of hyperbolic elements (a, b, c, d)
+    equals `translation_length` of each: all in one batch of python ints,
+    and those whose entries are below `_LENGTH_INT64` in one int64 batch."""
+    if not columns:
+        return
+    expected = [translation_length(FareyElement(*col)) for col in columns]
+    m = np.array(columns, dtype=object).reshape(-1, 4).T
+    assert engines._translation_lengths(m).tolist() == expected
+    fits = [i for i, col in enumerate(columns) if max(map(abs, col)) < engines._LENGTH_INT64]
+    if fits:
+        got = engines._translation_lengths(m[:, fits].astype(np.int64))
+        assert got.tolist() == [expected[i] for i in fits]
+
+
+def assert_at_most_matches(state, bounds):
+    """`_farey_translation_at_most` of a kernel state against the scalar
+    length of each row, at every B in `bounds`."""
+    taus = [translation_length(FareyElement(*col)) for col in state.T.tolist()]
+    for B in bounds:
+        got = engines._farey_translation_at_most(state, B)
+        assert got.tolist() == [tau <= B for tau in taus], B
+
+
+def test_lockstep_translation_length_on_uniform_walks():
+    # int64 at every n, and at n = 100 a row whose entries pass _LENGTH_INT64,
+    # which runs in python ints beside the int64 rows
+    n = 100
+    states = list(engines._farey_steps(FAREY_UNIFORM, range(1, n + 1), 0, 300, 61, 0))
+    assert all(state.dtype == np.int64 for state in states)
+    assert (np.abs(states[-1]) >= engines._LENGTH_INT64).any()
+    for state in states:
+        hyperbolic = np.abs(state[0] + state[3]) > 2
+        assert_lengths_match([tuple(col) for col in state[:, hyperbolic].T.tolist()])
+    for state in states[9::10]:
+        assert_at_most_matches(state, [0.5, 1, 2, 3.5, 5])
+
+
+def test_lockstep_translation_length_on_huge_law():
+    # python ints from the second step on (the state itself widens)
+    states = list(engines._farey_steps(FAREY_HUGE, [1, 2, 3, 5, 8, 12], 0, 200, 7, 0))
+    assert states[-1].dtype == object
+    for state in states:
+        hyperbolic = np.abs(state[0] + state[3]) > 2
+        assert_lengths_match([tuple(col) for col in state[:, hyperbolic].T.tolist()])
+        assert_at_most_matches(state, [0.5, 1, 2, 5, 1e9])
+
+
+def _product(*factors: FareyElement) -> FareyElement:
+    out = FareyElement(1, 0, 0, 1)
+    for g in factors:
+        out = out * g
+    return out
+
+
+def _period(*digits: int) -> FareyElement:
+    """The period matrix of `digits`, squared when their number is odd
+    (det [[q, 1], [1, 0]] = -1)."""
+    a, b, c, d = 1, 0, 0, 1
+    for q in digits:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    if len(digits) % 2:
+        a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    return FareyElement(a, b, c, d)
+
+
+NEG = FareyElement(-1, 0, 0, -1)
+CONJ = _product(R, R, L.inverse(), R.inverse(), L, L, L)
+EDGE_ELEMENTS = {
+    # |trace| = 3, either sign, with c of either sign
+    "trace_3": [FareyElement(2, 1, 1, 1), FareyElement(1, -1, -1, 2), FareyElement(0, 1, -1, 3),
+                FareyElement(2, -1, -1, 1), FareyElement(1, 1, 1, 2)],
+    "trace_minus_3": [NEG * FareyElement(2, 1, 1, 1), NEG * FareyElement(0, 1, -1, 3),
+                      FareyElement(-2, 1, 1, -1), FareyElement(-1, -1, -1, -2)],
+    # negative traces past 3, powers and conjugates
+    "negative": [NEG * _period(1, 2), NEG * _period(3, 1, 4) * _period(3, 1, 4),
+                 CONJ.inverse() * NEG * _period(2, 5, 1, 1) * CONJ,
+                 NEG * R * R * R * L * L],
+    # odd periods (squared by the length), some as powers and conjugates
+    "odd_period": [_period(1), _period(2), _period(7), _period(1, 2, 3), _period(5, 1, 1, 2, 9),
+                   _period(1, 1, 1, 1, 1, 1, 1), _period(2, 1, 2) * _period(2, 1, 2),
+                   CONJ * _period(3, 1, 4) * CONJ.inverse(),
+                   CONJ.inverse() * NEG * _period(1, 4, 1) * CONJ],
+    # even periods, powers (j > 1) and long pre-periods
+    "even_period": [_period(1, 2), _period(4, 4), _period(1, 2) * _period(1, 2) * _period(1, 2),
+                    CONJ * CONJ * _period(2, 3) * CONJ.inverse() * CONJ.inverse(),
+                    _product(*[R] * 9, *[L] * 2) * CONJ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_ELEMENTS))
+def test_lockstep_translation_length_edge_elements(case):
+    elements = EDGE_ELEMENTS[case]
+    assert all(abs(g.trace()) > 2 for g in elements)
+    assert_lengths_match([g.entries() for g in elements])
+    for g in elements:  # each alone, so no other row shares its rungs
+        assert_lengths_match([g.entries()])
+
+
+@st.composite
+def long_period_element(draw):
+    """A hyperbolic element with a long period: R^k1 L^k2 ... with random
+    exponents (its attracting point's period is k1, k2, ...), or the
+    consecutive-Fibonacci [[F_(k+1), F_k], [F_k, F_(k-1)]] = [[1, 1], [1, 0]]^k
+    for even k; then maybe conjugated by a short word, negated and powered."""
+    if draw(st.booleans()):
+        bits = draw(st.sampled_from([2, 6, 20, 40]))
+        exponents = draw(st.lists(st.integers(1, 1 << bits), min_size=2, max_size=24))
+        g = FareyElement(1, 0, 0, 1)
+        for i, k in enumerate(exponents):
+            g = g * (FareyElement(1, k, 0, 1) if i % 2 == 0 else FareyElement(1, 0, k, 1))
+    else:
+        a, b = _fibonacci(2 * draw(st.integers(1, 60)))
+        g = FareyElement(a, b, b, a - b)
+    for letter in draw(st.lists(st.sampled_from([R, L, R.inverse(), L.inverse()]), max_size=8)):
+        g = letter * g * letter.inverse()
+    if draw(st.booleans()):
+        g = NEG * g
+    return _product(*[g] * draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(long_period_element(), min_size=1, max_size=8))
+def test_lockstep_translation_length_on_long_periods(elements):
+    assert_lengths_match([g.entries() for g in elements])
+
+
+def test_lockstep_translation_length_raises_off_sl2z():
+    # a det-0 and a det-(-4) matrix have no such continued fraction: the
+    # period matrix misses the trace, or the period never closes; both raise
+    # (not assert), as the scalar one does
+    for col, message in [((-4, -4, -4, -4), "no power"), ((-4, -4, -4, -3), "did not return")]:
+        with pytest.raises(ArithmeticError, match=message):
+            engines._translation_lengths(np.array([col], dtype=np.int64).T)
+    with pytest.raises(ArithmeticError, match="no power"):
+        translation_length(SimpleNamespace(a=-4, b=-4, c=-4, d=-4, trace=lambda: -8))
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_entry_points_reject_samples_below_one(samples):

@@ -198,6 +198,17 @@ def test_translation_decay_requires_nonelementary():
                                 seed=1)
 
 
+@pytest.mark.parametrize("B", [math.nan, -0.5, -math.inf])
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+def test_translation_decay_rejects_b_not_at_least_zero(model, B):
+    # NaN passes `B < 0`; the models then disagreed: F2 counted nothing and
+    # SL(2,Z) every |trace| <= 2 row
+    d = uniform_free() if model is free else StepDistribution([R, L, R.inverse(), L.inverse()],
+                                                              [0.25] * 4)
+    with pytest.raises(ValueError, match="B must be >= 0"):
+        stats.translation_decay(model, d, B, [2, 4], 100, 1)
+
+
 def test_translation_decay_farey_exact_classifier():
     d = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
     res = stats.translation_decay(farey, d, B=0.0, n_grid=[4, 8], samples=500,
