@@ -14,7 +14,8 @@ config's output_path:
 
 Exit codes: 0 success, 2 malformed config (including NaN, Infinity or
 an out-of-range number such as 1e400 anywhere in it, or samples above
-2^48) or --threads below 1, 3 precondition failure (for example an
+2^48), --threads below 1 or an output_path that cannot be written (say,
+one under a regular file), 3 precondition failure (for example an
 elementary step distribution), 4 statistical assertion failure when
 --assert is passed.  Errors print one machine-parsable line to stderr:
 "hypwalk: error code=<n> reason=<text>".
@@ -341,7 +342,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _error(EXIT_CONFIG, str(exc))
     wall = time.perf_counter() - t0
-    _write_outputs(cfg, args.subcommand, header, rows, summary, checks, wall, *extra)
+    try:
+        _write_outputs(cfg, args.subcommand, header, rows, summary, checks, wall, *extra)
+    except OSError as exc:
+        return _error(EXIT_CONFIG, f"cannot write outputs: {exc}")
 
     if args.subcommand == "props" and not checks.get("all_passed", False):
         return _error(EXIT_ASSERT, "property suite failures")

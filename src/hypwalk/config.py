@@ -209,7 +209,7 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
         errors.append("seed must be an integer in [0, 2^64)")
 
-    samples = raw.get("samples", 1)
+    samples = raw.get("samples")
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         errors.append("samples must be a positive integer")
     elif samples > MAX_SAMPLES:

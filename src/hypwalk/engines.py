@@ -26,7 +26,8 @@ observer over the blocks; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
 `dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`),
 and Farey translation lengths run `translation_length`'s continued fraction
-and ladder the same way (`_translation_lengths`), in int64 for rows whose
+and ladder the same way (`_translation_lengths`, which stops where the
+digits' product reaches the element's trace), in int64 for rows whose
 entries are below _LENGTH_INT64 and in python ints for the others.
 `free_midpoint_tilted` shares the letter stacks and their push; only its
 step choice differs, a law that depends on the state, drawn on its own
@@ -346,26 +347,28 @@ def _next_quotient(P, Q, D, root):
 
 
 def _translation_lengths(m: np.ndarray) -> np.ndarray:
-    """`translation_length` of each column of m, hyperbolic elements as four
-    rows a, b, c, d (int64 or python ints), all columns in lockstep.
+    """`translation_length` of each column of m, hyperbolic elements of
+    SL(2,Z) as four rows a, b, c, d (int64 or python ints), all columns in
+    lockstep; a column with det != 1 raises.
 
     Pre-period: step each row's (P, Q) until (P + sqrt D) / Q is reduced
     (Q > 0, P <= r, Q - P <= r and r < P + Q, r = isqrt D; P > 0 follows).
     Q stays even, P has the parity of the trace and r the other, so none of
     these comparisons can meet equality.  By Galois' theorem a reduced
     quadratic irrational is purely periodic, so that pair starts the
-    period.  Period: step on until each row returns to it, carrying the
-    period matrix as its columns (m00, m10), (m01, m11) and the min-plus
+    period.  Then step on, carrying the product of the digit matrices
+    [[q, 1], [1, 0]] as its columns (m00, m10), (m01, m11) and the min-plus
     ladder matrix as its columns X = (a00, a10), E = (a01, a11); the
     identity's infinite entries may be 1, which the first digit's minima
-    never pick.  Every row in the loop has taken the same number of digits,
-    so the rows that finish on one rung share their period's length, and an
-    odd period is squared in closed form (trace T^2 + 2, as det = -1).  A
-    period of length l has trace T >= F_(l+1) (Fibonacci) and T <= |trace|,
-    so a row still stepping past the longest such l raises.  The power j
-    comes from the trace recurrence, as in `translation_length`.
+    never pick.  Every digit is at least 1, so the product's trace
+    m00 + m11 grows strictly, and m is conjugate to +-(period)^j over an
+    even number of digits: a row finishes at the first digit where the
+    trace reaches |trace m|, which it then equals, and its length is the
+    ladder's min(a00, a11, (a01 + a10) / 2).  A trace past |trace m| raises.
     """
-    a, _, c, d = m
+    a, b, c, d = m
+    if (a * d - b * c != 1).any():
+        raise ArithmeticError("a column is not in SL(2,Z)")
     tr = a + d
     up = tr > 0
     t = np.where(up, tr, -tr)
@@ -383,51 +386,26 @@ def _translation_lengths(m: np.ndarray) -> np.ndarray:
         P[todo], Q[todo] = p, q
         todo = todo[~reduced(p, q, root[todo])]
 
-    rows, t_max = len(t), t.max()
-    longest, f, g = 0, 1, 1  # F_(longest + 1) = f <= t_max < g
-    while g <= t_max:
-        longest, f, g = longest + 1, g, f + g
-    # per row: the trace of its period matrix, and a00, a11 and a01 + a10 of
-    # its ladder matrix, the period twice where its length is odd
-    trace, a00, a11, cross = (np.empty(rows, dtype=t.dtype) for _ in range(4))
+    out = np.empty(len(t))
     one, zero = np.ones_like(t), np.zeros_like(t)
     M = np.stack([one, zero, zero, one])  # m00, m10, m01, m11
     X, E = np.stack([zero, one]), np.stack([one, zero])
-    live, P0, Q0, p, q = np.arange(rows), P, Q, P, Q
-    length = 0
+    live = np.arange(len(t))
     while len(live):
-        if length == longest:
-            raise ArithmeticError("a reduced continued fraction did not return to its first pair")
-        digit, p, q = _next_quotient(p, q, D, root)
+        digit, P, Q = _next_quotient(P, Q, D, root)
         M = np.concatenate([M[:2] * digit + M[2:], M[:2]])
         X, E = np.minimum(X, E) + 1, np.minimum(X - 1, E) + digit
-        length += 1
-        done = (p == P0) & (q == Q0)
+        trace = M[0] + M[3]
+        done = trace >= t
         if done.any():
-            (m00, _, _, m11), (x00, x10), (x01, x11) = (v[:, done] for v in (M, X, E))
-            T, x01_10 = m00 + m11, x01 + x10
-            if length % 2:  # the period twice: tr M^2 and the min-plus square
-                T, x00, x11, x01_10 = (T * T + 2, np.minimum(2 * x00, x01_10),
-                                       np.minimum(x01_10, 2 * x11),
-                                       x01_10 + 2 * np.minimum(x00, x11))
-            finished = live[done]
-            trace[finished], a00[finished], a11[finished], cross[finished] = T, x00, x11, x01_10
+            if (trace[done] != t[done]).any():
+                raise ArithmeticError("a digit product passed the element's trace")
+            (a00, a10), (a01, a11) = X[:, done], E[:, done]
+            out[live[done]] = np.minimum(np.minimum(a00, a11), (a01 + a10) / 2)
             keep = np.flatnonzero(~done)
-            live, P0, Q0, p, q, D, root = (v.take(keep) for v in (live, P0, Q0, p, q, D, root))
+            live, P, Q, D, root, t = (v.take(keep) for v in (live, P, Q, D, root, t))
             M, X, E = (v.take(keep, axis=1) for v in (M, X, E))
-
-    # t_j = tr(period^j): t_0 = 2, t_1 = trace, t_j = trace t_(j-1) - t_(j-2)
-    # (trace >= 3, so t_j >= t_(j-1) + t_(j-2) >= F_(j+3) and j < longest)
-    j, prev, cur = np.ones_like(t), np.full_like(t, 2), trace.copy()
-    grow, power = np.flatnonzero(cur < t), 1
-    while len(grow) and power < longest:
-        prev[grow], cur[grow] = cur[grow], trace[grow] * cur[grow] - prev[grow]
-        j[grow] += 1
-        power += 1
-        grow = grow[cur[grow] < t[grow]]
-    if (cur != t).any():
-        raise ArithmeticError("no power of the period matrix has the element's trace")
-    return (j * np.minimum(np.minimum(a00, a11), cross / 2)).astype(np.float64)
+    return out
 
 
 # entries below this keep every quantity of `_translation_lengths` in int64.
@@ -436,8 +414,9 @@ def _translation_lengths(m: np.ndarray) -> np.ndarray:
 # its conjugate's parts past the digit, so |Q| grows only on a step where
 # |f'| > 1, by at most 2 sqrt D, and at most twice before the pair is
 # reduced (then 0 < P < sqrt D and 0 < Q < 2 sqrt D).  So |P'| < sqrt D +
-# |Q| < 12N and P^2 < 144 N^2 < 2^62.  Period matrices and the trace
-# recurrence stay below |trace|^2.
+# |Q| < 12N and P^2 < 144 N^2 < 2^62.  Digit products stay at most
+# |trace| <= 2N, and a reduced pair's digit is below sqrt D (as Q >= 2), so
+# each multiply stays below 4 N^2.
 _LENGTH_INT64 = 1 << 27
 
 

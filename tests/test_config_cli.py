@@ -179,6 +179,16 @@ def test_samples_bound():
     assert exc.value.violations == ["samples must be at most 2^48, the number of sample streams"]
 
 
+def test_missing_samples_rejected():
+    # samples is required, like seed: a config without it does not run one
+    # sample (which drift would report as "requires samples >= 2")
+    doc = dict(BASE, n=5)
+    del doc["samples"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(doc))
+    assert exc.value.violations == ["samples must be a positive integer"]
+
+
 def test_duplicate_support_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg_text(distribution=[["a", 0.5], ["a", 0.5]]))
@@ -212,6 +222,32 @@ def test_cli_missing_required_field_exit_2(tmp_path):
     path = _write_cfg(tmp_path, "m.json", output_path=str(tmp_path / "o"))
     proc = _run_cli(["drift", "--config", str(path)])  # no "n"
     assert proc.returncode == 2
+
+
+def test_cli_missing_samples_exit_2(tmp_path, capsys):
+    from hypwalk import cli
+
+    doc = dict(BASE, n=5, output_path=str(tmp_path / "o"))
+    del doc["samples"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["drift", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "hypwalk: config: samples must be a positive integer" in err
+    assert "requires samples >= 2" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unwritable_output_path_exit_2(tmp_path):
+    # an output_path under a regular file cannot be made: one error line and
+    # exit 2, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = _write_cfg(tmp_path, "w.json", n=5, output_path=str(blocker / "o"))
+    proc = _run_cli(["drift", "--config", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("hypwalk: error code=2 reason=cannot write outputs: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 FAREY_UNIFORM = [["[[1,1],[0,1]]", 0.25], ["[[1,0],[1,1]]", 0.25],

@@ -12,11 +12,13 @@ checkpoints are refused before any step is drawn.  The Farey kernel's
 int64 state must widen to python ints before it can overflow, and the
 lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
 memoized recursion they replaced (`farey_recursion`), and the lockstep
-translation length must equal the scalar `translation_length` row for row.
+translation length must equal the scalar `translation_length` row for row
+and raise on any column outside SL(2,Z).
 """
 
 import ast
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -760,7 +762,8 @@ EDGE_ELEMENTS = {
     "negative": [NEG * _period(1, 2), NEG * _period(3, 1, 4) * _period(3, 1, 4),
                  CONJ.inverse() * NEG * _period(2, 5, 1, 1) * CONJ,
                  NEG * R * R * R * L * L],
-    # odd periods (squared by the length), some as powers and conjugates
+    # odd periods (the product reaches the trace only after an even number of
+    # periods), some as powers and conjugates
     "odd_period": [_period(1), _period(2), _period(7), _period(1, 2, 3), _period(5, 1, 1, 2, 9),
                    _period(1, 1, 1, 1, 1, 1, 1), _period(2, 1, 2) * _period(2, 1, 2),
                    CONJ * _period(3, 1, 4) * CONJ.inverse(),
@@ -809,15 +812,40 @@ def test_lockstep_translation_length_on_long_periods(elements):
     assert_lengths_match([g.entries() for g in elements])
 
 
+def test_lockstep_translation_length_on_a_box():
+    # every hyperbolic element of SL(2,Z) with entries in [-10, 10]
+    span = range(-10, 11)
+    columns = [col for col in itertools.product(span, repeat=4)
+               if col[0] * col[3] - col[1] * col[2] == 1 and abs(col[0] + col[3]) > 2]
+    assert len(columns) == 696
+    assert_lengths_match(columns)
+
+
 def test_lockstep_translation_length_raises_off_sl2z():
-    # a det-0 and a det-(-4) matrix have no such continued fraction: the
-    # period matrix misses the trace, or the period never closes; both raise
-    # (not assert), as the scalar one does
-    for col, message in [((-4, -4, -4, -4), "no power"), ((-4, -4, -4, -3), "did not return")]:
-        with pytest.raises(ArithmeticError, match=message):
+    # a det-0 and a det-(-4) matrix have no such continued fraction; the
+    # lockstep refuses them before its loops, and the scalar one's period
+    # matrix misses the trace; both raise (not assert)
+    for col in [(-4, -4, -4, -4), (-4, -4, -4, -3)]:
+        with pytest.raises(ArithmeticError, match="not in SL"):
             engines._translation_lengths(np.array([col], dtype=np.int64).T)
     with pytest.raises(ArithmeticError, match="no power"):
         translation_length(SimpleNamespace(a=-4, b=-4, c=-4, d=-4, trace=lambda: -8))
+
+
+def test_lockstep_translation_length_raises_on_every_small_non_sl2z_matrix():
+    # each matrix with entries in [-4, 5], det != 1 and |trace| > 2 raises,
+    # alone, in int64 and in python ints; without the det check some, such
+    # as (-4, -4, -4, 1) (det -20), divide by Q = 0 in the pre-period and
+    # never leave it
+    span = range(-4, 6)
+    columns = [col for col in itertools.product(span, repeat=4)
+               if col[0] * col[3] - col[1] * col[2] != 1 and abs(col[0] + col[3]) > 2]
+    assert len(columns) == 5580
+    for col in columns:
+        for dtype in (np.int64, object):
+            with pytest.raises(ArithmeticError, match="not in SL"):
+                engines._translation_lengths(np.array([col], dtype=dtype).T)
+
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_entry_points_reject_samples_below_one(samples):
