@@ -3,7 +3,7 @@ PASS/FAIL line with the measured quantities (run with -s to see them all).
 
 Criterion 10's midpoint half asks for three positive, strictly decreasing
 failure probabilities at walk lengths {100, 200, 400}.  The exact values
-(`hypwalk.exact`) are 3.80e-5, 2.13e-8 and 8.78e-15, so counting hits among
+(`tests/exact.py`) are 3.80e-5, 2.13e-8 and 8.78e-15, so counting hits among
 1e5 plain walks sees the first at best: 2.13e-8 is 0.002 expected hits.
 `stats.midpoint_failure_decay` therefore estimates them by importance
 sampling, tilting the step law toward cancellation, and

@@ -13,6 +13,13 @@ Farey translation length (which dropped the translation-decay summaries'
 `non_stabilized` diagnostic).  The package version is masked in
 summary.json, so a version bump alone does not break the pins.
 
+The 18 whose series.csv holds a Clopper-Pearson interval were re-recorded
+once more, together, when the interval quantiles moved from scipy to the
+standard library (README, "Determinism"): only their `ci_low` and `ci_high`
+columns moved, by at most 6.3e-16 relative, and every summary.json kept its
+bytes.  The two drift pins did not move: their normal quantile came out the
+same.
+
 `SUITE_GOLDENS` pin `props` and `calibrate` on both models the same way.
 They were re-recorded once, together, when props and calibrate moved onto
 keyed Philox words (`walk.StreamDraws`; see README, "Determinism").  The two
@@ -43,57 +50,57 @@ GOLDENS = [
     ("lp-free", "linear-progress",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 11, "samples": 3000,
       "L": 0.25, "n_grid": [10, 20, 40, 60]},
-     "22792b302e53bc1069cdba5bc93c2c7f94e4d355e74b911c89a66ffb193e7825",
+     "4a9011cdc034b24339b7169f1db572c35442cc6892612e684db5c41c8d3db95f",
      "4a718f16ba97039d2b71b22f60975e7c09f2bedcc9b876a0d4b7fe210ee3c959"),
     ("lp-free-multi", "linear-progress",
      {"model": "free", "distribution": FREE_MULTI, "seed": 12, "samples": 2000,
       "L": 0.5, "n_grid": [5, 15, 25]},
-     "5ca86a97f1c2baf95b9a962b087482746acbaf9bde8aad2b01f7ef80acd4c199",
+     "2ae8ebb35bb78e6475ff03fcf37900a4da21071b34236fffe5aebdf8a6bbe851",
      "8b1eb667dbdb240502a723002b972b3456a7edb17bdd6f8abab125e5871c47e1"),
     ("lp-farey", "linear-progress",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 13, "samples": 1500,
       "L": 0.05, "n_grid": [10, 20, 30]},
-     "d9387195fa29dbd17ef1a6f256d699b5a52f050e5ff6a24eab0513555635ec7d",
+     "96fa5f18e55573b0c80a4e6e0f51d4f7d96e1e8fc098fc9b69a7ecd424cc817f",
      "63958c1e6d7a13d417fec6ee3c25f5cf92770de242a8eaba12c93b7ab4472206"),
     ("shadow-free", "shadow-decay",
      {"model": "free", "distribution": FREE_THREE, "seed": 14, "samples": 2500,
       "n_grid": [10, 20], "center_distance": 8, "r_grid": [1.0, 2.0, 3.0, 4.0, 5.0]},
-     "51a22af5cbdd0b77e032b933d63ec4bec608e50f8906a44f3bd54a1dd3dcae41",
+     "1b2741982cfdcc63de0d26531221c0fe5f4ae894e9bce9a363be06df3f33a587",
      "1c3726c146582951b7b6db658483ea646f1ddbcb066e23e8a37c32940ce1eacc"),
     ("shadow-farey", "shadow-decay",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 15, "samples": 1200,
       "n_grid": [10, 20], "center_distance": 6, "r_grid": [1.0, 2.0, 3.0, 4.0]},
-     "8bd041002854c2de41f3c58291b4a6535b62d42d69714dfba217068b45a22170",
+     "3f4a438c0c20d2c28ab4d431bc3f2c9df1b408b2f92afa0f682e1fbf9f043f62",
      "310c1f654332dd21d8fe0fe3a043220cb8c7d1adf785b6d5ff76aaf208b95cb1"),
     ("diagonal-free", "diagonal",
      {"model": "free", "distribution": FREE_THREE, "seed": 16, "samples": 2500,
       "n": 30, "r_grid": [1.0, 2.0, 3.0, 4.0, 5.0]},
-     "002560a51a48a62cc18603d8140acc3e795c4eca58011737c3a5d62a60f891a3",
+     "af0842cb0bd17a7e12c2bedcea920c9be89eefb5bca98c7d98eb430d7ee75b38",
      "f23e3daba5764e1cc93cca101293eb0fc32940007c70b801c8da51c0b0dd727a"),
     ("z-sum-free", "z-sum",
      {"model": "free", "distribution": FREE_MULTI, "seed": 17, "samples": 2000,
       "k": 3, "L_factor": 2.0, "n_grid": [2, 4, 6, 8]},
-     "271111f19d4f15b2d2cbfed43d4ffcef7b97e322fc6ad2e92559963560e5a941",
+     "39b64f9febc96d44d5e9c160fa6b2026aded7b71eefb34eb22896dc59cc9f347",
      "e82de4c1877e3cd1d32ebd803650847a8c68dc45d6b46a981ee216dfa87ef81a"),
     ("tdecay-b0-free", "translation-decay",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 18, "samples": 2500,
       "B": 0.0, "n_grid": [2, 4, 6, 8]},
-     "cffd73c151c9453054566af685cc53fa87f28ba9c45ec2ca52ddf194e8df549a",
+     "bc1dc2b49f27588e3f7a73e4b1073f61d326fbc54a19d38ce9f8736084f53bc1",
      "1290015813f0b15864bff8a72b7a2edd0a11c278879b28b4252cf5e861024f4e"),
     ("tdecay-b2-free", "translation-decay",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 19, "samples": 2500,
       "B": 2.0, "n_grid": [4, 8, 12]},
-     "d4eb2ac6b4882571ee0426e2d0d3a19b7a3148c2f6ca8bc93739b3a3149647bc",
+     "3e51d366901074d095d267d80cb87be215d8a29c6a3f7993c34553ae57fe2fbd",
      "98b50a39ea1d959dc6a5825075f2adb00fea222e93ad21e150bc5b1bd3a52f6d"),
     ("tdecay-b0-farey", "translation-decay",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 20, "samples": 2000,
       "B": 0.0, "n_grid": [5, 10, 15, 20]},
-     "c52c1f92ef874d4e6d5292ae0bb2a3137645e8b4092f568ba652a01843a4a910",
+     "64d54238af1fea1a8fa5a4bea544f92f2db661402e8ea95ec3b96332951c74c9",
      "8658aed188124b3913e17834ee08716713ee6580f4874656c4dd187879f286a8"),
     ("tdecay-b1-farey", "translation-decay",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 21, "samples": 150,
       "B": 1.0, "n_grid": [3, 6, 9]},
-     "667b78164f444e31ef6179279344f56ddd77ca0875648db2bc789a40446f15fa",
+     "688c8daa74319e69ae555b120a8b93012f0770eadb8282a249c26a13d7ae00e5",
      "9e975189cc56e4a4049cd130ce6cc3112106ff1c8c9e9091a9b9f88b8fa2ac81"),
     # recorded before the engines became one step kernel per model with observers
     ("drift-free", "drift",
@@ -107,38 +114,38 @@ GOLDENS = [
     ("backtrack-free", "backtrack",
      {"model": "free", "distribution": FREE_THREE, "seed": 24, "samples": 1500,
       "k": 4, "n": 40},
-     "ebcfe2cb455a6d88aeba5aa084c827ed379e8fbae4d586bc7586770259e59cfc",
+     "9179486b75e292a9ff3b28924f04b9fd552bd172bd69ff032e9f3c4c2ecc5167",
      "301f1c8b91304f41087cef5ac9c2cf54088d8be21110484ed14dce63e109a093"),
     ("bernstein-free", "bernstein",
      {"model": "free", "distribution": FREE_UNIFORM, "seed": 25, "samples": 2000,
       "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
-     "42eaf975bd173d3fb8f0fb4ef7fccb4f220150c31fc564eda6bb2dee1636d22d",
+     "5e73fce802c3fab9ddd96799114925ea5b2d0c66fb081ee82bbbf1af33bdcbff",
      "355d1074590b781e15cffbe9f447ec09423d8b59b5738e3622209ad4f4a52a91"),
     # recorded from the first code that ran these subcommands on SL(2,Z)
     ("backtrack-farey", "backtrack",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 26, "samples": 1200,
       "k": 4, "n": 40},
-     "6c297755987dcc67ee05d1939d08e04065961bbfb82fd2d97b235d4ab044ad1a",
+     "53a6ea2e6c249a25eb411ebbdc06febc85a1added41f74981a28e5678aa128e3",
      "fa2b11543579e9a3147ad6a6e5c0b03189733c180154faa91e6f5ca4e076c663"),
     ("z-sum-farey", "z-sum",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 27, "samples": 1200,
       "k": 3, "L_factor": 2.0, "n_grid": [2, 4, 6, 8]},
-     "db9bdbf355299e9bca6ab9aa0af8d6a4842e4e69db6a5c97b644f23ea12f9bad",
+     "a9a487792fb5dfc8321d13d43e2b5e09bb1191647e06905139deaf90d33a2df4",
      "fee07c6516779ab334c84adf4dcb84bf056f15d1b8678eae99d27be4f78c01f0"),
     ("bernstein-farey", "bernstein",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 28, "samples": 1200,
       "k": 5, "epsilon_factor": 0.3, "n_grid": [2, 4, 6, 8]},
-     "b6374ed9221da3ed935dabcadbb7224a994bfb4112e1ad48fef2be9c15c56a94",
+     "0b7e9aeb2e3d95833f0e1330ff4ca7d608ab3a76422f5fce429b1fccba8eff06",
      "888bf45275d15567793e5c0afef43abde942f5fd0a2333c109db479627028f20"),
     ("midpoint-farey", "midpoint",
      {"model": "farey", "distribution": FAREY_UNIFORM, "seed": 29, "samples": 1500,
       "n_grid": [4, 8, 16]},
-     "acda952e1789e518ccf8e0f2f9999b5535d26587c600be9a64118b6514303f1c",
+     "d7b7f9aaa022e67e18f7670a67764f111cc71de6666d84d11e093dab24602bc7",
      "480d1334b25b49e8f71cc4f81d1dd420446755bbd792e21ea2914de08313c405"),
     ("diagonal-farey", "diagonal",
      {"model": "farey", "distribution": FAREY_FIVE, "seed": 30, "samples": 1500,
       "n": 20, "r_grid": [1.0, 2.0, 3.0, 4.0]},
-     "4528a29807b6cd8ab79059b79ddf63a4a508d2f2fd932f3b6c85da898d448623",
+     "270a27556b0f75418edf92511fe9db5adaab6578a4418ad53c5543ab7b750005",
      "c4a248b237f7dfde9bf3db3a8a9151aae82c16f0e5727905eab31c05dcceb31c"),
 ]
 

@@ -210,6 +210,17 @@ def _write_cfg(tmp_path: Path, name: str, **overrides) -> Path:
     return path
 
 
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: importing the CLI in a fresh
+    interpreter loads no scipy module, nor numpy.f2py, which scipy's array
+    API shim used to pull in."""
+    code = ("import sys, hypwalk.cli; print(*(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'f2py']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_cli_config_error_exit_2(tmp_path):
     path = _write_cfg(tmp_path, "bad.json", model="nope",
                       output_path=str(tmp_path / "o"))

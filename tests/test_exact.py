@@ -10,7 +10,8 @@ import pytest
 
 from scipy.stats import binom
 
-from hypwalk import exact, stats
+import exact
+from hypwalk import stats
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.free import GENERATOR_LETTERS, FreeGroupModel, FreeWord
 from hypwalk.walk import StepDistribution

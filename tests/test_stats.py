@@ -1,6 +1,7 @@
 """Estimators against closed-form oracles and forced small cases."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -77,21 +78,104 @@ def test_clopper_pearson_edges():
     assert hi == 1.0 and lo > 0.95
 
 
+@pytest.mark.parametrize("successes,trials", [(5, 3), (-1, 10), (2.5, 10), (3, 2.5), (0, 0)])
+def test_clopper_pearson_rejects_impossible_counts(successes, trials):
+    # checked before the iterative solver runs, which such input could stall
+    with pytest.raises(ValueError):
+        stats.clopper_pearson(successes, trials, 0.95)
+
+
+@pytest.mark.parametrize("trials", [2, 3, 10, 8192, 10 ** 7])
+@pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999])
+def test_clopper_pearson_closed_forms(trials, confidence):
+    """Where a beta shape is 1 the bounds are closed forms, taken exactly:
+    I_x(1, n) = 1 - (1 - x)^n and I_x(n, 1) = x^n."""
+    n, tail = trials, 0.5 * (1.0 - confidence)
+    hi0 = -math.expm1(math.log(tail) / n)
+    lo1 = -math.expm1(math.log1p(-tail) / n)
+    hi_last = math.exp(math.log1p(-tail) / n)
+    lo_n = math.exp(math.log(tail) / n)
+    assert stats.clopper_pearson(0, n, confidence) == (0.0, hi0)
+    assert stats.clopper_pearson(1, n, confidence)[0] == lo1
+    assert stats.clopper_pearson(n - 1, n, confidence)[1] == hi_last
+    assert stats.clopper_pearson(n, n, confidence) == (lo_n, 1.0)
+    # and each solves the tail it stands for to within 4 ulps of itself: the
+    # tail's miss over its slope (a bound rounded near 1 moves x^n by n ulps,
+    # so the tails themselves are compared through the slope)
+    for x, tail_at_x, slope in (
+            (hi0, math.exp(n * math.log1p(-hi0)), n * math.exp((n - 1) * math.log1p(-hi0))),
+            (lo1, -math.expm1(n * math.log1p(-lo1)), n * math.exp((n - 1) * math.log1p(-lo1))),
+            (hi_last, -math.expm1(n * math.log(hi_last)), n * hi_last ** (n - 1)),
+            (lo_n, lo_n ** n, n * lo_n ** (n - 1))):
+        assert abs(tail_at_x - tail) <= 4 * 2.2e-16 * x * slope
+
+
+@st.composite
+def counts(draw):
+    """(successes, trials) with trials up to 10^7 and the count anywhere,
+    drawn often near either end."""
+    trials = draw(st.integers(1, 10 ** 7))
+    k = draw(st.one_of(st.integers(0, min(trials, 50)), st.integers(0, trials),
+                       st.integers(max(0, trials - 50), trials)))
+    return k, trials
+
+
 @settings(max_examples=300, deadline=None)
-@given(trials=st.integers(1, 10 ** 7), share=st.floats(0.0, 1.0),
-       confidence=st.floats(0.5, 0.999999))
-@example(trials=1, share=0.0, confidence=0.95)
-@example(trials=3000, share=0.05, confidence=0.95)
-@example(trials=10 ** 7, share=1.0, confidence=0.999999)
-def test_quantiles_match_scipy_stats_bitwise(trials, share, confidence):
-    # scipy.special's betaincinv and ndtri give exactly scipy.stats' values
-    k = round(share * trials)
+@given(count=counts(), confidence=st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]))
+@example(count=(0, 1), confidence=0.95)
+@example(count=(150, 3000), confidence=0.95)
+@example(count=(3, 10 ** 7), confidence=0.5)
+@example(count=(2, 7_114_158), confidence=0.5)
+@example(count=(10 ** 7 - 3, 10 ** 7), confidence=0.5)
+def test_quantiles_match_scipy_stats(count, confidence):
+    """The standard-library quantiles against scipy.stats, to a relative
+    1e-9 for the bounds and 1e-15 for the normal quantile.
+
+    Up to 10^4 trials the bounds agree to about 1e-13.  The gap grows to
+    1.6e-10 at 10^7 trials with a count of 2 or 3, and there it is scipy's
+    error: test_small_count_bounds_solve_the_binomial_tail puts these bounds
+    within 1e-13 of the root, while scipy's `beta.ppf` misses it by 1.2e-10
+    at (3, 10^7, 0.5) and 1.6e-10 at (2, 7 114 158, 0.5).  A tolerance of
+    1e-10 would fail on scipy's side.
+    """
+    k, trials = count
     alpha = 1.0 - confidence
     lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, trials - k + 1))
     hi = 1.0 if k == trials else float(beta.ppf(1 - alpha / 2, k + 1, trials - k))
-    assert stats.clopper_pearson(k, trials, confidence) == (lo, hi)
+    assert stats.clopper_pearson(k, trials, confidence) == pytest.approx((lo, hi), rel=1e-9,
+                                                                         abs=0.0)
     q = 0.5 + 0.5 * confidence
-    assert float(stats.ndtri(q)) == float(norm.ppf(q))
+    assert stats._NORMAL.inv_cdf(q) == pytest.approx(float(norm.ppf(q)), rel=1e-15, abs=0.0)
+
+
+def _binomial_term(i: int, n: int, x: float) -> float:
+    """P(Bin(n, x) = i) from the exact coefficient, for small i."""
+    return math.comb(n, i) * x ** i * math.exp((n - i) * math.log1p(-x))
+
+
+@pytest.mark.parametrize("trials", [10 ** 4, 10 ** 6, 7_114_158, 10 ** 7])
+@pytest.mark.parametrize("k", [2, 3, 7, 20])
+@pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999])
+def test_small_count_bounds_solve_the_binomial_tail(trials, k, confidence):
+    """At a small count a bound can be checked against its definition: hi
+    solves P(Bin(n, hi) <= k) = alpha / 2 and lo solves
+    P(Bin(n, lo) >= k) = alpha / 2.  Both tails are short sums of terms with
+    exact coefficients.  Dividing a tail's miss by its slope gives the
+    bound's own error, which must be below 1e-13 of it.  This is where
+    lgamma-based beta terms lose the most (8 digits at 10^7 trials)."""
+    n, tail = trials, 0.5 * (1.0 - confidence)
+    lo, hi = stats.clopper_pearson(k, n, confidence)
+    lower = math.fsum(_binomial_term(i, n, hi) for i in range(k + 1))
+    slope = (n - k) / (1.0 - hi) * _binomial_term(k, n, hi)
+    assert abs(lower - tail) <= 1e-13 * hi * slope
+    # term i + 1 is about n lo / (i + 1) < k / (i + 1) times term i, so 80
+    # terms past k fall far below 1e-20 of the first
+    terms = [_binomial_term(k, n, lo)]
+    for i in range(k, k + 80):
+        terms.append(terms[-1] * (n - i) / (i + 1) * lo / (1.0 - lo))
+    upper = math.fsum(terms)
+    slope = k / lo * terms[0]
+    assert abs(upper - tail) <= 1e-13 * lo * slope
 
 
 def test_tilted_interval_uses_the_normal_quantile():
@@ -100,7 +184,7 @@ def test_tilted_interval_uses_the_normal_quantile():
     hit, log_w = engines.free_midpoint_tilted(d, 10, samples, seed, stats.MIDPOINT_TILTS)
     w = np.where(hit, np.exp(log_w), 0.0)
     p, se = float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples)
-    z = float(norm.ppf(0.95))
+    z = NormalDist().inv_cdf(0.95)
     assert res.series.ci_low == (max(0.0, p - z * se),)
     assert res.series.ci_high == (p + z * se,)
 
