@@ -37,7 +37,12 @@ stream namespace, and its one event array, the branch depth
 Steps come from the block's one Philox stream (`walk.block_words`): one
 `random_raw` per step gives that step's word for every row, and
 `StepDistribution.indices` turns the words into support indices with the
-same arithmetic as `sample_walk`.
+same arithmetic as `sample_walk`.  A kernel draws its block's n x rows
+indices up front (`_draw_index_block`), one byte each up to 256 support
+elements.  Besides them a block holds its state: on F2 a rows x
+(n * longest word + 2) byte letter stack, on SL(2,Z) four rows of int64.
+`pair_products` keeps a source checkpoint's snapshot only until its last
+pair, so the iterated walks' memory does not grow with their checkpoints.
 
 Work is split into the streams' blocks of `walk.BLOCK_SIZE` samples, merged
 in block order, so a thread pool over blocks cannot change any output; it
@@ -86,8 +91,11 @@ def _draw_index_block(dist: StepDistribution, n: int, lo: int, hi: int,
                       seed: int, ensemble: int) -> np.ndarray:
     """The support indices of steps 0..n-1 of samples lo..hi-1 of one block,
     step-major: row t holds step t of every sample, as `sample_walk` draws
-    it.  int16 up to 32767 support elements."""
-    out = np.empty((n, hi - lo), dtype=np.int16 if dist.size() <= 32767 else np.int32)
+    it.  uint8 up to 256 support elements, int16 up to 32767, int32 beyond:
+    n x rows bytes on the laws the experiments use."""
+    size = dist.size()
+    dtype = np.uint8 if size <= 256 else np.int16 if size <= 32767 else np.int32
+    out = np.empty((n, hi - lo), dtype=dtype)
     for t, words in enumerate(block_words(seed, lo, hi, ensemble, n)):
         out[t] = dist.indices(words)
     return out
@@ -208,7 +216,7 @@ def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi
                 bound = int(np.abs(state).max())
                 if bound * scale ** j > guard:
                     j = 1
-            col = idx[i]
+            col = idx[i].astype(np.intp)  # combined uint8 rows must not wrap
             for row in idx[i + 1:i + j]:
                 col = col * size + row
             drawn = tables[j - 1].take(col, axis=1)  # e, f, g, h of each row's product
@@ -497,23 +505,32 @@ def pair_products(pairs: Mapping[int, int]):
     so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1.  The
     checkpoints are the keys of `pairs`; s is 0 (w_0 = 1) or an earlier
     checkpoint.  (1 . w_t)_1 is 0, so a checkpoint paired with 0 computes
-    no product; its zeros are float, the dtype of a Farey product."""
+    no product; its zeros are float, the dtype of a Farey product.
+
+    A source's snapshot and distance are dropped at the last checkpoint
+    that pairs with it, so only the sources still ahead stay alive: one on
+    the iterated map, which pairs each checkpoint with the one before it.
+    Kept to the end, F2 snapshots (rows x |w_t| letters each) would grow
+    with the square of the checkpoint count."""
     if any(s != 0 and not (s in pairs and s < t) for t, s in pairs.items()):
         raise ValueError("each checkpoint must pair with 0 or an earlier checkpoint")
-    checkpoints, sources = sorted(pairs), set(pairs.values())
+    checkpoints = sorted(pairs)
+    last = {s: t for t, s in sorted(pairs.items()) if s != 0}  # a source's last pair
 
     def fold(geom, walk):
-        kept = {}  # a source's snapshot and distance
+        kept = {}  # a source's (snapshot, distance), until its last pair
         for t, state in zip(checkpoints, walk(), strict=True):
             dw = geom.distance(state)
-            if pairs[t] == 0:
+            s = pairs[t]
+            if s == 0:
                 product = np.zeros(len(dw))
             else:
-                u, du = kept[pairs[t]]
+                u, du = kept.pop(s) if last[s] == t else kept[s]
                 product = geom.product(u, state, du, dw)
-            yield np.stack([dw, product], axis=1)
-            if t in sources:
+                del u, du  # at its last pair, nothing holds the source now
+            if t in last:
                 kept[t] = (geom.snapshot(state), dw)
+            yield np.stack([dw, product], axis=1)
 
     return fold
 

@@ -2,12 +2,14 @@
 
 The block step draw (`engines._draw_index_block`, one word per step and
 sample from the block's Philox stream) must give exactly the indices of
-`sample_words(seed, i, e, n)`, which `sample_walk` reads, row for row; the
+`sample_words(seed, i, e, n)`, which `sample_walk` reads, row for row, in
+the narrowest of uint8, int16 and int32 that holds the support; the
 word-to-index conversion must equal the alias method in exact rationals;
 the letter-stack kernel's state must hold, row for row, the reduced word
 of `sample_walk` at every checkpoint; and every observer of the step
 kernels must equal the statistic recomputed from `sample_walk` plus the
-model's `distance`, `gromov_product`, translation length or trace.  Bad
+model's `distance`, `gromov_product`, translation length or trace.
+`pair_products` keeps a source only until its last pair.  Bad
 checkpoints are refused before any step is drawn.  The Farey kernel's
 int64 state must widen to python ints before it can overflow, and the
 lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
@@ -20,6 +22,7 @@ import ast
 import hashlib
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -120,9 +123,38 @@ def test_block_draw_matches_reference(size, n, block, rows, ensemble, seed):
     dist = law(size)
     lo = block * engines.BLOCK_SIZE
     drawn = engines._draw_index_block(dist, n, lo, lo + rows, seed, ensemble)
-    assert drawn.dtype == (np.int16 if size <= 32767 else np.int32)
+    assert drawn.dtype == (np.uint8 if size <= 256 else np.int16 if size <= 32767 else np.int32)
     assert drawn.shape == (n, rows)
     assert np.array_equal(drawn, reference_rows(dist, n, lo, lo + rows, seed, ensemble))
+
+
+@pytest.mark.parametrize("size,dtype", [(1, np.uint8), (256, np.uint8), (257, np.int16),
+                                        (32_767, np.int16), (32_768, np.int32)])
+def test_index_rows_are_as_narrow_as_the_support_allows(size, dtype):
+    # the top index of each width must survive: the largest support indices
+    # are drawn on a law that puts most of its weight on them
+    weights = np.ones(size)
+    weights[-2:] = size
+    dist = StepDistribution(law(size).support, weights / weights.sum())
+    lo, hi, seed = engines.BLOCK_SIZE, engines.BLOCK_SIZE + 40, 17
+    drawn = engines._draw_index_block(dist, 6, lo, hi, seed, engines.ENSEMBLE_AUX)
+    assert drawn.dtype == dtype
+    assert drawn.max() == size - 1
+    assert np.array_equal(drawn, reference_rows(dist, 6, lo, hi, seed, engines.ENSEMBLE_AUX))
+
+
+def test_farey_passes_read_every_product_column_of_byte_indices():
+    # four support matrices: passes of k = 4 steps read table columns up to
+    # 4^4 - 1 = 255 from uint8 rows, which must not wrap while they combine
+    n, seed, rows = 9, 29, engines.BLOCK_SIZE
+    idx = engines._draw_index_block(FAREY_UNIFORM, n, 0, rows, seed, 0)
+    assert idx.dtype == np.uint8
+    columns = ((idx[0].astype(int) * 4 + idx[1]) * 4 + idx[2]) * 4 + idx[3]
+    assert set(columns.tolist()) == set(range(256))
+    (state,) = engines._farey_steps(FAREY_UNIFORM, [n], 0, rows, seed, 0)
+    for i in range(rows):
+        w = sample_walk(farey, FAREY_UNIFORM, n, seed=seed, stream=i).locations[-1]
+        assert tuple(state[:, i].tolist()) == w.entries(), i
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -228,6 +260,44 @@ def test_free_midpoint_events_match_reference(dist):
         for t, s in pairs.items():
             assert out[t][i, 0] == free.distance(one, ws[t]), (i, t)
             assert out[t][i, 1] == gromov_product(free, one, ws[s], ws[t]), (i, t)
+
+
+@pytest.mark.parametrize("lag", [1, 3], ids=["previous", "third_previous"])
+@pytest.mark.parametrize("model,dist", [(free, UNIFORM), (farey, FAREY_UNIFORM)],
+                         ids=["free", "farey"])
+def test_pair_product_sources_die_after_their_last_pair(model, dist, lag):
+    # 41 checkpoints, each paired with the checkpoint `lag` before it (the
+    # iterated map at lag 1): after each yield, exactly the sources still
+    # ahead keep their snapshot and distance alive
+    checkpoints = list(range(2, 84, 2))
+    pairs = {t: checkpoints[j - lag] if j >= lag else 0 for j, t in enumerate(checkpoints)}
+    last = {s: t for t, s in sorted(pairs.items()) if s}
+    geom = engines._GEOMETRIES[model.name]
+    snapshots, distances = {}, {}  # checkpoint -> weak reference
+    at = iter(checkpoints)
+
+    def distance(state):
+        d = geom.distance(state)
+        distances[next(at)] = weakref.ref(d)
+        return d
+
+    def snapshot(state):
+        snap = geom.snapshot(state)
+        t = max(distances)  # the checkpoint being folded
+        snapshots[t] = weakref.ref(snap[0] if model is free else snap)
+        return snap
+
+    tracked = geom._replace(distance=distance, snapshot=snapshot)
+
+    def walk(law=dist, ens=engines.ENSEMBLE_PRIMARY):
+        return geom.steps(law, checkpoints, 0, 50, 5, ens)
+
+    for t, _ in zip(checkpoints, engines.pair_products(pairs)(tracked, walk), strict=True):
+        ahead = {s for s in last if s <= t < last[s]}
+        assert {s for s, ref in snapshots.items() if ref() is not None} == ahead, t
+        # the fold's own distance of w_t stays bound until the next checkpoint
+        assert {s for s, ref in distances.items() if ref() is not None} == ahead | {t}, t
+    assert sorted(snapshots) == sorted(last)
 
 
 @pytest.mark.parametrize("pairs", [{4: 0, 8: 5}, {4: 4}, {4: 0, 8: 12}, {4: -1}])
