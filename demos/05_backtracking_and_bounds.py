@@ -37,7 +37,7 @@ for k in (5, 10, 20):
           f"  mean Y = {res.diagnostics['mean_y']:.3f}")
 
 # %% Large sums of backtracks are exponentially rare.
-res = z_sum_deviation(free, uniform, k=10, n=600, L=None, L_factor=2.0,
+res = z_sum_deviation(free, uniform, k=10, L=None, L_factor=2.0,
                       samples=20_000, seed=43, n_grid=[10, 20, 30, 40, 60])
 print("\nP(sum Z >= 2 mean m):", [round(p, 5) for p in res.series.probabilities])
 

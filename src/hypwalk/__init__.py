@@ -31,7 +31,6 @@ from .stats import (
     chernoff_bound,
     chernoff_empirical,
     drift,
-    empirical_tail,
     fit_exponential_decay,
     linear_progress_decay,
     shadow_measure_decay,
@@ -40,9 +39,7 @@ from .stats import (
 from .walk import (
     StepDistribution,
     WalkSample,
-    diagonal_shadow_event,
     iterated_decomposition,
-    midpoint_shadow_event,
     reflected,
     sample_walk,
 )
@@ -70,9 +67,7 @@ __all__ = [
     "WalkSample",
     "chernoff_bound",
     "chernoff_empirical",
-    "diagonal_shadow_event",
     "drift",
-    "empirical_tail",
     "estimate_delta",
     "fit_exponential_decay",
     "get_model",
@@ -80,7 +75,6 @@ __all__ = [
     "in_shadow",
     "iterated_decomposition",
     "linear_progress_decay",
-    "midpoint_shadow_event",
     "quasigeodesic_check",
     "reflected",
     "sample_walk",

@@ -233,8 +233,8 @@ _HANDLERS = {
         model, dist, cfg.k, cfg.n, cfg.samples, cfg.seed, thresholds=cfg.r_grid, **common)),
     "z-sum": _series(
         lambda cfg, model, dist, common: stats.z_sum_deviation(
-            model, dist, cfg.k, cfg.k * max(cfg.n_grid), cfg.L, cfg.samples, cfg.seed,
-            n_grid=cfg.n_grid, L_factor=cfg.L_factor, **common),
+            model, dist, cfg.k, cfg.L, cfg.n_grid, cfg.samples, cfg.seed,
+            L_factor=cfg.L_factor, **common),
         lambda res: _decay_assertion(res, r2_min=0.85)),
     "bernstein": _series(
         lambda cfg, model, dist, common: stats.bernstein_check(

@@ -31,7 +31,6 @@ from .free import (
     cyclic_reduce,
     random_conjugacy_instance,
     reduce_letters,
-    words_of_length,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "reduce_letters",
     "slope_distance",
     "translation_length_detail",
-    "words_of_length",
 ]
 
 MODEL_NAMES = ("free", "farey")

@@ -75,14 +75,6 @@ class Slope:
     def to_str(self) -> str:
         return f"{self.p}/{self.q}"
 
-    @classmethod
-    def from_str(cls, text: str) -> "Slope":
-        try:
-            p_txt, q_txt = text.split("/")
-            return cls(int(p_txt), int(q_txt))
-        except (ValueError, TypeError):
-            raise ValueError(f"invalid slope text {text!r}") from None
-
 
 INFINITY = Slope(1, 0)
 

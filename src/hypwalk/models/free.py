@@ -219,12 +219,3 @@ def random_conjugacy_instance(model: FreeGroupModel, rng, core_max: int, conj_ma
         g = model.multiply(model.multiply(v, s), model.invert(v))
         return g, v, s
 
-
-def words_of_length(length: int) -> Sequence[FreeWord]:
-    """All reduced words of exactly the given length (4 * 3^(L-1) of them)."""
-    if length == 0:
-        return [FreeWord()]
-    out = [(x,) for x in GENERATOR_LETTERS]
-    for _ in range(length - 1):
-        out = [w + (x,) for w in out for x in _FOLLOWERS[w[-1]]]
-    return [FreeWord(w, _reduced=True) for w in out]

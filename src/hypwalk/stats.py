@@ -7,6 +7,8 @@ sampling instead: its estimate is a weighted mean over thousands of hits,
 so it carries a normal interval on that mean.
 Exponential laws p ~ K * c^x are fitted by least squares on (x, log p)
 with zero-count bins excluded and the exclusion count reported.
+Backtrack, z-sum and bernstein read the segment lengths Y and backtracks Z
+of one k-iterated walk (`_iterated_increments`), never the increments Y - Z.
 
 Both kinds of interval use the standard library alone.  The normal quantile
 is `statistics.NormalDist().inv_cdf`.  A Clopper-Pearson bound is a quantile
@@ -289,11 +291,6 @@ def _decay(series: TailEstimate, **diagnostics) -> DecayResult:
     return DecayResult(series=series, fit=fit, diagnostics=diagnostics)
 
 
-def empirical_tail(values: Sequence[float], thresholds: Sequence[float],
-                   confidence: float = DEFAULT_CONFIDENCE) -> TailEstimate:
-    return TailEstimate.from_values(values, thresholds, confidence)
-
-
 def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
           confidence: float = DEFAULT_CONFIDENCE, threads: int = 1) -> DriftEstimate:
     """Mean of d(1, w_n)/n with a normal-approximation interval."""
@@ -368,19 +365,22 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
 
 
 def _iterated_increments(model, dist, k, n_iter, samples, seed, threads=1):
-    """(Y, X, Z), each of shape (n_iter, samples), of the k-iterated walk:
-    Y[i] = d(w_ik, w_(i+1)k), X[i] = |w_(i+1)k| - |w_ik| and the backtrack
-    Z = Y - X."""
+    """(Y, Z), each of shape (n_iter, samples), of the k-iterated walk:
+    Y[i] = d(w_ik, w_(i+1)k) and the backtrack
+    Z[i] = Y[i] - (|w_(i+1)k| - |w_ik|) = 2 (|w_ik| - (w_ik . w_(i+1)k)_1).
+    Each checkpoint's pair array leaves `observe`'s dict as its rows fill."""
     previous = {t: t - k for t in range(k, k * n_iter + 1, k)}
     # ensemble keyed by k: sweeps over k compare independent draws
     out = engines.observe(model, dist, previous, engines.pair_products(previous), samples,
                           seed, ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
-    pairs = np.stack(list(out.values()))
-    D, gp = pairs[..., 0], pairs[..., 1]
-    before = np.vstack([np.zeros((1, samples), dtype=np.int64), D[:-1]])
-    Y = before + D - 2 * gp
-    X = D - before
-    return Y, X, Y - X
+    Y, Z = np.empty((2, n_iter, samples))
+    before = 0.0  # |w_ik|
+    for i, t in enumerate(previous):
+        D, gp = out.pop(t).T
+        np.multiply(2.0, before - gp, out=Z[i])
+        Y[i] = Z[i] + D - before
+        before = D
+    return Y, Z
 
 
 def _step_counts(n_grid: Sequence[int]) -> list[int]:
@@ -405,7 +405,7 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
     n_iter = n // k
     if n_iter < 1:
         raise ValueError("n must be at least k")
-    Y, _, Z = _iterated_increments(model, dist, k, n_iter, samples, seed, threads)
+    Y, Z = _iterated_increments(model, dist, k, n_iter, samples, seed, threads)
     pooled = Z.reshape(-1)
     if thresholds is None:
         thresholds = [float(t) for t in range(0, 14, 2)]
@@ -416,25 +416,22 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
                   mean_y=float(Y.mean()))
 
 
-def z_sum_deviation(model, dist: StepDistribution, k: int, n: int,
-                    L: float | None, samples: int, seed: int,
-                    n_grid: Sequence[int] | None = None,
+def z_sum_deviation(model, dist: StepDistribution, k: int, L: float | None,
+                    n_grid: Sequence[int], samples: int, seed: int,
                     L_factor: float | None = None,
                     confidence: float = DEFAULT_CONFIDENCE,
                     threads: int = 1) -> DecayResult:
     """P(Z_1 + ... + Z_m >= L*m) along a grid of iterated-step counts m.
 
-    The threshold slope L should exceed the mean backtrack; either pass it
-    directly or pass L_factor to use L = L_factor * (measured mean of Z).
+    The threshold slope L should exceed the mean backtrack; pass either L
+    or L_factor, which sets L = L_factor * (measured mean of Z).
     """
-    if n_grid is None:
-        n_grid = sorted({max(1, (n // k) * j // 8) for j in range(1, 9)})
+    if (L is None) == (L_factor is None):
+        raise ValueError("pass exactly one of L and L_factor")
     n_grid = _step_counts(n_grid)
-    _, _, Z = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
+    _, Z = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
     mean_z = float(Z.mean())
     if L is None:
-        if L_factor is None:
-            raise ValueError("pass L or L_factor")
         L = L_factor * mean_z
     csum = np.cumsum(Z, axis=0)
     counts = [int(np.sum(csum[m - 1] >= L * m)) for m in n_grid]
@@ -448,14 +445,14 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
                     confidence: float = DEFAULT_CONFIDENCE,
                     threads: int = 1) -> DecayResult:
     """P(|sum_{i<=m} (Y_i - mean Y)| >= epsilon*m) along n_grid; the mean is
-    the pooled estimate over all increments.  Pass epsilon directly or
-    epsilon_factor to use epsilon = epsilon_factor * mean."""
+    the pooled estimate over all increments.  Pass either epsilon or
+    epsilon_factor, which sets epsilon = epsilon_factor * mean."""
+    if (epsilon is None) == (epsilon_factor is None):
+        raise ValueError("pass exactly one of epsilon and epsilon_factor")
     n_grid = _step_counts(n_grid)
-    Y, _, _ = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
+    Y, _ = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
     mean_y = float(Y.mean())
     if epsilon is None:
-        if epsilon_factor is None:
-            raise ValueError("pass epsilon or epsilon_factor")
         epsilon = epsilon_factor * mean_y
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

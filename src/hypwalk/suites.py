@@ -9,11 +9,12 @@ first searches for the smallest values (on a half-integer grid, matching
 the value lattice of both models) that produce no counterexample, and the
 suites then verify at those fitted values.
 
-Everything that differs between the models is one `_Shape` in `_SHAPES`.
-Free-model instances are built by word surgery (exact membership by
-construction); Farey instances are built by rejection sampling against
-the exact improper metric, with small radii so acceptance stays usable.
-The conjugator suites need the tree's exact conjugacy and run on F2 only.
+Everything that differs between the models is one `_Shape` in `_SHAPES`,
+its shadow-member and far-pair samplers included.  Free-model instances
+are built by word surgery (exact membership by construction); Farey
+instances are built by rejection sampling against the exact improper
+metric, with small radii so acceptance stays usable.  The conjugator
+suites need the tree's exact conjugacy and run on F2 only.
 
 Instances come from the models' scalar samplers, which draw a free word
 in two RNG calls and a Farey product as one counted run; the helpers here
@@ -139,10 +140,6 @@ _SHAPES = {
                    _shadow_member_tree, _far_pair_tree, True),
     "farey": _Shape(8, 4, 4, 4, 4, 8, _shadow_member_farey, _far_pair_farey, False),
 }
-
-
-def shadow_member(model, rng, z, x, r: float):
-    return _SHAPES[model.name].member(model, rng, z, x, r)
 
 
 def _draw_shadow_radius(shape: _Shape, rng, d: float) -> float:

@@ -18,6 +18,10 @@ O(1) per draw.  `block_words` reads a block a step at a time (one
 sample's words, one step at a time, from its block's stream.  Everything
 else that draws (the props suites, calibration) reads a keyed stream in
 order through a `StreamDraws`.
+
+`sample_walk` and `iterated_decomposition` are the per-sample reference
+path the engines are checked against; `stats` counts the midpoint and
+diagonal events on engine output, so no event predicate lives here.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ElementaryDistributionError, PreconditionError
-from .hypgeom import gromov_product
+from .errors import ElementaryDistributionError
 
 _MASK64 = (1 << 64) - 1
 MAX_SAMPLES = 1 << 48  # sample indices have 48 bits
@@ -322,28 +325,6 @@ def iterated_decomposition(model, w: WalkSample, k: int) -> IteratedDecompositio
         ]
     )
     return IteratedDecomposition(k=k, X=X, Y=Y, Z=Y - X)
-
-
-def midpoint_shadow_event(model, w: WalkSample) -> bool:
-    """True iff (w_n . w_2n)_1 >= d(1, w_n)/2 for a walk of even length 2n."""
-    if len(w) % 2 != 0:
-        raise PreconditionError("walk length must be even")
-    n = len(w) // 2
-    one = model.identity()
-    mid, end = w.locations[n], w.locations[2 * n]
-    return gromov_product(model, one, mid, end) >= 0.5 * model.distance(one, mid)
-
-
-def diagonal_shadow_event(model, v_walk: WalkSample, w_walk: WalkSample, r: float) -> bool:
-    """True iff (v_n . w_n)_1 >= r - 2*delta: the implementable consequence
-    of the pair (v_n, w_n) lying in the r-shadow of the diagonal."""
-    if len(v_walk) != len(w_walk):
-        raise PreconditionError("walks must have equal length")
-    one = model.identity()
-    return (
-        gromov_product(model, one, v_walk.locations[-1], w_walk.locations[-1])
-        >= r - 2.0 * model.delta
-    )
 
 
 _SEARCH_LENGTH, _SEARCH_CAP = 6, 4096  # longest product and most products searched

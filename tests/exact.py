@@ -6,12 +6,25 @@ On the Cayley tree |w_n| is a birth-death chain: from 0 it steps to 1, and
 from k >= 1 it steps to k + 1 with probability 3/4 and to k - 1 with
 probability 1/4.  Given |w_n| = k, w_n is uniform on the sphere of radius k,
 because the automorphisms of the tree that fix the identity preserve the
-walk and act transitively on each sphere.
+walk and act transitively on each sphere.  `words_of_length` lists a
+sphere, and tests build laws from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hypwalk.models.free import GENERATOR_LETTERS, FreeWord
+
+
+def words_of_length(length: int) -> list[FreeWord]:
+    """The sphere of radius `length`: all 4 * 3^(length - 1) reduced words
+    of that length (the identity at 0), in lexicographic order of
+    GENERATOR_LETTERS."""
+    words = [()]
+    for _ in range(length):
+        words = [w + (x,) for w in words for x in GENERATOR_LETTERS if not w or x != -w[-1]]
+    return [FreeWord(w, _reduced=True) for w in words]
 
 
 def distance_law(n: int) -> np.ndarray:

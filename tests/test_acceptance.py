@@ -214,7 +214,7 @@ def test_criterion_08_backtrack_tail_and_z_sum():
         cs[k] = res.fit.c if res.fit else float("nan")
     ratio = max(cs.values()) / min(cs.values())
     zres = stats.z_sum_deviation(
-        free, FREE_UNIFORM, k=10, n=1200, L=None, L_factor=2.0,
+        free, FREE_UNIFORM, k=10, L=None, L_factor=2.0,
         samples=50_000, seed=809, n_grid=[10, 20, 30, 40, 60, 80, 100, 120],
     )
     elapsed = time.perf_counter() - t0

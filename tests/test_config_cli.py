@@ -317,6 +317,24 @@ def test_cli_invalid_experiment_input_exit_2(subcommand, fields, message, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,fields,message", [
+    ("z-sum", {"k": 2, "n_grid": [2, 4], "L": 1.0, "L_factor": 3.0},
+     "pass exactly one of L and L_factor"),
+    ("bernstein", {"k": 2, "n_grid": [2, 4], "epsilon": 0.5, "epsilon_factor": 3.0},
+     "pass exactly one of epsilon and epsilon_factor"),
+], ids=["z-sum", "bernstein"])
+def test_cli_value_with_its_factor_exit_2(subcommand, fields, message, tmp_path, capsys):
+    # the factor used to be dropped without a word when both were set
+    from hypwalk import cli
+
+    out = tmp_path / "o"
+    path = _write_cfg(tmp_path, "b.json", output_path=str(out), **fields)
+    assert cli.main([subcommand, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "code=2" in err
+    assert not out.exists()
+
+
 def test_cli_elementary_distribution_exit_3(tmp_path):
     path = _write_cfg(
         tmp_path, "e.json", model="farey",

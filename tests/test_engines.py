@@ -33,6 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact import words_of_length
 from farey_recursion import recursive_dist_to_infinity
 from hypwalk import engines, walk
 from hypwalk.hypgeom import gromov_product
@@ -44,7 +45,7 @@ from hypwalk.models.farey import (
     dist_to_infinity,
     translation_length,
 )
-from hypwalk.models.free import FreeGroupModel, FreeWord, words_of_length
+from hypwalk.models.free import FreeGroupModel, FreeWord
 from hypwalk.stats import chernoff_empirical
 from hypwalk.walk import (
     MAX_SAMPLES,
@@ -889,6 +890,101 @@ def test_lockstep_translation_length_on_a_box():
                if col[0] * col[3] - col[1] * col[2] == 1 and abs(col[0] + col[3]) > 2]
     assert len(columns) == 696
     assert_lengths_match(columns)
+
+
+def cycle_digits(g: FareyElement) -> list[int]:
+    """The continued-fraction digits of one cycle of hyperbolic g: the
+    period of its attracting point (read until a complete quotient (P, Q)
+    repeats), repeated until the product of its [[q, 1], [1, 0]] reaches
+    trace |tr g|; g is conjugate to +-that product."""
+    a, b, c, d = g.entries()
+    t, s = abs(a + d), 1 if a + d > 0 else -1
+    D = t * t - 4
+    root = math.isqrt(D)
+    P, Q = s * (a - d), 2 * s * c
+    seen, digits = {}, []
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        q, P, Q = engines._next_quotient(P, Q, D, root)
+        digits.append(q)
+    period = digits[seen[P, Q]:]
+    cycle, (m00, m01, m10, m11) = [], (1, 0, 0, 1)
+    while m00 + m11 < t:
+        for q in period:
+            m00, m01, m10, m11 = m00 * q + m01, m00, m10 * q + m11, m10
+        cycle += period
+    assert m00 + m11 == t
+    return cycle
+
+
+def closed_form_length(cycle: list[int]) -> int:
+    """The translation length by its closed form: the digits >= 2 of the
+    cycle, plus floor(r / 2) for each maximal cyclic run of r ones.  It
+    counts digits and runs no min-plus ladder."""
+    if all(q == 1 for q in cycle):
+        return len(cycle) // 2
+    i = next(k for k, q in enumerate(cycle) if q >= 2)  # no run wraps from here
+    tau = 0
+    for one, run in itertools.groupby(cycle[i:] + cycle[:i], key=lambda q: q == 1):
+        r = len(list(run))
+        tau += r // 2 if one else r
+    return tau
+
+
+def assert_closed_form_matches(columns):
+    """The closed form of each hyperbolic (a, b, c, d) against the scalar
+    `translation_length`, and the lockstep against the scalar, row for
+    row."""
+    want = [closed_form_length(cycle_digits(FareyElement(*col))) for col in columns]
+    assert [translation_length(FareyElement(*col)) for col in columns] == want
+    assert_lengths_match(columns)
+
+
+def test_closed_form_translation_length_on_walks_and_a_box():
+    # every hyperbolic element with entries in [-10, 10], and the hyperbolic
+    # rows of uniform, five-element and huge-law walks; the huge law's pass 2^27
+    columns = [col for col in itertools.product(range(-10, 11), repeat=4)
+               if col[0] * col[3] - col[1] * col[2] == 1 and abs(col[0] + col[3]) > 2]
+    for dist, checkpoints, rows in ((FAREY_UNIFORM, range(5, 101, 5), 600),
+                                    (FAREY_FIVE, range(4, 41, 4), 200),
+                                    (FAREY_HUGE, [1, 2, 3, 5, 8, 12], 200)):
+        for state in engines._farey_steps(dist, checkpoints, 0, rows, 3, 0):
+            hyperbolic = np.abs(state[0] + state[3]) > 2
+            columns += [tuple(col) for col in state[:, hyperbolic].T.tolist()]
+    assert len(columns) >= 10_000
+    assert sum(max(map(abs, col)) >= engines._LENGTH_INT64 for col in columns) >= 500
+    assert_closed_form_matches(columns)
+
+
+@st.composite
+def digit_cycle(draw):
+    """(digits, g): g = +-(conjugate of) _period(digits)^power, and its
+    cycle as `digits` (doubled when odd) repeated `power` times.  Digits
+    come as runs of ones, long ones among them, each closed by a small or a
+    huge digit, or as ones alone."""
+    if draw(st.integers(0, 4)) == 0:
+        digits = [1] * draw(st.integers(1, 80))
+    else:
+        runs = draw(st.lists(st.tuples(
+            st.integers(0, 40), st.one_of(st.integers(2, 5), st.integers(2, 1 << 40))),
+            min_size=1, max_size=6))
+        digits = [q for ones, last in runs for q in [1] * ones + [last]]
+    power = draw(st.integers(1, 3))
+    g = _product(*[_period(*digits)] * power)
+    for letter in draw(st.lists(st.sampled_from([R, L, R.inverse(), L.inverse()]), max_size=6)):
+        g = letter * g * letter.inverse()
+    if draw(st.booleans()):
+        g = NEG * g
+    return digits * (2 if len(digits) % 2 else 1) * power, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(digit_cycle(), min_size=1, max_size=6))
+@example([([1, 1], _period(1)), ([1, 1, 1, 2], _period(1, 1, 1, 2)), ([7, 7], _period(7))])
+def test_closed_form_translation_length_on_digit_cycles(cases):
+    for digits, g in cases:
+        assert closed_form_length(cycle_digits(g)) == closed_form_length(digits)
+    assert_closed_form_matches([g.entries() for _, g in cases])
 
 
 def test_lockstep_translation_length_raises_off_sl2z():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import words_of_length
 from hypwalk.models.free import (
     FreeGroupModel,
     FreeWord,
@@ -12,7 +13,6 @@ from hypwalk.models.free import (
     cyclic_reduce,
     random_conjugacy_instance,
     reduce_letters,
-    words_of_length,
 )
 
 model = FreeGroupModel()

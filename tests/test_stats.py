@@ -1,6 +1,7 @@
 """Estimators against closed-form oracles and forced small cases."""
 
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -25,22 +26,22 @@ def uniform_free():
 
 
 def test_empirical_tail_counting():
-    est = stats.empirical_tail([0, 1, 2, 3], [0, 2])
+    est = stats.TailEstimate.from_values([0, 1, 2, 3], [0, 2])
     assert est.probabilities == (1.0, 0.5)
-    est2 = stats.empirical_tail([0.1, 0.2], [5.0])
+    est2 = stats.TailEstimate.from_values([0.1, 0.2], [5.0])
     assert est2.probabilities == (0.0,)
     with pytest.raises(ValueError):
-        stats.empirical_tail([], [1.0])
+        stats.TailEstimate.from_values([], [1.0])
     with pytest.raises(ValueError):
-        stats.empirical_tail([1.0], [2.0, 1.0])
+        stats.TailEstimate.from_values([1.0], [2.0, 1.0])
     with pytest.raises(ValueError):
-        stats.empirical_tail([1.0], [1.0], confidence=1.5)
+        stats.TailEstimate.from_values([1.0], [1.0], confidence=1.5)
 
 
 def test_tail_monotone_and_ci_order():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=5000)
-    est = stats.empirical_tail(vals, [-2, -1, 0, 1, 2])
+    est = stats.TailEstimate.from_values(vals, [-2, -1, 0, 1, 2])
     probs = est.probabilities
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     for p, lo, hi in zip(probs, est.ci_low, est.ci_high):
@@ -64,7 +65,8 @@ def test_exponential_tail_oracle():
     misses = 0
     for seed in range(40):
         words = walk._philox(walk._stream_key(seed, 0)).random_raw(100_000)
-        est = stats.empirical_tail(-np.log1p(-walk.uniforms(words)), [float(t) for t in ts])
+        est = stats.TailEstimate.from_values(-np.log1p(-walk.uniforms(words)),
+                                             [float(t) for t in ts])
         assert est.ci_high[0] == 1.0
         misses += sum(not lo <= math.exp(-t) <= hi
                       for t, lo, hi in zip(ts, est.ci_low, est.ci_high))
@@ -343,29 +345,27 @@ def test_backtrack_trivial_and_tails():
 
 
 def test_farey_iterated_increments_match_reference():
-    # Y, X, Z of backtrack, z-sum and bernstein on SL(2,Z), sample by sample
+    # Y and Z of backtrack, z-sum and bernstein on SL(2,Z), sample by sample
     d = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
                          [0.3, 0.2, 0.2, 0.2, 0.1])
     k, m, samples, seed = 3, 6, 40, 12
-    Y, X, Z = stats._iterated_increments(farey, d, k, m, samples, seed)
+    Y, Z = stats._iterated_increments(farey, d, k, m, samples, seed)
     for i in range(samples):
         w = sample_walk(farey, d, k * m, seed=seed, stream=i,
                         ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
         ref = iterated_decomposition(farey, w, k)
-        for got, want in ((Y, ref.Y), (X, ref.X), (Z, ref.Z)):
+        for got, want in ((Y, ref.Y), (Z, ref.Z)):
             assert got[:, i].tolist() == want.tolist(), i
 
 
 def test_z_sum_trivial():
     det = StepDistribution([W("a")], [1.0])
-    res = stats.z_sum_deviation(free, det, k=5, n=50, L=1.0, samples=10, seed=7,
-                                n_grid=[2, 4, 8])
+    res = stats.z_sum_deviation(free, det, k=5, L=1.0, n_grid=[2, 4, 8], samples=10, seed=7)
     assert res.series.probabilities == (0.0, 0.0, 0.0)
-    res0 = stats.z_sum_deviation(free, det, k=5, n=50, L=0.0, samples=10, seed=7,
-                                 n_grid=[2, 4, 8])
+    res0 = stats.z_sum_deviation(free, det, k=5, L=0.0, n_grid=[2, 4, 8], samples=10, seed=7)
     assert res0.series.probabilities == (1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        stats.z_sum_deviation(free, det, k=5, n=50, L=None, samples=10, seed=7)
+        stats.z_sum_deviation(free, det, k=5, L=None, n_grid=[2, 4, 8], samples=10, seed=7)
 
 
 def test_bernstein_trivial():
@@ -380,16 +380,50 @@ def test_bernstein_trivial():
     assert res2.series.probabilities == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: stats.z_sum_deviation(free, d, 2, 1.0, [1, 2], 20, 1, L_factor=3.0),
+    lambda d: stats.z_sum_deviation(free, d, 2, None, [1, 2], 20, 1),
+    lambda d: stats.bernstein_check(free, d, 2, 0.5, [1, 2], 20, 1, epsilon_factor=3.0),
+    lambda d: stats.bernstein_check(free, d, 2, None, [1, 2], 20, 1),
+], ids=["z-sum-both", "z-sum-neither", "bernstein-both", "bernstein-neither"])
+def test_value_and_its_factor_are_exclusive(call, monkeypatch):
+    # with both set, the factor used to be dropped without a word
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(engines, "observe", no_walk)
+    with pytest.raises(ValueError, match="exactly one of"):
+        call(uniform_free())
+
+
+def test_backtrack_memory_is_four_increment_arrays():
+    # observe's pair arrays leave as Y and Z fill, and neither X nor Y - X
+    # is built: the traced peak is about four (n / k, samples) float arrays,
+    # where it was eight
+    d = uniform_free()
+    k, n, samples = 5, 200, 8192
+    stats.backtrack_tail(free, d, k, n, 64, 1)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stats.backtrack_tail(free, d, k, n, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (n // k) * samples * 8, peak
+
+
 @pytest.mark.parametrize("confidence", [1.5, float("nan"), -1.0, 0.0, 1.0])
 def test_counting_estimators_reject_confidence_outside_zero_one(confidence):
     d = uniform_free()
     common = {"samples": 20, "seed": 1, "confidence": confidence}
     calls = [
         lambda: stats.clopper_pearson(3, 10, confidence),
-        lambda: stats.empirical_tail([1.0], [1.0], confidence=confidence),
+        lambda: stats.TailEstimate.from_values([1.0], [1.0], confidence=confidence),
         lambda: stats.linear_progress_decay(free, d, 0.25, [4, 8], **common),
         lambda: stats.translation_decay(free, d, 0.0, [2, 4], **common),
-        lambda: stats.z_sum_deviation(free, d, 2, 8, 1.0, n_grid=[1, 2], **common),
+        lambda: stats.z_sum_deviation(free, d, 2, 1.0, [1, 2], **common),
         lambda: stats.bernstein_check(free, d, 2, 0.5, [1, 2], **common),
         lambda: stats.midpoint_failure_decay(free, d, [4, 8], estimator="frequency", **common),
     ]
@@ -402,7 +436,7 @@ def test_counting_estimators_reject_confidence_outside_zero_one(confidence):
 def test_step_count_grids_reject_entries_below_one(n_grid):
     d = uniform_free()
     with pytest.raises(ValueError, match="n_grid"):
-        stats.z_sum_deviation(free, d, 2, 8, 1.0, 20, 1, n_grid=n_grid)
+        stats.z_sum_deviation(free, d, 2, 1.0, n_grid, 20, 1)
     with pytest.raises(ValueError, match="n_grid"):
         stats.bernstein_check(free, d, 2, 0.5, n_grid, 20, 1)
 

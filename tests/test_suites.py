@@ -5,12 +5,12 @@ import pytest
 from hypwalk.engines import ENSEMBLE_CALIBRATE, ENSEMBLE_PROPS
 from hypwalk.models import get_model
 from hypwalk.suites import (
+    _SHAPES,
     calibrate_constants,
     conjugacy_suite,
     product_bound_suite,
     quasigeodesic_suite,
     run_all_suites,
-    shadow_member,
 )
 from hypwalk.walk import StreamDraws
 
@@ -243,7 +243,7 @@ def test_shadow_member_helper_is_actually_a_member():
             if d < 1:
                 continue
             r = float(rng.integers(0, min(int(d), 4) + 1))
-            y = shadow_member(model, rng, z, x, r)
+            y = _SHAPES[model.name].member(model, rng, z, x, r)
             assert in_shadow(model, Shadow(z, x, r), y)
 
 

@@ -5,17 +5,16 @@ import pytest
 from scipy.stats import chisquare
 
 from hypwalk import engines
-from hypwalk.errors import ElementaryDistributionError, PreconditionError
+from hypwalk.errors import ElementaryDistributionError
+from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.stats import _iterated_increments
+from hypwalk.stats import _iterated_increments, diagonal_event_decay, midpoint_failure_decay
 from hypwalk.walk import (
     StepDistribution,
     assert_nonelementary,
-    diagonal_shadow_event,
     find_independent_loxodromics,
     iterated_decomposition,
-    midpoint_shadow_event,
     reflected,
     sample_walk,
 )
@@ -137,29 +136,41 @@ def test_decomposition_invariants_random():
 
 
 def test_midpoint_event():
-    d = StepDistribution([W("a")], [1.0])
-    ws = sample_walk(free, d, 10, seed=0)
-    assert midpoint_shadow_event(free, ws)
-    from hypwalk.walk import WalkSample
-
-    ws2 = WalkSample(free, 0, 0, [W("a"), W("A")])
-    assert not midpoint_shadow_event(free, ws2)
-    ws3 = sample_walk(free, d, 7, seed=0)
-    with pytest.raises(PreconditionError):
-        midpoint_shadow_event(free, ws3)
+    # the event (w_n . w_2n)_1 >= d(1, w_n) / 2, as the counting estimator
+    # reads it: it holds on a^2n, and on the law {a, A} at 2n = 2 it fails
+    # exactly where the second step cancels the first
+    only_a = StepDistribution([W("a")], [1.0])
+    res = midpoint_failure_decay(free, only_a, [2, 10], 4, seed=0, estimator="frequency")
+    assert res.series.probabilities == (0.0, 0.0)
+    d = StepDistribution([W("a"), W("A")], [0.5, 0.5])
+    res = midpoint_failure_decay(free, d, [2], 64, seed=0, estimator="frequency")
+    walks = [sample_walk(free, d, 2, seed=0, stream=i) for i in range(64)]
+    fails = sum(w.steps[1] != w.steps[0] for w in walks)
+    assert 0 < fails < 64
+    assert res.series.probabilities == (fails / 64,)
+    with pytest.raises(ValueError, match="even"):
+        midpoint_failure_decay(free, only_a, [7], 4, seed=0, estimator="frequency")
 
 
 def test_diagonal_event():
-    d = StepDistribution([W("a")], [1.0])
-    v = sample_walk(free, d, 6, seed=0)
-    w = sample_walk(free, d, 6, seed=1)
-    assert diagonal_shadow_event(free, v, w, r=6.0)  # both equal a^6
-    assert diagonal_shadow_event(free, v, w, r=-1.0)
-    with pytest.raises(PreconditionError):
-        diagonal_shadow_event(free, v, sample_walk(free, d, 5, seed=0), r=0)
-    b = StepDistribution([W("B")], [1.0])
-    wb = sample_walk(free, b, 6, seed=0)
-    assert not diagonal_shadow_event(free, v, wb, r=3.0)
+    # the event (v_n . w_n)_1 >= r - 2 delta for v ~ mu and w ~ reflected mu:
+    # a^6 against A^6 meets it only at r <= 0; on the law {a, A} it holds
+    # where the two walks end on the same side at least r from 1
+    only_a = StepDistribution([W("a")], [1.0])
+    res = diagonal_event_decay(free, only_a, 6, [-1.0, 0.0, 3.0, 6.0], 4, seed=0)
+    assert res.series.probabilities == (1.0, 1.0, 0.0, 0.0)
+    d = StepDistribution([W("a"), W("A")], [0.5, 0.5])
+    r_grid = [0.0, 1.0, 2.0, 6.0]
+    res = diagonal_event_decay(free, d, 6, r_grid, 64, seed=0)
+    products = [
+        gromov_product(free, free.identity(),
+                       sample_walk(free, d, 6, seed=0, stream=i).locations[-1],
+                       sample_walk(free, reflected(d), 6, seed=0, stream=i,
+                                   ensemble=engines.ENSEMBLE_REFLECTED).locations[-1])
+        for i in range(64)]
+    assert 0 < sum(p >= 2.0 for p in products) < 64
+    assert res.series.probabilities == tuple(sum(p >= r for p in products) / 64
+                                             for r in r_grid)
 
 
 def test_nonelementarity_check():
@@ -268,13 +279,12 @@ def test_shorter_walk_is_a_prefix():
 def test_engine_segment_increments_match_decomposition():
     d = uniform_free()
     k, n_iter, samples, seed = 5, 6, 4, 53
-    Y, X, Z = _iterated_increments(free, d, k, n_iter, samples, seed)
+    Y, Z = _iterated_increments(free, d, k, n_iter, samples, seed)
     for i in range(samples):
         ws = sample_walk(free, d, k * n_iter, seed=seed, stream=i,
                          ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
         dec = iterated_decomposition(free, ws, k)
         assert np.array_equal(Y[:, i], dec.Y.astype(np.int64))
-        assert np.array_equal(X[:, i], dec.X.astype(np.int64))
         assert np.array_equal(Z[:, i], dec.Z.astype(np.int64))
 
 
