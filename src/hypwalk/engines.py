@@ -51,7 +51,6 @@ engages only above one block.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +81,8 @@ def _run_blocks(fn, samples: int, threads: int = 1) -> list:
     spans = _blocks(samples)
     if threads <= 1 or len(spans) <= 1:
         return [fn(lo, hi) for lo, hi in spans]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
         return [f.result() for f in futures]  # block order, not completion order

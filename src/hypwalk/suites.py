@@ -26,6 +26,9 @@ samplers of `tests/scalar_samplers.py` value for value.  `rng` is a
 `ENSEMBLE_CALIBRATE`.  `_tally` counts every trial it runs
 (`SuiteResult.attempts`), accepted or not; calibration stops a slack's run
 at its first counterexample, and `props` fits only the slacks it verifies at.
+A trial returns None as soon as its draws make the instance invalid; nested
+separation does so right after `gap` and `r` when its inner shadow holds
+every point.
 """
 
 from __future__ import annotations
@@ -289,11 +292,17 @@ def composition_suite(model, instances: int, rng) -> SuiteResult:
 
 
 def _nested_separation_trial(model, rng: StreamDraws, slack: float):
+    """A trial that draws `gap` and `r`, then a far pair (z, x), a member
+    `a_pt` of S_z(x, r) and a point `b_pt`.  When r - gap - slack <= 0 every
+    point lies in the inner shadow (Gromov products are >= 0), so the trial
+    is invalid after its first two words and draws nothing else."""
     shape = _SHAPES[model.name]
 
     def trial():
         gap = float(rng.integers(1, 4))
         r = float(rng.integers(1, shape.nest_r_hi))
+        if r - gap - slack <= 0:
+            return None
         try:
             z, x = shape.far_pair(model, rng, gap + r + 2 * slack)
             a_pt = shape.member(model, rng, z, x, r)
@@ -448,7 +457,9 @@ def conjugacy_suite(model, instances: int, rng, slack: float = 2.0) -> SuiteResu
 def _fit_slacks(model, seed: int, instances: int) -> dict[str, float]:
     """Smallest slack values on the half-integer grid at which the
     nested-separation, shadow-complement and basepoint-change suites have
-    zero failures over `instances` seeded trials.
+    zero failures over `instances` valid seeded instances; a run that spends
+    its draw budget short of `instances` does not pass, so a slack at which
+    nothing was tested is never accepted.
 
     Each search reads the stream of `seed` on `ENSEMBLE_CALIBRATE` from its
     start; a slack's run stops at its first counterexample, which settles
@@ -457,7 +468,8 @@ def _fit_slacks(model, seed: int, instances: int) -> dict[str, float]:
     def search(name, trial_at) -> float:
         for slack in SLACK_GRID:
             trial = trial_at(slack, StreamDraws(seed, ENSEMBLE_CALIBRATE))
-            if _tally(name, instances, trial, _REJECTION_BUDGET, stop_at_failure=True).passed:
+            run = _tally(name, instances, trial, _REJECTION_BUDGET, stop_at_failure=True)
+            if run.passed and run.instances == instances:
                 return slack
         raise UnsatisfiableConfigError(f"no slack on {SLACK_GRID} fits {name}")
 

@@ -213,9 +213,11 @@ def _write_cfg(tmp_path: Path, name: str, **overrides) -> Path:
 def test_cli_import_loads_no_scipy():
     """scipy is a test dependency only: importing the CLI in a fresh
     interpreter loads no scipy module, nor numpy.f2py, which scipy's array
-    API shim used to pull in."""
+    API shim used to pull in.  Nor does it load concurrent.futures (and the
+    logging it imports): only a run with more than one thread needs it."""
     code = ("import sys, hypwalk.cli; print(*(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'f2py']))")
+            "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'f2py'] "
+            "or m.split('.')[:2] == ['concurrent', 'futures']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
