@@ -17,7 +17,8 @@ the Gromov product (u . w)_1 of two states from their known distances (a
 common prefix in the tree, (d(1, u) + d(1, w) - d(1, u^-1 w)) / 2 on the
 Farey graph, one ladder per row) and whether the
 translation length of w is at most B (the cyclic core's length in the tree;
-on the Farey graph |trace| <= 2, then the exact length where B > 0).
+on the Farey graph |trace| <= 2, then the exact length where B >= 1, as
+every hyperbolic length there is an integer >= 1).
 Observers fold the states into one statistic per sample through it, so
 every observer is written once for both models, and every model
 difference lives in `_GEOMETRIES`; a product against w_0 = 1 is 0 and
@@ -25,10 +26,11 @@ needs no state of the identity.  `observe` runs a model's kernel with an
 observer over the blocks; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
 `dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`),
-and Farey translation lengths run `translation_length`'s continued fraction
-and ladder the same way (`_translation_lengths`, which stops where the
-digits' product reaches the element's trace), in int64 for rows whose
-entries are below _LENGTH_INT64 and in python ints for the others.
+and Farey translation lengths run `translation_length`'s rule the same way,
+with its digit rule and reduced test from `models.farey`
+(`_translation_lengths`, which stops where the digits' product reaches the
+element's trace and returns integers), in int64 for rows whose entries are
+below _LENGTH_INT64 and in python ints for the others.
 `free_midpoint_tilted` shares the letter stacks and their push; only its
 step choice differs, a law that depends on the state, drawn on its own
 stream namespace, and its one event array, the branch depth
@@ -55,6 +57,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .models.farey import next_quotient, reduced
 from .walk import BLOCK_SIZE, StepDistribution, block_words, check_samples, uniforms
 
 _INT64_MAX = 2 ** 63 - 1
@@ -347,33 +350,18 @@ def _cyclic_core_lengths(state) -> np.ndarray:
     return length - 2 * peel
 
 
-def _next_quotient(P, Q, D, root):
-    """The continued-fraction digit q of (P + sqrt D) / Q, and the (P, Q) of
-    the next complete quotient, as in `translation_length`."""
-    q = (P + root + (Q < 0)) // Q
-    P = q * Q - P
-    return q, P, (D - P * P) // Q
-
-
 def _translation_lengths(m: np.ndarray) -> np.ndarray:
     """`translation_length` of each column of m, hyperbolic elements of
     SL(2,Z) as four rows a, b, c, d (int64 or python ints), all columns in
-    lockstep; a column with det != 1 raises.
+    lockstep, as int64; a column with det != 1 raises.
 
-    Pre-period: step each row's (P, Q) until (P + sqrt D) / Q is reduced
-    (Q > 0, P <= r, Q - P <= r and r < P + Q, r = isqrt D; P > 0 follows).
-    Q stays even, P has the parity of the trace and r the other, so none of
-    these comparisons can meet equality.  By Galois' theorem a reduced
-    quadratic irrational is purely periodic, so that pair starts the
-    period.  Then step on, carrying the product of the digit matrices
-    [[q, 1], [1, 0]] as its columns (m00, m10), (m01, m11) and the min-plus
-    ladder matrix as its columns X = (a00, a10), E = (a01, a11); the
-    identity's infinite entries may be 1, which the first digit's minima
-    never pick.  Every digit is at least 1, so the product's trace
-    m00 + m11 grows strictly, and m is conjugate to +-(period)^j over an
-    even number of digits: a row finishes at the first digit where the
-    trace reaches |trace m|, which it then equals, and its length is the
-    ladder's min(a00, a11, (a01 + a10) / 2).  A trace past |trace m| raises.
+    Each row runs the scalar's rule (Q stays even, P has the parity of the
+    trace and isqrt D the other, so `reduced` never meets equality),
+    carrying the digit product as its columns (m00, m10), (m01, m11) and
+    the ladder as its columns X = (a00, a10), E = (a01, a11); the
+    identity's infinite entries may be 1, as the first digit's minima never
+    pick them.  The product's trace grows strictly, so a row finishes at
+    the first digit where it reaches |trace m|, with length min(a00, a11).
     """
     a, b, c, d = m
     if (a * d - b * c != 1).any():
@@ -386,22 +374,19 @@ def _translation_lengths(m: np.ndarray) -> np.ndarray:
     D = t * t - 4
     root = t - 1  # isqrt D, as (t - 1)^2 <= t^2 - 4 < t^2 for t >= 3
 
-    def reduced(P, Q, root):
-        return (Q > 0) & (P <= root) & (Q - P <= root) & (root < P + Q)
-
     todo = np.flatnonzero(~reduced(P, Q, root))
     while len(todo):
-        _, p, q = _next_quotient(P[todo], Q[todo], D[todo], root[todo])
+        _, p, q = next_quotient(P[todo], Q[todo], D[todo], root[todo])
         P[todo], Q[todo] = p, q
         todo = todo[~reduced(p, q, root[todo])]
 
-    out = np.empty(len(t))
+    out = np.empty(len(t), dtype=np.int64)
     one, zero = np.ones_like(t), np.zeros_like(t)
     M = np.stack([one, zero, zero, one])  # m00, m10, m01, m11
     X, E = np.stack([zero, one]), np.stack([one, zero])
     live = np.arange(len(t))
     while len(live):
-        digit, P, Q = _next_quotient(P, Q, D, root)
+        digit, P, Q = next_quotient(P, Q, D, root)
         M = np.concatenate([M[:2] * digit + M[2:], M[:2]])
         X, E = np.minimum(X, E) + 1, np.minimum(X - 1, E) + digit
         trace = M[0] + M[3]
@@ -409,8 +394,7 @@ def _translation_lengths(m: np.ndarray) -> np.ndarray:
         if done.any():
             if (trace[done] != t[done]).any():
                 raise ArithmeticError("a digit product passed the element's trace")
-            (a00, a10), (a01, a11) = X[:, done], E[:, done]
-            out[live[done]] = np.minimum(np.minimum(a00, a11), (a01 + a10) / 2)
+            out[live[done]] = np.minimum(X[0, done], E[1, done])
             keep = np.flatnonzero(~done)
             live, P, Q, D, root, t = (v.take(keep) for v in (live, P, Q, D, root, t))
             M, X, E = (v.take(keep, axis=1) for v in (M, X, E))
@@ -431,11 +415,11 @@ _LENGTH_INT64 = 1 << 27
 
 def _farey_translation_at_most(state: np.ndarray, B: float) -> np.ndarray:
     """Whether each row's translation length on the Farey graph is at most
-    B: it is 0 exactly when |trace| <= 2, and otherwise positive and exact
-    (`_translation_lengths`), so only B > 0 needs it.  Rows whose entries
+    B: it is 0 exactly when |trace| <= 2, and otherwise an integer >= 1
+    (`_translation_lengths`), so only B >= 1 needs it.  Rows whose entries
     are all below _LENGTH_INT64 run in int64, the others in python ints."""
     small = np.abs(state[0] + state[3]) <= 2
-    if B > 0:
+    if B >= 1:
         rows = np.flatnonzero(~small)
         m = state[:, rows]
         fits = np.abs(m).max(axis=0) < _LENGTH_INT64

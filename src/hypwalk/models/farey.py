@@ -22,19 +22,23 @@ over the Euclidean remainders of the target, walked once per slope
 (`dist_to_infinity`).  The model distance d(g, h) = d(g*inf, h*inf) is the
 ladder on the first column of g^-1 h, the slope g^-1 h*inf, so it needs no
 Mobius normalisation (`slope_distance` does that for two arbitrary slopes).
-The same ladder over one period of the eventually periodic continued
-fraction of a hyperbolic element's attracting fixed point gives its exact
-translation length (`translation_length`).  A brute-force breadth-first
-search over a denominator-bounded subgraph (`bounded_bfs_distances`) and
-the horizon estimate `translation_length_detail` are the independent
-desk-scale oracles.
+The same ladder over the continued fraction of a hyperbolic element's
+attracting fixed point, from its first reduced complete quotient until the
+digits' product reaches the element's trace, gives its exact translation
+length, the integer min(A00, A11) of the ladder (`translation_length`;
+README proves it).  `next_quotient` and `reduced` are that continued
+fraction's one digit rule and reduced test, for Python ints and numpy rows
+alike.  A brute-force breadth-first search over a denominator-bounded
+subgraph (`bounded_bfs_distances`) and the horizon estimate
+`translation_length_detail` are the independent desk-scale oracles.
 
 `FareyElement` entries are Python ints, so the scalar API never overflows
 however long a walk runs.  The batch engine (`engines._farey_steps`) keeps
 a block of walks in int64 while an exact bound shows that the next step
 cannot overflow, and finishes the block in Python ints once an entry
-passes it.  Its distances run the same ladder in lockstep over all rows
-(`engines._dists_to_infinity`).
+passes it.  Its distances and translation lengths run the same ladder
+and rule in lockstep over all rows (`engines._dists_to_infinity`,
+`engines._translation_lengths`).
 """
 
 from __future__ import annotations
@@ -346,48 +350,52 @@ def translation_length_detail(m: FareyElement, horizon: int) -> TranslationLengt
     return TranslationLength(dists[-1] / horizon, False, increments)
 
 
-def translation_length(m: FareyElement) -> float:
-    """Exact stable translation length lim d(1, m^n)/n on the Farey graph.
+def next_quotient(P, Q, D, root):
+    """The continued-fraction digit q of (P + sqrt D) / Q, root = isqrt D,
+    and the (P, Q) of the next complete quotient.  Python ints or numpy
+    rows alike."""
+    q = (P + root + (Q < 0)) // Q
+    P = q * Q - P
+    return q, P, (D - P * P) // Q
 
-    0 unless |tr m| = |t| > 2.  Then the attracting fixed point of m is
-    (P + sqrt D)/Q with D = t^2 - 4, P = s(a - d), Q = 2sc, s = sign t; its
-    continued-fraction digits q follow P <- qQ - P, Q <- (D - P^2)/Q and are
-    periodic from the first (P, Q) that repeats.  m is conjugate to +-M^j,
-    M the product of [[q, 1], [1, 0]] over the period (doubled if odd, so
-    det M = 1).  Per digit, `dist_to_infinity`'s ladder is the min-plus
-    matrix [[1, q - 1], [1, q]] on (X, E); over the period their product A
-    grows by its eigenvalue min(A00, A11, (A01 + A10)/2).
+
+def reduced(P, Q, root):
+    """Whether (P + sqrt D) / Q is reduced: Q > 0, P <= root, Q - P <= root
+    and root < P + Q, root = isqrt D (P > 0 follows).  Python ints or numpy
+    rows alike."""
+    return (Q > 0) & (P <= root) & (Q - P <= root) & (root < P + Q)
+
+
+def translation_length(m: FareyElement) -> float:
+    """Exact stable translation length lim d(1, m^n)/n on the Farey graph:
+    0 unless |tr m| = t > 2, and otherwise the integer min(A00, A11) of the
+    ladder over the digits below (README, "Notes on the Farey distance").
+
+    The attracting fixed point of m is (P + sqrt D)/Q with D = t^2 - 4,
+    P = s(a - d), Q = 2sc, s = sign tr m.  From the first reduced (P, Q)
+    the continued fraction is purely periodic (Galois).  From there carry
+    the product of the digit matrices [[q, 1], [1, 0]] and the ladder, per
+    digit the min-plus matrix [[1, q - 1], [1, q]] on (X, E), until the
+    product's trace reaches t, which it must not pass.
     """
     t = abs(m.trace())
     if t <= 2:
         return 0.0
     s = 1 if m.trace() > 0 else -1
-    D = t * t - 4
-    root = math.isqrt(D)  # D is not a square: root < sqrt D < root + 1
+    D, root = t * t - 4, t - 1  # isqrt D, as (t - 1)^2 <= t^2 - 4 < t^2
     P, Q = s * (m.a - m.d), 2 * s * m.c
-    first, digits = {}, []  # (P, Q) -> index of its digit
-    while (P, Q) not in first:
-        first[P, Q] = len(digits)
-        q = (P + root + (Q < 0)) // Q
-        digits.append(q)
-        P = q * Q - P
-        Q = (D - P * P) // Q
-    period = digits[first[P, Q]:]
-    if len(period) % 2:
-        period += period
+    while not reduced(P, Q, root):
+        _, P, Q = next_quotient(P, Q, D, root)
     m00, m01, m10, m11 = 1, 0, 0, 1
     a00, a01, a10, a11 = 0, math.inf, math.inf, 0
-    for q in period:
+    while m00 + m11 < t:
+        q, P, Q = next_quotient(P, Q, D, root)
         m00, m01, m10, m11 = m00 * q + m01, m00, m10 * q + m11, m10
         a00, a01 = min(a00, a01) + 1, min(a00 + q - 1, a01 + q)
         a10, a11 = min(a10, a11) + 1, min(a10 + q - 1, a11 + q)
-    # t_j = tr(period^j): t_0 = 2, t_1 = tr, t_j = tr * t_(j-1) - t_(j-2)
-    trace, prev, cur, j = m00 + m11, 2, m00 + m11, 1
-    while cur < t:
-        prev, cur, j = cur, trace * cur - prev, j + 1
-    if cur != t:
-        raise ArithmeticError(f"no power of the period matrix has trace {t}")
-    return float(j * min(a00, a11, (a01 + a10) / 2))
+    if m00 + m11 != t:
+        raise ArithmeticError("the digit product passed the element's trace")
+    return float(min(a00, a11))
 
 
 class FareyModel:

@@ -15,7 +15,9 @@ int64 state must widen to python ints before it can overflow, and the
 lockstep Farey distance and the scalar `dist_to_infinity` must both equal the
 memoized recursion they replaced (`farey_recursion`), and the lockstep
 translation length must equal the scalar `translation_length` row for row
-and raise on any column outside SL(2,Z).
+and raise on any column outside SL(2,Z).  Both read min(A00, A11) of the
+distance ladder; README's two lemmas behind that are checked on digit
+sequences, where the closed form must match too.
 """
 
 import ast
@@ -43,6 +45,7 @@ from hypwalk.models.farey import (
     L,
     R,
     dist_to_infinity,
+    next_quotient,
     translation_length,
 )
 from hypwalk.models.free import FreeGroupModel, FreeWord
@@ -905,7 +908,7 @@ def cycle_digits(g: FareyElement) -> list[int]:
     seen, digits = {}, []
     while (P, Q) not in seen:
         seen[P, Q] = len(digits)
-        q, P, Q = engines._next_quotient(P, Q, D, root)
+        q, P, Q = next_quotient(P, Q, D, root)
         digits.append(q)
     period = digits[seen[P, Q]:]
     cycle, (m00, m01, m10, m11) = [], (1, 0, 0, 1)
@@ -987,14 +990,61 @@ def test_closed_form_translation_length_on_digit_cycles(cases):
     assert_closed_form_matches([g.entries() for _, g in cases])
 
 
+def ladder(digits) -> tuple:
+    """The distance ladder over `digits`: the min-plus product of the
+    matrices [[1, q - 1], [1, q]] on (X, E), as (A00, A01, A10, A11)."""
+    a00, a01, a10, a11 = 0, math.inf, math.inf, 0
+    for q in digits:
+        a00, a01 = min(a00, a01) + 1, min(a00 + q - 1, a01 + q)
+        a10, a11 = min(a10, a11) + 1, min(a10 + q - 1, a11 + q)
+    return a00, a01, a10, a11
+
+
+def assert_lemmas(digits):
+    """Lemma 1, A01 + A10 >= A00 + A11, and Lemma 2, min(A00, A11) is the
+    closed form, on an even number of digits (README)."""
+    a00, a01, a10, a11 = ladder(digits)
+    assert a01 + a10 >= a00 + a11, digits
+    assert min(a00, a11) == closed_form_length(list(digits)), digits
+
+
+def test_lemmas_on_every_short_even_digit_sequence():
+    # every sequence over {1, 2, 3} of even length 2-10 (66 429 of them)
+    for k in range(2, 11, 2):
+        for digits in itertools.product((1, 2, 3), repeat=k):
+            assert_lemmas(digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda half: st.lists(
+    st.one_of(st.integers(1, 3), st.integers(1, 1 << 40)), min_size=2 * half, max_size=2 * half)))
+def test_lemmas_on_long_even_digit_sequences(digits):
+    assert_lemmas(digits)
+
+
+def cross_term_wins(digits) -> bool:
+    a00, a01, a10, a11 = ladder(digits)
+    return (a01 + a10) / 2 < min(a00, a11)
+
+
+def test_cross_term_wins_only_on_odd_runs_of_ones():
+    # at an odd number of digits (A01 + A10) / 2 can be strictly smallest:
+    # 1/2 < 1 on (1,) and 3/2 < 2 on (1, 1, 1); over {1, 2, 3} up to 7 digits
+    # only on such runs, so both routes count an even number of digits
+    assert ladder((1,)) == (1, 0, 1, 1) and ladder((1, 1, 1)) == (2, 1, 2, 2)
+    wins = [digits for k in range(1, 8) for digits in itertools.product((1, 2, 3), repeat=k)
+            if cross_term_wins(digits)]
+    assert wins == [(1,) * k for k in (1, 3, 5, 7)]
+
+
 def test_lockstep_translation_length_raises_off_sl2z():
     # a det-0 and a det-(-4) matrix have no such continued fraction; the
-    # lockstep refuses them before its loops, and the scalar one's period
-    # matrix misses the trace; both raise (not assert)
+    # lockstep refuses them before its loops, and the scalar one's digit
+    # product passes the trace; both raise (not assert)
     for col in [(-4, -4, -4, -4), (-4, -4, -4, -3)]:
         with pytest.raises(ArithmeticError, match="not in SL"):
             engines._translation_lengths(np.array([col], dtype=np.int64).T)
-    with pytest.raises(ArithmeticError, match="no power"):
+    with pytest.raises(ArithmeticError, match="passed the element's trace"):
         translation_length(SimpleNamespace(a=-4, b=-4, c=-4, d=-4, trace=lambda: -8))
 
 

@@ -325,6 +325,23 @@ def test_translation_decay_farey_positive_B_exact_counting():
         assert res.diagnostics == {"B": B}
 
 
+def test_translation_decay_farey_below_one_reads_only_traces(monkeypatch):
+    # a hyperbolic length on SL(2,Z) is an integer >= 1 (README, "Notes on
+    # the Farey distance"), so B = 0.5 counts B = 0's rows with no exact
+    # length, and B = 1 needs the exact lengths
+    d = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
+    n_grid, samples, seed = [10, 20, 40], 2000, 7
+    at_zero = stats.translation_decay(farey, d, 0.0, n_grid, samples, seed).series
+
+    def refuse(m):
+        raise AssertionError("exact lengths computed")
+
+    monkeypatch.setattr(engines, "_translation_lengths", refuse)
+    assert stats.translation_decay(farey, d, 0.5, n_grid, samples, seed).series == at_zero
+    with pytest.raises(AssertionError, match="exact lengths computed"):
+        stats.translation_decay(farey, d, 1.0, n_grid, samples, seed)
+
+
 def test_shadow_decay_trivial_radii():
     d = uniform_free()
     res = stats.shadow_measure_decay(free, d, n=30, center_distance=6,
