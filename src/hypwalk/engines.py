@@ -22,8 +22,9 @@ every hyperbolic length there is an integer >= 1).
 Observers fold the states into one statistic per sample through it, so
 every observer is written once for both models, and every model
 difference lives in `_GEOMETRIES`; a product against w_0 = 1 is 0 and
-needs no state of the identity.  `observe` runs a model's kernel with an
-observer over the blocks; walks of different lengths are prefixes of one
+needs no state of the identity.  `observe` runs a model's kernel over the
+blocks and returns what an estimator's reducer keeps of each, so a count
+keeps no per-sample array; walks of different lengths are prefixes of one
 another, so one call serves a whole grid of lengths.  Farey distances run
 `dist_to_infinity`'s ladder in lockstep over all rows (`_dists_to_infinity`),
 and Farey translation lengths run `translation_length`'s rule the same way,
@@ -46,9 +47,9 @@ elements.  Besides them a block holds its state: on F2 a rows x
 `pair_products` keeps a source checkpoint's snapshot only until its last
 pair, so the iterated walks' memory does not grow with their checkpoints.
 
-Work is split into the streams' blocks of `walk.BLOCK_SIZE` samples, merged
-in block order, so a thread pool over blocks cannot change any output; it
-engages only above one block.
+Work is split into the streams' blocks of `walk.BLOCK_SIZE` samples,
+returned in block order, so a thread pool over blocks cannot change any
+output; it engages only above one block.
 """
 
 from __future__ import annotations
@@ -76,12 +77,9 @@ ENSEMBLE_GRID_BASE = 8
 ENSEMBLE_ITERATED_BASE = 256
 
 
-def _blocks(samples: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + BLOCK_SIZE, samples)) for lo in range(0, samples, BLOCK_SIZE)]
-
-
 def _run_blocks(fn, samples: int, threads: int = 1) -> list:
-    spans = _blocks(samples)
+    """fn(lo, hi) of each block of samples lo..hi-1, in block order."""
+    spans = [(lo, min(lo + BLOCK_SIZE, samples)) for lo in range(0, samples, BLOCK_SIZE)]
     if threads <= 1 or len(spans) <= 1:
         return [fn(lo, hi) for lo, hi in spans]
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
@@ -245,17 +243,16 @@ def _farey_steps(dist: StepDistribution, checkpoints: Sequence[int], lo: int, hi
         yield state
 
 
-def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
+def observe(model, dist: StepDistribution, checkpoints: Sequence[int], reducer,
             samples: int, seed: int, ensemble: int = ENSEMBLE_PRIMARY,
-            threads: int = 1) -> dict[int, np.ndarray]:
-    """One statistic per sample at each checkpoint: the model's step kernel
-    walks each block and `observer` folds its states.
-
-    An observer is called as observer(geom, walk) once per block, where geom
-    is the model's `_Geometry` and walk() gives the block's state at each
-    checkpoint, and yields one array per checkpoint with a row per sample.
-    walk(law, ensemble) gives the same block of another, independent walk.
-    Checkpoints are walk lengths >= 1, and at least one is needed.
+            threads: int = 1) -> list:
+    """reducer(geom, walk) of each block, in block order: all that leaves
+    the block.  geom is the model's `_Geometry`, walk() gives the block's
+    state at each checkpoint, ascending, and walk(law, ensemble) the same
+    block of another, independent walk.  A reducer reads an observer
+    (below), which yields the block's rows at each checkpoint, and keeps
+    counts or sums.  Checkpoints are walk lengths >= 1, and at least one
+    is needed.
     """
     check_samples(samples)
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -263,14 +260,13 @@ def observe(model, dist: StepDistribution, checkpoints: Sequence[int], observer,
         raise ValueError("checkpoints must be a non-empty list of walk lengths >= 1")
     geom = _GEOMETRIES[model.name]
 
-    def run_block(lo: int, hi: int) -> list[np.ndarray]:
+    def run_block(lo: int, hi: int):
         def walk(law: StepDistribution = dist, ens: int = ensemble):
             return geom.steps(law, checkpoints, lo, hi, seed, ens)
 
-        return list(observer(geom, walk))
+        return reducer(geom, walk)
 
-    parts = _run_blocks(run_block, samples, threads)
-    return {c: np.concatenate([p[j] for p in parts]) for j, c in enumerate(checkpoints)}
+    return _run_blocks(run_block, samples, threads)
 
 
 # --- the two geometries ---
@@ -486,7 +482,7 @@ def translation_at_most(B: float):
 
 
 def pair_products(pairs: Mapping[int, int]):
-    """(d(1, w_t), (w_s . w_t)_1) per row at each checkpoint t, s = pairs[t],
+    """(d(1, w_t), (w_s . w_t)_1), two arrays, at each checkpoint t, s = pairs[t],
     so d(w_s, w_t) = d(1, w_s) + d(1, w_t) - 2 (w_s . w_t)_1.  The
     checkpoints are the keys of `pairs`; s is 0 (w_0 = 1) or an earlier
     checkpoint.  (1 . w_t)_1 is 0, so a checkpoint paired with 0 computes
@@ -515,7 +511,7 @@ def pair_products(pairs: Mapping[int, int]):
                 del u, du  # at its last pair, nothing holds the source now
             if t in last:
                 kept[t] = (geom.snapshot(state), dw)
-            yield np.stack([dw, product], axis=1)
+            yield dw, product
 
     return fold
 
@@ -633,10 +629,7 @@ def free_midpoint_tilted(dist: StepDistribution, two_n: int, samples: int, seed:
                 j += (j < limit) & (flat.take(base + 1 + j) == mid_flat.take(base + 1 + j))
         return 2 * j < k, log_w
 
-    parts = _run_blocks(run_block, samples, threads)
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    hit, log_w = zip(*_run_blocks(run_block, samples, threads))
+    return np.concatenate(hit), np.concatenate(log_w)
 
 

@@ -9,6 +9,10 @@ Exponential laws p ~ K * c^x are fitted by least squares on (x, log p)
 with zero-count bins excluded and the exclusion count reported.
 Backtrack, z-sum and bernstein read the segment lengths Y and backtracks Z
 of one k-iterated walk (`_iterated_increments`), never the increments Y - Z.
+Each estimator reduces a block of samples to counts, and Y and Z to exact
+sums (they hold integers), as the block finishes (`engines.observe`).  Only
+drift keeps its one checkpoint's rows, and z-sum and bernstein each row's
+partial sums at their grid points until the pooled mean is known.
 
 Both kinds of interval use the standard library alone.  The normal quantile
 is `statistics.NormalDist().inv_cdf`.  A Clopper-Pearson bound is a quantile
@@ -22,9 +26,9 @@ once, in their last digits (README, "Determinism").
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Sequence
 
@@ -192,37 +196,15 @@ class TailEstimate:
     sample_count: int
 
     @classmethod
-    def from_values(cls, values: Sequence[float], thresholds: Sequence[float],
-                    confidence: float = DEFAULT_CONFIDENCE) -> "TailEstimate":
-        """P(value >= t) per threshold; monotone non-increasing by
-        construction."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            raise ValueError("values must be non-empty")
-        thresholds = [float(t) for t in thresholds]
-        if sorted(thresholds) != thresholds:
-            raise ValueError("thresholds must be ascending")
-        counts = values.size - np.searchsorted(np.sort(values), thresholds, side="left")
-        return cls.from_counts(thresholds, counts, values.size, confidence)
-
-    @classmethod
     def from_counts(cls, xs: Sequence[float], counts: Sequence[int], trials: int,
                     confidence: float = DEFAULT_CONFIDENCE) -> "TailEstimate":
-        """Per-x binomial frequencies (a series over n rather than a value
-        tail, so monotonicity is not forced)."""
-        probs, lows, highs = [], [], []
-        for k in counts:
-            lo, hi = clopper_pearson(int(k), trials, confidence)
-            probs.append(int(k) / trials)
-            lows.append(lo)
-            highs.append(hi)
-        return cls(tuple(float(x) for x in xs), tuple(probs), tuple(lows), tuple(highs), trials)
+        """Per-x binomial frequencies of counts among trials."""
+        bounds = [clopper_pearson(int(k), trials, confidence) for k in counts]
+        return cls(tuple(float(x) for x in xs), tuple(int(k) / trials for k in counts),
+                   tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds), trials)
 
     def rows(self):
         return list(zip(self.thresholds, self.probabilities, self.ci_low, self.ci_high))
-
-    def rows_xy(self):
-        return list(zip(self.thresholds, self.probabilities))
 
 
 @dataclass(frozen=True)
@@ -282,10 +264,30 @@ def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> DecayFit:
     )
 
 
+def tail_counter(thresholds: Sequence[float]):
+    """counter(values): how many values are >= each of the ascending
+    thresholds, so a tail counted from it never increases along them."""
+    thresholds = [float(t) for t in thresholds]
+    if sorted(thresholds) != thresholds:
+        raise ValueError("thresholds must be ascending")
+    return lambda values: len(values) - np.searchsorted(np.sort(values), thresholds, side="left")
+
+
+def _counted(xs, count, observer, model, dist: StepDistribution, checkpoints, samples: int,
+             seed: int, confidence: float, **kwargs) -> TailEstimate:
+    """The frequencies along xs of count(rows), added over the blocks, where
+    rows maps each checkpoint to a block's rows of `observer`."""
+    def reducer(geom, walk):
+        return count(dict(zip(sorted(set(checkpoints)), observer(geom, walk))))  # `observe`'s order
+
+    parts = engines.observe(model, dist, checkpoints, reducer, samples, seed, **kwargs)
+    return TailEstimate.from_counts(xs, np.sum(parts, axis=0), samples, confidence)
+
+
 def _decay(series: TailEstimate, **diagnostics) -> DecayResult:
     """`series` with its exponential fit (None below three positive points)."""
     try:
-        fit = fit_exponential_decay(series.rows_xy())
+        fit = fit_exponential_decay(list(zip(series.thresholds, series.probabilities)))
     except ValueError:
         fit = None
     return DecayResult(series=series, fit=fit, diagnostics=diagnostics)
@@ -300,7 +302,8 @@ def drift(model, dist: StepDistribution, n: int, samples: int, seed: int,
         raise ValueError("samples must be >= 2")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    d = engines.observe(model, dist, [n], engines.DISTANCE, samples, seed, threads=threads)[n]
+    d = np.concatenate(engines.observe(model, dist, [n], lambda g, w: next(engines.DISTANCE(g, w)),
+                                       samples, seed, threads=threads))
     rates = d / n
     rate = float(rates.mean())
     half = _NORMAL.inv_cdf(0.5 + 0.5 * confidence) * float(rates.std(ddof=1)) / math.sqrt(samples)
@@ -314,9 +317,9 @@ def linear_progress_decay(model, dist: StepDistribution, L: float,
                           threads: int = 1) -> DecayResult:
     """P(d(1, w_n) <= L*n) along n_grid, with its exponential fit."""
     n_grid = [int(n) for n in n_grid]
-    d = engines.observe(model, dist, n_grid, engines.DISTANCE, samples, seed, threads=threads)
-    counts = [int(np.sum(d[n] <= L * n)) for n in n_grid]
-    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), L=L)
+    return _decay(_counted(n_grid, lambda d: [np.count_nonzero(d[n] <= L * n) for n in n_grid],
+                           engines.DISTANCE, model, dist, n_grid, samples, seed, confidence,
+                           threads=threads), L=L)
 
 
 def translation_decay(model, dist: StepDistribution, B: float,
@@ -330,10 +333,9 @@ def translation_decay(model, dist: StepDistribution, B: float,
         raise ValueError("B must be >= 0")
     assert_nonelementary(model, dist)
     n_grid = [int(n) for n in n_grid]
-    out = engines.observe(model, dist, n_grid, engines.translation_at_most(B), samples, seed,
-                          threads=threads)
-    counts = [int(np.sum(out[n])) for n in n_grid]
-    return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), B=B)
+    return _decay(_counted(n_grid, lambda hit: [np.count_nonzero(hit[n]) for n in n_grid],
+                           engines.translation_at_most(B), model, dist, n_grid, samples, seed,
+                           confidence, threads=threads), B=B)
 
 
 # centers of the shadow experiment: powers of one loxodromic per model
@@ -353,41 +355,56 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
     are flagged in the diagnostics.
     """
     r_grid = [float(r) for r in r_grid]
+    count = tail_counter(r_grid)
     step = model.parse(_SHADOW_CENTER_STEP[model.name])
     center = model.identity()
     for _ in range(center_distance):
         center = model.multiply(center, step)
-    gp = engines.observe(model, dist, [n], engines.center_product(center), samples, seed,
-                         ensemble=ensemble, threads=threads)[n]
+    series = _counted(r_grid, lambda gp: count(gp[n]), engines.center_product(center), model,
+                      dist, [n], samples, seed, confidence, ensemble=ensemble, threads=threads)
     empty = [r for r in r_grid if r > center_distance + 2.0 * model.delta]
-    return _decay(TailEstimate.from_values(gp, r_grid, confidence), n=n,
-                  center_distance=center_distance, empty_shadow_radii=empty)
+    return _decay(series, n=n, center_distance=center_distance, empty_shadow_radii=empty)
 
 
-def _iterated_increments(model, dist, k, n_iter, samples, seed, threads=1):
-    """(Y, Z), each of shape (n_iter, samples), of the k-iterated walk:
-    Y[i] = d(w_ik, w_(i+1)k) and the backtrack
-    Z[i] = Y[i] - (|w_(i+1)k| - |w_ik|) = 2 (|w_ik| - (w_ik . w_(i+1)k)_1).
-    Each checkpoint's pair array leaves `observe`'s dict as its rows fill."""
+def _iterated_increments(model, dist, k, n_iter, reduce, samples, seed, threads):
+    """reduce(increments) of each block of the k-iterated walk; increments
+    yields (Y_i, Z_i), i < n_iter: Y_i = d(w_ik, w_(i+1)k) and the backtrack
+    Z_i = Y_i - (|w_(i+1)k| - |w_ik|) = 2 (|w_ik| - (w_ik . w_(i+1)k)_1)."""
     previous = {t: t - k for t in range(k, k * n_iter + 1, k)}
+    products = engines.pair_products(previous)
+
+    def increments(geom, walk):
+        before = 0.0  # |w_ik|
+        for dw, gp in products(geom, walk):
+            z = 2.0 * (before - gp)
+            yield z + dw - before, z
+            before = dw
+
     # ensemble keyed by k: sweeps over k compare independent draws
-    out = engines.observe(model, dist, previous, engines.pair_products(previous), samples,
-                          seed, ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
-    Y, Z = np.empty((2, n_iter, samples))
-    before = 0.0  # |w_ik|
-    for i, t in enumerate(previous):
-        D, gp = out.pop(t).T
-        np.multiply(2.0, before - gp, out=Z[i])
-        Y[i] = Z[i] + D - before
-        before = D
-    return Y, Z
+    return engines.observe(model, dist, previous,
+                           lambda geom, walk: reduce(increments(geom, walk)), samples, seed,
+                           ensemble=engines.ENSEMBLE_ITERATED_BASE + k, threads=threads)
 
 
-def _step_counts(n_grid: Sequence[int]) -> list[int]:
+def _partial_sums(model, dist, k, n_grid, samples, seed, threads, which, value, factor, name):
+    """(n_grid, sums, mean, threshold): sums[m] is each row's sum of its first
+    m of Y (which = 0) or Z (which = 1), mean their exact mean over all rows
+    at max(n_grid), and the threshold `value`, or `factor` times the mean."""
+    if (value is None) == (factor is None):
+        raise ValueError(f"pass exactly one of {name} and {name}_factor")
     n_grid = [int(m) for m in n_grid]
     if not n_grid or min(n_grid) < 1:
         raise ValueError("n_grid must be a non-empty list of step counts >= 1")
-    return n_grid
+    points = sorted(set(n_grid))
+
+    def reduce(increments):
+        running = accumulate(pair[which] for pair in increments)
+        return [row_sums for m, row_sums in enumerate(running, 1) if m in points]
+
+    parts = _iterated_increments(model, dist, k, points[-1], reduce, samples, seed, threads)
+    sums = dict(zip(points, np.concatenate(parts, axis=1)))
+    mean = float(sums[points[-1]].sum() / (points[-1] * samples))
+    return n_grid, sums, mean, value if factor is None else factor * mean
 
 
 def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
@@ -405,15 +422,19 @@ def backtrack_tail(model, dist: StepDistribution, k: int, n: int, samples: int,
     n_iter = n // k
     if n_iter < 1:
         raise ValueError("n must be at least k")
-    Y, Z = _iterated_increments(model, dist, k, n_iter, samples, seed, threads)
-    pooled = Z.reshape(-1)
-    if thresholds is None:
-        thresholds = [float(t) for t in range(0, 14, 2)]
+    thresholds = range(0, 14, 2) if thresholds is None else thresholds
+    count = tail_counter(thresholds)
+
+    def reduce(increments):  # the counts, then the sums of Y and Z: integers, so exact
+        return sum(np.concatenate([count(z), [y.sum(), z.sum()]]) for y, z in increments)
+
+    *counts, sum_y, sum_z = np.sum(
+        _iterated_increments(model, dist, k, n_iter, reduce, samples, seed, threads), axis=0)
+    size = n_iter * samples
     # mean_y alongside mean_z supports the k sweep: the smallest usable k is
     # the first whose segment drift clears the backtrack mean
-    return _decay(TailEstimate.from_values(pooled, thresholds, confidence), k=k,
-                  increments=int(pooled.size), mean_z=float(pooled.mean()),
-                  mean_y=float(Y.mean()))
+    return _decay(TailEstimate.from_counts(thresholds, counts, size, confidence), k=k,
+                  increments=size, mean_z=float(sum_z / size), mean_y=float(sum_y / size))
 
 
 def z_sum_deviation(model, dist: StepDistribution, k: int, L: float | None,
@@ -426,15 +447,9 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, L: float | None,
     The threshold slope L should exceed the mean backtrack; pass either L
     or L_factor, which sets L = L_factor * (measured mean of Z).
     """
-    if (L is None) == (L_factor is None):
-        raise ValueError("pass exactly one of L and L_factor")
-    n_grid = _step_counts(n_grid)
-    _, Z = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
-    mean_z = float(Z.mean())
-    if L is None:
-        L = L_factor * mean_z
-    csum = np.cumsum(Z, axis=0)
-    counts = [int(np.sum(csum[m - 1] >= L * m)) for m in n_grid]
+    n_grid, sums, mean_z, L = _partial_sums(model, dist, k, n_grid, samples, seed, threads, 1,
+                                            L, L_factor, "L")
+    counts = [np.count_nonzero(sums[m] >= L * m) for m in n_grid]
     return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), k=k, L=L,
                   mean_z=mean_z)
 
@@ -447,19 +462,11 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     """P(|sum_{i<=m} (Y_i - mean Y)| >= epsilon*m) along n_grid; the mean is
     the pooled estimate over all increments.  Pass either epsilon or
     epsilon_factor, which sets epsilon = epsilon_factor * mean."""
-    if (epsilon is None) == (epsilon_factor is None):
-        raise ValueError("pass exactly one of epsilon and epsilon_factor")
-    n_grid = _step_counts(n_grid)
-    Y, _ = _iterated_increments(model, dist, k, max(n_grid), samples, seed, threads)
-    mean_y = float(Y.mean())
-    if epsilon is None:
-        epsilon = epsilon_factor * mean_y
+    n_grid, sums, mean_y, epsilon = _partial_sums(model, dist, k, n_grid, samples, seed,
+                                                  threads, 0, epsilon, epsilon_factor, "epsilon")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    csum = np.cumsum(Y, axis=0)
-    counts = [
-        int(np.sum(np.abs(csum[m - 1] - m * mean_y) >= epsilon * m)) for m in n_grid
-    ]
+    counts = [np.count_nonzero(np.abs(sums[m] - m * mean_y) >= epsilon * m) for m in n_grid]
     return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), k=k,
                   epsilon=epsilon, mean_y=mean_y)
 
@@ -484,13 +491,14 @@ def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
     if rate_mean <= 0:
         raise ValueError("rate_mean must be positive")
     bound = chernoff_bound(t, n)
-    hits = 0
-    for lo, hi in engines._blocks(samples):
+
+    def hits(lo: int, hi: int) -> int:
         total = np.zeros(hi - lo)
         for words in block_words(seed, lo, hi, engines.ENSEMBLE_AUX, n):
             total -= rate_mean * np.log1p(-uniforms(words))
-        hits += int(np.count_nonzero(total >= (1.0 + t) * n * rate_mean))
-    return hits / samples, bound
+        return int(np.count_nonzero(total >= (1.0 + t) * n * rate_mean))
+
+    return sum(engines._run_blocks(hits, samples)) / samples, bound
 
 
 # Tilts (theta_1, theta_2) of the midpoint estimator, from the law of the
@@ -533,11 +541,11 @@ def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[i
         # one walk to the longest 2n: d(1, w_n) at each n, (w_n . w_2n)_1 at each 2n
         pairs = {two_n // 2: 0 for two_n in two_n_grid}
         pairs.update({two_n: two_n // 2 for two_n in two_n_grid})
-        out = engines.observe(model, dist, pairs, engines.pair_products(pairs), samples, seed,
-                              threads=threads)
-        counts = [int(np.sum(out[two_n][:, 1] < 0.5 * out[two_n // 2][:, 0]))
-                  for two_n in two_n_grid]
-        return _decay(TailEstimate.from_counts(two_n_grid, counts, samples, confidence))
+        return _decay(_counted(
+            two_n_grid, lambda out: [np.count_nonzero(out[t][1] < 0.5 * out[t // 2][0])
+                                     for t in two_n_grid],
+            engines.pair_products(pairs), model, dist, pairs, samples, seed, confidence,
+            threads=threads))
     if estimator != "tilted":
         raise ValueError(f"unknown estimator {estimator!r}: use 'tilted' or 'frequency'")
     if model.name != "free":
@@ -573,10 +581,7 @@ def diagonal_event_decay(model, dist: StepDistribution, n: int,
     """P((v_n . w_n)_1 >= r - 2*delta) along r_grid for independent walks
     v ~ mu and w ~ reflected mu."""
     r_grid = [float(r) for r in r_grid]
-    gp = engines.observe(model, dist, [n],
-                         engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED),
-                         samples, seed, threads=threads)[n]
-    shifted = [r - 2.0 * model.delta for r in r_grid]
-    series = dataclasses.replace(TailEstimate.from_values(gp, shifted, confidence),
-                                 thresholds=tuple(r_grid))
-    return _decay(series, n=n)
+    count = tail_counter([r - 2.0 * model.delta for r in r_grid])
+    return _decay(_counted(r_grid, lambda gp: count(gp[n]),
+                           engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED),
+                           model, dist, [n], samples, seed, confidence, threads=threads), n=n)

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from block_rows import observe_rows
 from exact import words_of_length
 from farey_recursion import recursive_dist_to_infinity
 from hypwalk import engines, walk
@@ -183,9 +184,10 @@ def test_block_draw_across_blocks_and_threads(threads):
 def test_engine_rows_are_sample_walks(model, dist, ensemble):
     # a full block and a partial one; rows at both ends of each
     seed, n, samples = (1 << 64) - 1, 9, engines.BLOCK_SIZE + 300
-    got = engines.observe(model, dist, [n], engines.DISTANCE, samples, seed, ensemble=ensemble)[n]
-    drawn = np.concatenate([engines._draw_index_block(dist, n, lo, hi, seed, ensemble)
-                            for lo, hi in engines._blocks(samples)], axis=1)
+    got = observe_rows(model, dist, [n], engines.DISTANCE, samples, seed, ensemble=ensemble)[n]
+    drawn = np.concatenate(engines._run_blocks(
+        lambda lo, hi: engines._draw_index_block(dist, n, lo, hi, seed, ensemble), samples),
+        axis=1)
     one = model.identity()
     for i in [*range(12), *range(engines.BLOCK_SIZE - 6, engines.BLOCK_SIZE + 6),
               *range(samples - 6, samples)]:
@@ -199,9 +201,9 @@ def test_engine_rows_are_sample_walks(model, dist, ensemble):
 def test_fewer_samples_give_the_first_rows(model, dist):
     # the gate's 48-sample probe of a 32 768-sample experiment
     checkpoints, seed = [7, 30], 2024
-    small = engines.observe(model, dist, checkpoints, engines.DISTANCE, 48, seed)
-    large = engines.observe(model, dist, checkpoints, engines.DISTANCE, 2 * engines.BLOCK_SIZE,
-                            seed)
+    small = observe_rows(model, dist, checkpoints, engines.DISTANCE, 48, seed)
+    large = observe_rows(model, dist, checkpoints, engines.DISTANCE, 2 * engines.BLOCK_SIZE,
+                         seed)
     for t in checkpoints:
         assert np.array_equal(small[t], large[t][:48])
 
@@ -243,7 +245,7 @@ def test_first_row_self_check_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="per-sample reader"):
         engines._draw_index_block(law(3), 10, 0, 50, 1, 0)
     with pytest.raises(RuntimeError, match="per-sample reader"):
-        engines.observe(free, UNIFORM, [10], engines.DISTANCE, samples=50, seed=1)
+        observe_rows(free, UNIFORM, [10], engines.DISTANCE, samples=50, seed=1)
     with pytest.raises(RuntimeError, match="per-sample reader"):
         engines.free_midpoint_tilted(UNIFORM, 10, 50, 1, (0.5, 1.0))
 
@@ -257,7 +259,7 @@ def test_free_midpoint_events_match_reference(dist):
     pairs.update({two_n: two_n // 2 for two_n in grid})
     assert pairs == {3: 0, 6: 3, 7: 0, 12: 6, 14: 7}
     one = free.identity()
-    out = engines.observe(free, dist, pairs, engines.pair_products(pairs), samples, seed)
+    out = observe_rows(free, dist, pairs, engines.pair_products(pairs), samples, seed)
     assert list(out) == sorted(pairs)
     for i in range(samples):
         ws = sample_walk(free, dist, max(grid), seed=seed, stream=i).locations
@@ -453,8 +455,8 @@ def test_observer_matches_reference(name, law_id):
         checkpoints = [1, 5, 12]
     seed, ensemble, n = 71, engines.ENSEMBLE_GRID_BASE + 1, checkpoints[-1]
     cases = OBSERVERS[name](model, dist, checkpoints)
-    outs = [engines.observe(model, dist, checkpoints, observer, samples, seed,
-                            ensemble=ensemble) for observer, _ in cases]
+    outs = [observe_rows(model, dist, checkpoints, observer, samples, seed,
+                         ensemble=ensemble) for observer, _ in cases]
     assert all(list(got) == checkpoints for got in outs)
     dist_v = reflected(dist) if name == "product_with_walk" else None
     for i in range(samples):
@@ -499,8 +501,8 @@ def test_farey_pair_product_widens_int64_operands():
 def test_center_product_widens_past_the_guard():
     # the map sending x's slope 1/2^62 to infinity has a column sum 2^62 + 1
     center, checkpoints, samples, seed = FareyElement(1, 0, 1 << 62, 1), [1, 6], 30, 5
-    got = engines.observe(farey, FAREY_UNIFORM, checkpoints, engines.center_product(center),
-                          samples, seed)
+    got = observe_rows(farey, FAREY_UNIFORM, checkpoints, engines.center_product(center),
+                       samples, seed)
     for i in range(samples):
         w = sample_walk(farey, FAREY_UNIFORM, 6, seed=seed, stream=i).locations
         for t in checkpoints:
@@ -590,9 +592,9 @@ FAREY_DIGEST_CASES = {
 def test_farey_engine_bytes_unchanged(law_id, threads):
     dist, checkpoints, samples = FAREY_DIGEST_CASES[law_id]
     pairs = dict(zip(checkpoints, [0, *checkpoints[:-1]]))
-    states = engines.observe(farey, dist, checkpoints, _states, samples, 23, threads=threads)
-    products = engines.observe(farey, dist, checkpoints, engines.pair_products(pairs),
-                               samples, 23, threads=threads)
+    states = observe_rows(farey, dist, checkpoints, _states, samples, 23, threads=threads)
+    products = observe_rows(farey, dist, checkpoints, engines.pair_products(pairs),
+                            samples, 23, threads=threads)
     digests = tuple(_digest(out[t] for t in checkpoints) for out in (states, products))
     assert digests == FAREY_DIGESTS[law_id]
 
@@ -601,7 +603,7 @@ def test_support_entries_above_int64_run_in_python_ints():
     big = FareyElement(1, 1 << 70, 0, 1)
     dist = StepDistribution([big, big.inverse(), L, L.inverse()], [0.3, 0.3, 0.2, 0.2])
     checkpoints, samples, seed = [1, 3], 40, 29
-    got = engines.observe(farey, dist, checkpoints, engines.DISTANCE, samples, seed)
+    got = observe_rows(farey, dist, checkpoints, engines.DISTANCE, samples, seed)
     for i in range(samples):
         w = sample_walk(farey, dist, 3, seed=seed, stream=i).locations
         for t in checkpoints:
@@ -687,7 +689,7 @@ def test_pair_products_run_two_ladders_per_checkpoint(monkeypatch):
 
     monkeypatch.setattr(engines, "_dists_to_infinity", counted)
     pairs = {3: 0, 5: 3, 8: 3, 13: 8, 21: 0}
-    got = engines.observe(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 300, 47)
+    got = observe_rows(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 300, 47)
     assert calls == [300] * (2 * len(pairs) - 2)  # 3 -> 0 and 21 -> 0 run one
     for i in range(0, 300, 37):
         w = sample_walk(farey, FAREY_UNIFORM, 21, seed=47, stream=i).locations
@@ -701,7 +703,7 @@ def test_common_prefix_of_empty_snapshots():
     # tree's product compares zero columns
     law = StepDistribution([FreeWord()], [1.0])
     pairs = {1: 0, 2: 1}
-    got = engines.observe(free, law, pairs, engines.pair_products(pairs), 50, 5)
+    got = observe_rows(free, law, pairs, engines.pair_products(pairs), 50, 5)
     assert all(not got[t].any() for t in pairs)
 
 
@@ -719,7 +721,7 @@ def test_kept_farey_states_outlive_later_steps(dist):
         assert all(np.array_equal(a, b) for a, b in kept)
         assert len({id(a) for a, _ in kept}) == len(kept)
 
-    engines.observe(farey, dist, checkpoints, keep, 300, 41)
+    observe_rows(farey, dist, checkpoints, keep, 300, 41)
 
 
 def _fibonacci(k: int) -> tuple[int, int]:

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binom, gamma, norm
 
+from block_rows import iterated_rows, observe_rows
 from hypwalk import engines, stats, walk
 from hypwalk.errors import ElementaryDistributionError
 from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.walk import StepDistribution, iterated_decomposition, sample_walk
+from hypwalk.walk import StepDistribution, iterated_decomposition, reflected, sample_walk
 
 free = FreeGroupModel()
 farey = FareyModel()
@@ -25,23 +26,29 @@ def uniform_free():
     return StepDistribution([W("a"), W("A"), W("b"), W("B")], [0.25] * 4)
 
 
+def tail(values, thresholds, confidence=stats.DEFAULT_CONFIDENCE):
+    """The tail of `values`, counted as the estimators count each block."""
+    counts = stats.tail_counter(thresholds)(np.asarray(values, dtype=np.float64))
+    return stats.TailEstimate.from_counts(thresholds, counts, len(values), confidence)
+
+
 def test_empirical_tail_counting():
-    est = stats.TailEstimate.from_values([0, 1, 2, 3], [0, 2])
+    est = tail([0, 1, 2, 3], [0, 2])
     assert est.probabilities == (1.0, 0.5)
-    est2 = stats.TailEstimate.from_values([0.1, 0.2], [5.0])
+    est2 = tail([0.1, 0.2], [5.0])
     assert est2.probabilities == (0.0,)
     with pytest.raises(ValueError):
-        stats.TailEstimate.from_values([], [1.0])
+        tail([], [1.0])
     with pytest.raises(ValueError):
-        stats.TailEstimate.from_values([1.0], [2.0, 1.0])
+        tail([1.0], [2.0, 1.0])
     with pytest.raises(ValueError):
-        stats.TailEstimate.from_values([1.0], [1.0], confidence=1.5)
+        tail([1.0], [1.0], confidence=1.5)
 
 
 def test_tail_monotone_and_ci_order():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=5000)
-    est = stats.TailEstimate.from_values(vals, [-2, -1, 0, 1, 2])
+    est = tail(vals, [-2, -1, 0, 1, 2])
     probs = est.probabilities
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     for p, lo, hi in zip(probs, est.ci_low, est.ci_high):
@@ -65,8 +72,7 @@ def test_exponential_tail_oracle():
     misses = 0
     for seed in range(40):
         words = walk._philox(walk._stream_key(seed, 0)).random_raw(100_000)
-        est = stats.TailEstimate.from_values(-np.log1p(-walk.uniforms(words)),
-                                             [float(t) for t in ts])
+        est = tail(-np.log1p(-walk.uniforms(words)), [float(t) for t in ts])
         assert est.ci_high[0] == 1.0
         misses += sum(not lo <= math.exp(-t) <= hi
                       for t, lo, hi in zip(ts, est.ci_low, est.ci_high))
@@ -236,7 +242,7 @@ def test_drift_interval_reads_its_confidence():
         assert half == pytest.approx((default.ci_high - default.ci_low) / 2
                                      * norm.ppf(0.5 + confidence / 2) / norm.ppf(0.975))
     # 0.95 keeps the z it always used, bit for bit
-    rates = engines.observe(free, d, [20], engines.DISTANCE, 300, 4)[20] / 20
+    rates = observe_rows(free, d, [20], engines.DISTANCE, 300, 4)[20] / 20
     half = 1.959963984540054 * float(rates.std(ddof=1)) / math.sqrt(300)
     assert (default.ci_low, default.ci_high) == (default.rate - half, default.rate + half)
     with pytest.raises(ValueError, match="confidence"):
@@ -366,7 +372,7 @@ def test_farey_iterated_increments_match_reference():
     d = StepDistribution([R, L, R.inverse(), L.inverse(), FareyElement(2, 1, 1, 1)],
                          [0.3, 0.2, 0.2, 0.2, 0.1])
     k, m, samples, seed = 3, 6, 40, 12
-    Y, Z = stats._iterated_increments(farey, d, k, m, samples, seed)
+    Y, Z = iterated_rows(farey, d, k, m, samples, seed)
     for i in range(samples):
         w = sample_walk(farey, d, k * m, seed=seed, stream=i,
                         ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
@@ -413,22 +419,156 @@ def test_value_and_its_factor_are_exclusive(call, monkeypatch):
         call(uniform_free())
 
 
-def test_backtrack_memory_is_four_increment_arrays():
-    # observe's pair arrays leave as Y and Z fill, and neither X nor Y - X
-    # is built: the traced peak is about four (n / k, samples) float arrays,
-    # where it was eight
-    d = uniform_free()
-    k, n, samples = 5, 200, 8192
-    stats.backtrack_tail(free, d, k, n, 64, 1)  # imports and first-call caches
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        stats.backtrack_tail(free, d, k, n, samples, 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 6 * (n // k) * samples * 8, peak
+
+
+def test_backtrack_memory_does_not_grow_with_samples():
+    # each block leaves as its counts and sums, so four blocks peak where one
+    # does; while the blocks' pair arrays were concatenated over all samples,
+    # four blocks peaked at about 3.6 times one
+    d = uniform_free()
+    k, n = 5, 100
+    stats.backtrack_tail(free, d, k, n, 64, 1)  # imports and first-call caches
+    one, four = (_traced_peak(lambda: stats.backtrack_tail(free, d, k, n,
+                                                           blocks * engines.BLOCK_SIZE, 1))
+                 for blocks in (1, 4))
+    assert four <= 1.1 * one, (one, four)
+
+
+# every counting estimator over three blocks, the last one partial:
+# name -> (estimate(model, dist, samples, seed, threads), recount(model, dist,
+# samples, seed)).  A recount counts the helper's rows of all samples at
+# once, as the estimators did before they reduced each block, and gives the
+# series and the diagnostics it checks.
+BLOCKS_SAMPLES, BLOCKS_SEED = 2 * engines.BLOCK_SIZE + 300, 31
+GRID, RADII, MIDPOINT_GRID = [4, 9, 15], [1.0, 2.0, 3.0, 5.0], [4, 10, 16]
+K, N_ITER, ITERATED_GRID, BACKTRACKS = 3, 8, [2, 5, 8], [0.0, 2.0, 4.0, 6.0]
+
+
+def _series(xs, counts, samples):
+    return stats.TailEstimate.from_counts(xs, [int(c) for c in counts], samples)
+
+
+def _recount_linear_progress(model, dist, samples, seed):
+    d = observe_rows(model, dist, GRID, engines.DISTANCE, samples, seed)
+    return _series(GRID, [np.sum(d[n] <= 0.3 * n) for n in GRID], samples), {}
+
+
+def _recount_translation(model, dist, samples, seed):
+    hit = observe_rows(model, dist, GRID, engines.translation_at_most(1.0), samples, seed)
+    return _series(GRID, [np.sum(hit[n]) for n in GRID], samples), {}
+
+
+def _recount_shadow(model, dist, samples, seed):
+    step, center = model.parse(stats._SHADOW_CENTER_STEP[model.name]), model.identity()
+    for _ in range(6):
+        center = model.multiply(center, step)
+    gp = observe_rows(model, dist, [10], engines.center_product(center), samples, seed)[10]
+    return _series(RADII, [np.sum(gp >= r) for r in RADII], samples), {}
+
+
+def _recount_diagonal(model, dist, samples, seed):
+    observer = engines.product_with_walk(reflected(dist), engines.ENSEMBLE_REFLECTED)
+    gp = observe_rows(model, dist, [10], observer, samples, seed)[10]
+    return _series(RADII, [np.sum(gp >= r - 2.0 * model.delta) for r in RADII], samples), {}
+
+
+def _recount_midpoint(model, dist, samples, seed):
+    pairs = {2: 0, 5: 0, 8: 0, 4: 2, 10: 5, 16: 8}
+    out = observe_rows(model, dist, pairs, engines.pair_products(pairs), samples, seed)
+    return _series(MIDPOINT_GRID, [np.sum(out[t][:, 1] < 0.5 * out[t // 2][:, 0])
+                                   for t in MIDPOINT_GRID], samples), {}
+
+
+def _recount_backtrack(model, dist, samples, seed):
+    Y, Z = iterated_rows(model, dist, K, N_ITER, samples, seed)
+    return (_series(BACKTRACKS, [np.sum(Z >= t) for t in BACKTRACKS], Z.size),
+            {"increments": Z.size, "mean_z": float(Z.mean()), "mean_y": float(Y.mean())})
+
+
+def _recount_z_sum(model, dist, samples, seed, L=None, L_factor=None):
+    _, Z = iterated_rows(model, dist, K, max(ITERATED_GRID), samples, seed)
+    mean_z = float(Z.mean())
+    L = L_factor * mean_z if L is None else L
+    csum = np.cumsum(Z, axis=0)
+    return (_series(ITERATED_GRID, [np.sum(csum[m - 1] >= L * m) for m in ITERATED_GRID],
+                    samples), {"L": L, "mean_z": mean_z})
+
+
+def _recount_bernstein(model, dist, samples, seed, epsilon=None, epsilon_factor=None):
+    Y, _ = iterated_rows(model, dist, K, max(ITERATED_GRID), samples, seed)
+    mean_y = float(Y.mean())
+    epsilon = epsilon_factor * mean_y if epsilon is None else epsilon
+    csum = np.cumsum(Y, axis=0)
+    return (_series(ITERATED_GRID, [np.sum(np.abs(csum[m - 1] - m * mean_y) >= epsilon * m)
+                                    for m in ITERATED_GRID], samples),
+            {"epsilon": epsilon, "mean_y": mean_y})
+
+
+COUNTING = {
+    "linear_progress": (
+        lambda m, d, s, seed, th: stats.linear_progress_decay(m, d, 0.3, GRID, s, seed,
+                                                              threads=th),
+        _recount_linear_progress),
+    "translation": (
+        lambda m, d, s, seed, th: stats.translation_decay(m, d, 1.0, GRID, s, seed, threads=th),
+        _recount_translation),
+    "shadow": (
+        lambda m, d, s, seed, th: stats.shadow_measure_decay(m, d, 10, 6, RADII, s, seed,
+                                                             threads=th),
+        _recount_shadow),
+    "diagonal": (
+        lambda m, d, s, seed, th: stats.diagonal_event_decay(m, d, 10, RADII, s, seed,
+                                                             threads=th),
+        _recount_diagonal),
+    "midpoint": (
+        lambda m, d, s, seed, th: stats.midpoint_failure_decay(
+            m, d, MIDPOINT_GRID, s, seed, threads=th, estimator="frequency"),
+        _recount_midpoint),
+    "backtrack": (
+        lambda m, d, s, seed, th: stats.backtrack_tail(m, d, K, N_ITER * K, s, seed,
+                                                       thresholds=BACKTRACKS, threads=th),
+        _recount_backtrack),
+    "z_sum_L": (
+        lambda m, d, s, seed, th: stats.z_sum_deviation(m, d, K, 1.5, ITERATED_GRID, s, seed,
+                                                        threads=th),
+        lambda m, d, s, seed: _recount_z_sum(m, d, s, seed, L=1.5)),
+    "z_sum_L_factor": (
+        lambda m, d, s, seed, th: stats.z_sum_deviation(m, d, K, None, ITERATED_GRID, s, seed,
+                                                        L_factor=2.0, threads=th),
+        lambda m, d, s, seed: _recount_z_sum(m, d, s, seed, L_factor=2.0)),
+    "bernstein_epsilon": (
+        lambda m, d, s, seed, th: stats.bernstein_check(m, d, K, 0.5, ITERATED_GRID, s, seed,
+                                                        threads=th),
+        lambda m, d, s, seed: _recount_bernstein(m, d, s, seed, epsilon=0.5)),
+    "bernstein_epsilon_factor": (
+        lambda m, d, s, seed, th: stats.bernstein_check(m, d, K, None, ITERATED_GRID, s, seed,
+                                                        epsilon_factor=0.3, threads=th),
+        lambda m, d, s, seed: _recount_bernstein(m, d, s, seed, epsilon_factor=0.3)),
+}
+
+
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+@pytest.mark.parametrize("name", sorted(COUNTING))
+def test_counting_estimators_across_blocks_and_threads(name, model):
+    dist = uniform_free() if model is free else StepDistribution(
+        [R, L, R.inverse(), L.inverse()], [0.25] * 4)
+    estimate, recount = COUNTING[name]
+    one, two = (estimate(model, dist, BLOCKS_SAMPLES, BLOCKS_SEED, threads) for threads in (1, 2))
+    assert one.series == two.series and one.diagnostics == two.diagnostics
+    series, diagnostics = recount(model, dist, BLOCKS_SAMPLES, BLOCKS_SEED)
+    assert one.series == series
+    assert {key: one.diagnostics[key] for key in diagnostics} == diagnostics
+    # no series is one count throughout, so the blocks' counts are all read
+    assert 0 < sum(one.series.probabilities) < len(one.series.probabilities), one.series
 
 
 @pytest.mark.parametrize("confidence", [1.5, float("nan"), -1.0, 0.0, 1.0])
@@ -437,7 +577,7 @@ def test_counting_estimators_reject_confidence_outside_zero_one(confidence):
     common = {"samples": 20, "seed": 1, "confidence": confidence}
     calls = [
         lambda: stats.clopper_pearson(3, 10, confidence),
-        lambda: stats.TailEstimate.from_values([1.0], [1.0], confidence=confidence),
+        lambda: tail([1.0], [1.0], confidence=confidence),
         lambda: stats.linear_progress_decay(free, d, 0.25, [4, 8], **common),
         lambda: stats.translation_decay(free, d, 0.0, [2, 4], **common),
         lambda: stats.z_sum_deviation(free, d, 2, 1.0, [1, 2], **common),

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from block_rows import iterated_rows, observe_rows
 from hypwalk import engines
 from hypwalk.errors import ElementaryDistributionError
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyElement, FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
-from hypwalk.stats import _iterated_increments, diagonal_event_decay, midpoint_failure_decay
+from hypwalk.stats import diagonal_event_decay, midpoint_failure_decay
 from hypwalk.walk import (
     StepDistribution,
     assert_nonelementary,
@@ -279,7 +280,7 @@ def test_shorter_walk_is_a_prefix():
 def test_engine_segment_increments_match_decomposition():
     d = uniform_free()
     k, n_iter, samples, seed = 5, 6, 4, 53
-    Y, Z = _iterated_increments(free, d, k, n_iter, samples, seed)
+    Y, Z = iterated_rows(free, d, k, n_iter, samples, seed)
     for i in range(samples):
         ws = sample_walk(free, d, k * n_iter, seed=seed, stream=i,
                          ensemble=engines.ENSEMBLE_ITERATED_BASE + k)
@@ -290,16 +291,16 @@ def test_engine_segment_increments_match_decomposition():
 
 def test_engine_threads_do_not_change_output():
     d = uniform_free()
-    base = engines.observe(free, d, [20], engines.DISTANCE, samples=40_000, seed=3)
-    threaded = engines.observe(free, d, [20], engines.DISTANCE, samples=40_000, seed=3,
-                               threads=4)
+    base = observe_rows(free, d, [20], engines.DISTANCE, samples=40_000, seed=3)
+    threaded = observe_rows(free, d, [20], engines.DISTANCE, samples=40_000, seed=3,
+                            threads=4)
     assert np.array_equal(base[20], threaded[20])
     # the Farey kernel over two blocks
     samples = engines.BLOCK_SIZE + 3000
     for observer in (engines.DISTANCE, engines.translation_at_most(0),
                      engines.translation_at_most(1)):
-        base = engines.observe(farey, uniform_farey(), [10, 40], observer, samples, seed=3)
-        threaded = engines.observe(farey, uniform_farey(), [10, 40], observer, samples,
-                                   seed=3, threads=4)
+        base = observe_rows(farey, uniform_farey(), [10, 40], observer, samples, seed=3)
+        threaded = observe_rows(farey, uniform_farey(), [10, 40], observer, samples,
+                                seed=3, threads=4)
         for t in (10, 40):
             assert np.array_equal(base[t], threaded[t])
