@@ -135,20 +135,12 @@ def _midpoint_checks(res) -> dict:
 
 def _run_shadow_decay(cfg: ExperimentConfig, threads: int):
     model, dist = cfg.step_distribution()
-    rows = []
-    fits = {}
-    diagnostics = {}
-    from .engines import ENSEMBLE_GRID_BASE
-
-    for i, n in enumerate(cfg.n_grid):
-        res = stats.shadow_measure_decay(
-            model, dist, n, cfg.center_distance, cfg.r_grid, cfg.samples,
-            cfg.seed, confidence=cfg.confidence,
-            ensemble=ENSEMBLE_GRID_BASE + i, threads=threads,
-        )
-        rows.extend((n, x, p, lo, hi) for x, p, lo, hi in res.series.rows())
-        fits[str(n)] = _fit_dict(res.fit)
-        diagnostics[str(n)] = res.diagnostics
+    results = stats.shadow_measure_decay(model, dist, cfg.n_grid, cfg.center_distance,
+                                         cfg.r_grid, cfg.samples, cfg.seed,
+                                         confidence=cfg.confidence, threads=threads)
+    rows = [(n, *row) for n, res in zip(cfg.n_grid, results) for row in res.series.rows()]
+    fits = {str(n): _fit_dict(res.fit) for n, res in zip(cfg.n_grid, results)}
+    diagnostics = {str(n): res.diagnostics for n, res in zip(cfg.n_grid, results)}
     cs = [f["c"] for f in fits.values() if f is not None]
     stability = max(cs) / min(cs) if len(cs) >= 2 and min(cs) > 0 else None
     checks = {
@@ -242,10 +234,9 @@ _HANDLERS = {
             epsilon_factor=cfg.epsilon_factor, **common),
         lambda res: _decay_assertion(res, r2_min=0.85)),
     "chernoff": _run_chernoff,
-    # counting, not the tilted default: each row stays hits/samples of plain walks
     "midpoint": _series(
         lambda cfg, model, dist, common: stats.midpoint_failure_decay(
-            model, dist, cfg.n_grid, cfg.samples, cfg.seed, estimator="frequency", **common),
+            model, dist, cfg.n_grid, cfg.samples, cfg.seed, **common),
         _midpoint_checks),
     "diagonal": _series(lambda cfg, model, dist, common: stats.diagonal_event_decay(
         model, dist, cfg.n, cfg.r_grid, cfg.samples, cfg.seed, **common)),

@@ -3,7 +3,8 @@
 The canonical form (parsed, elements renormalized to their canonical text,
 keys sorted, no whitespace) is hashed into the config digest embedded in
 every output, so identical configs are recognizable across platforms and
-reruns.
+reruns.  Each optional field of `ExperimentConfig` carries its own schema
+row, which `validate_config` reads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ SUBCOMMANDS = tuple(REQUIRED_FIELDS)
 _MAX_SEED = (1 << 64) - 1
 
 
+def _optional_field(kind, ok=None, reason=None, default=None):
+    """An optional field with its schema row (kind, condition or None,
+    violation).  A kind in a list is a grid: a non-empty, strictly ascending
+    list of such numbers, whose condition reads the whole list.  Every
+    number must be finite."""
+    return dataclasses.field(default=default, metadata={"schema": (kind, ok, reason)})
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     model: str
@@ -45,23 +54,26 @@ class ExperimentConfig:
     seed: int
     samples: int
     output_path: str
-    n: int | None = None
-    n_grid: list[int] | None = None
-    k: int | None = None
-    B: float | None = None
-    L: float | None = None
-    L_factor: float | None = None
-    epsilon: float | None = None
-    epsilon_factor: float | None = None
-    r_grid: list[float] | None = None
-    t_grid: list[float] | None = None
-    rate_mean: float | None = None
-    center_distance: int | None = None
+    # the optional fields, in the order their violations are reported
+    n_grid: list[int] | None = _optional_field([int], lambda g: g[0] >= 1,
+                                               "entries must be positive")
+    r_grid: list[float] | None = _optional_field([float])
+    t_grid: list[float] | None = _optional_field([float])
+    n: int | None = _optional_field(int, lambda v: v >= 1, "must be a positive integer")
+    k: int | None = _optional_field(int, lambda v: v >= 1, "must be a positive integer")
+    B: float | None = _optional_field(float, lambda v: v >= 0, "must be >= 0")
+    L: float | None = _optional_field(float, None, "must be a number")
+    L_factor: float | None = _optional_field(float, lambda v: v > 0, "must be > 0")
+    epsilon: float | None = _optional_field(float, lambda v: v > 0, "must be > 0")
+    epsilon_factor: float | None = _optional_field(float, lambda v: v > 0, "must be > 0")
+    rate_mean: float | None = _optional_field(float, lambda v: v > 0, "must be > 0")
+    center_distance: int | None = _optional_field(int, lambda v: v >= 1,
+                                                  "must be a positive integer")
     # inert: translation lengths are exact; kept for the config digest
-    horizon: int = 64
-    confidence: float = 0.95
-    assert_rate: float | None = None
-    assert_rate_tol: float | None = None
+    horizon: int = _optional_field(int, lambda v: v >= 1, "must be a positive integer", 64)
+    confidence: float = _optional_field(float, lambda v: 0 < v < 1, "must be in (0, 1)", 0.95)
+    assert_rate: float | None = _optional_field(float, None, "must be a number")
+    assert_rate_tol: float | None = _optional_field(float, lambda v: v > 0, "must be > 0")
 
     def canonical_dict(self) -> dict[str, Any]:
         out = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -116,29 +128,9 @@ def _number(value, kind):
     return value if kind is int or math.isfinite(value) else None
 
 
-# The optional fields in the order their violations are reported: name ->
-# (type, condition or None, violation).  A type in a list is a grid: a
-# non-empty, strictly ascending list of such numbers, whose condition reads
-# the whole list.  Every number must be finite.
-_OPTIONAL = {
-    "n_grid": ([int], lambda g: g[0] >= 1, "entries must be positive"),
-    "r_grid": ([float], None, None),
-    "t_grid": ([float], None, None),
-    "n": (int, lambda v: v >= 1, "must be a positive integer"),
-    "k": (int, lambda v: v >= 1, "must be a positive integer"),
-    "B": (float, lambda v: v >= 0, "must be >= 0"),
-    "L": (float, None, "must be a number"),
-    "L_factor": (float, lambda v: v > 0, "must be > 0"),
-    "epsilon": (float, lambda v: v > 0, "must be > 0"),
-    "epsilon_factor": (float, lambda v: v > 0, "must be > 0"),
-    "rate_mean": (float, lambda v: v > 0, "must be > 0"),
-    "center_distance": (int, lambda v: v >= 1, "must be a positive integer"),
-    "horizon": (int, lambda v: v >= 1, "must be a positive integer"),
-    "confidence": (float, lambda v: 0 < v < 1, "must be in (0, 1)"),
-    "assert_rate": (float, None, "must be a number"),
-    "assert_rate_tol": (float, lambda v: v > 0, "must be > 0"),
-}
-_REQUIRED = ("model", "distribution", "seed", "samples", "output_path")
+_FIELDS = dataclasses.fields(ExperimentConfig)
+_OPTIONAL = {f.name: f.metadata["schema"] for f in _FIELDS if f.metadata}
+_REQUIRED = tuple(f.name for f in _FIELDS if not f.metadata)
 
 
 def _optional(value, kind, ok, reason):

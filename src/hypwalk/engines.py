@@ -63,9 +63,9 @@ from .walk import BLOCK_SIZE, StepDistribution, block_words, check_samples, unif
 
 _INT64_MAX = 2 ** 63 - 1
 
-# Stream namespaces.  Sweeps over a grid (shadow-decay n values) or over k
-# (iterated walks) key their ensembles by the swept value, so the compared
-# estimates come from independent draws under one master seed.
+# Stream namespaces.  A shadow sweep walks its i-th n on GRID_BASE + i and
+# an iterated walk its k on ITERATED_BASE + k, so the compared estimates
+# come from independent draws under one master seed.
 ENSEMBLE_PRIMARY = 0
 ENSEMBLE_REFLECTED = 1
 ENSEMBLE_AUX = 2

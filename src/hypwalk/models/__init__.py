@@ -18,10 +18,8 @@ from .farey import (
     FareyModel,
     Slope,
     bounded_bfs_distances,
-    classify,
     dist_to_infinity,
     slope_distance,
-    translation_length as farey_translation_length,
     translation_length_detail,
 )
 from .free import (
@@ -43,11 +41,9 @@ __all__ = [
     "R",
     "Slope",
     "bounded_bfs_distances",
-    "classify",
     "common_prefix_len",
     "cyclic_reduce",
     "dist_to_infinity",
-    "farey_translation_length",
     "get_model",
     "random_conjugacy_instance",
     "reduce_letters",

@@ -302,23 +302,6 @@ def bounded_bfs_distances(q_max: int, value_bound: int) -> Dict[Slope, int]:
     return dist
 
 
-def classify(m: FareyElement) -> str:
-    """Trace classification of the mapping-torus type of m.
-
-    |trace| > 2 -> "pseudo_anosov" (Anosov on the torus); |trace| = 2 ->
-    "reducible_parabolic", except +-identity which is "identity";
-    |trace| < 2 -> "periodic_elliptic".
-    """
-    t = abs(m.trace())
-    if t > 2:
-        return "pseudo_anosov"
-    if t == 2:
-        if m.b == 0 and m.c == 0:
-            return "identity"
-        return "reducible_parabolic"
-    return "periodic_elliptic"
-
-
 @dataclass(frozen=True)
 class TranslationLength:
     value: float

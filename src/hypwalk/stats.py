@@ -2,9 +2,9 @@
 
 Tail probabilities counted among plain samples carry exact Clopper-Pearson
 intervals (normal approximations are useless at the tiny counts these
-experiments produce).  The midpoint estimator's default is importance
-sampling instead: its estimate is a weighted mean over thousands of hits,
-so it carries a normal interval on that mean.
+experiments produce).  `midpoint_failure_tilted` samples by importance
+instead: its estimate is a weighted mean over thousands of hits, so it
+carries a normal interval on that mean.
 Exponential laws p ~ K * c^x are fitted by least squares on (x, log p)
 with zero-count bins excluded and the exclusion count reported.
 Backtrack, z-sum and bernstein read the segment lengths Y and backtracks Z
@@ -265,11 +265,11 @@ def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> DecayFit:
 
 
 def tail_counter(thresholds: Sequence[float]):
-    """counter(values): how many values are >= each of the ascending
+    """counter(values): how many values are >= each of the finite, ascending
     thresholds, so a tail counted from it never increases along them."""
     thresholds = [float(t) for t in thresholds]
-    if sorted(thresholds) != thresholds:
-        raise ValueError("thresholds must be ascending")
+    if not all(map(math.isfinite, thresholds)) or sorted(thresholds) != thresholds:
+        raise ValueError("thresholds must be finite and ascending")
     return lambda values: len(values) - np.searchsorted(np.sort(values), thresholds, side="left")
 
 
@@ -316,6 +316,8 @@ def linear_progress_decay(model, dist: StepDistribution, L: float,
                           confidence: float = DEFAULT_CONFIDENCE,
                           threads: int = 1) -> DecayResult:
     """P(d(1, w_n) <= L*n) along n_grid, with its exponential fit."""
+    if not math.isfinite(L):
+        raise ValueError("L must be a finite number")
     n_grid = [int(n) for n in n_grid]
     return _decay(_counted(n_grid, lambda d: [np.count_nonzero(d[n] <= L * n) for n in n_grid],
                            engines.DISTANCE, model, dist, n_grid, samples, seed, confidence,
@@ -342,12 +344,14 @@ def translation_decay(model, dist: StepDistribution, B: float,
 _SHADOW_CENTER_STEP = {"free": "a", "farey": "[[2,1],[1,1]]"}
 
 
-def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance: int,
-                         r_grid: Sequence[float], samples: int, seed: int,
-                         confidence: float = DEFAULT_CONFIDENCE,
-                         ensemble: int = engines.ENSEMBLE_PRIMARY,
-                         threads: int = 1) -> DecayResult:
-    """P(w_n lies in the r-shadow of a fixed far center) along r_grid.
+def shadow_measure_decay(model, dist: StepDistribution, n_grid: Sequence[int],
+                         center_distance: int, r_grid: Sequence[float], samples: int,
+                         seed: int, confidence: float = DEFAULT_CONFIDENCE,
+                         threads: int = 1) -> list[DecayResult]:
+    """P(w_n lies in the r-shadow of a fixed far center) along r_grid, one
+    result per n of n_grid, in its order.  The i-th n walks its own
+    ensemble, ENSEMBLE_GRID_BASE + i, so the sweep compares independent
+    draws.
 
     The center is a^center_distance in the free model and the n-th power of
     [[2,1],[1,1]] in the Farey model (both at distance center_distance from
@@ -360,10 +364,12 @@ def shadow_measure_decay(model, dist: StepDistribution, n: int, center_distance:
     center = model.identity()
     for _ in range(center_distance):
         center = model.multiply(center, step)
-    series = _counted(r_grid, lambda gp: count(gp[n]), engines.center_product(center), model,
-                      dist, [n], samples, seed, confidence, ensemble=ensemble, threads=threads)
     empty = [r for r in r_grid if r > center_distance + 2.0 * model.delta]
-    return _decay(series, n=n, center_distance=center_distance, empty_shadow_radii=empty)
+    return [_decay(_counted(r_grid, lambda gp: count(gp[n]), engines.center_product(center),
+                            model, dist, [n], samples, seed, confidence, threads=threads,
+                            ensemble=engines.ENSEMBLE_GRID_BASE + i),
+                   n=n, center_distance=center_distance, empty_shadow_radii=empty)
+            for i, n in enumerate(n_grid)]
 
 
 def _iterated_increments(model, dist, k, n_iter, reduce, samples, seed, threads):
@@ -392,6 +398,8 @@ def _partial_sums(model, dist, k, n_grid, samples, seed, threads, which, value, 
     at max(n_grid), and the threshold `value`, or `factor` times the mean."""
     if (value is None) == (factor is None):
         raise ValueError(f"pass exactly one of {name} and {name}_factor")
+    if factor is not None and not 0 < factor < math.inf:  # NaN too
+        raise ValueError(f"{name}_factor must be > 0")
     n_grid = [int(m) for m in n_grid]
     if not n_grid or min(n_grid) < 1:
         raise ValueError("n_grid must be a non-empty list of step counts >= 1")
@@ -447,6 +455,8 @@ def z_sum_deviation(model, dist: StepDistribution, k: int, L: float | None,
     The threshold slope L should exceed the mean backtrack; pass either L
     or L_factor, which sets L = L_factor * (measured mean of Z).
     """
+    if L is not None and not math.isfinite(L):
+        raise ValueError("L must be a finite number")
     n_grid, sums, mean_z, L = _partial_sums(model, dist, k, n_grid, samples, seed, threads, 1,
                                             L, L_factor, "L")
     counts = [np.count_nonzero(sums[m] >= L * m) for m in n_grid]
@@ -462,9 +472,11 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
     """P(|sum_{i<=m} (Y_i - mean Y)| >= epsilon*m) along n_grid; the mean is
     the pooled estimate over all increments.  Pass either epsilon or
     epsilon_factor, which sets epsilon = epsilon_factor * mean."""
+    if epsilon is not None and not 0 < epsilon < math.inf:  # NaN too
+        raise ValueError("epsilon must be > 0")
     n_grid, sums, mean_y, epsilon = _partial_sums(model, dist, k, n_grid, samples, seed,
                                                   threads, 0, epsilon, epsilon_factor, "epsilon")
-    if epsilon <= 0:
+    if epsilon <= 0:  # the factor times a zero mean
         raise ValueError("epsilon must be positive")
     counts = [np.count_nonzero(np.abs(sums[m] - m * mean_y) >= epsilon * m) for m in n_grid]
     return _decay(TailEstimate.from_counts(n_grid, counts, samples, confidence), k=k,
@@ -515,41 +527,49 @@ def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
 MIDPOINT_TILTS = (0.5 * math.log(3.0), math.log(3.0))
 
 
+def _even_lengths(two_n_grid: Sequence[int]) -> list[int]:
+    two_n_grid = [int(x) for x in two_n_grid]
+    if any(two_n % 2 for two_n in two_n_grid):
+        raise ValueError("walk length must be even")
+    return two_n_grid
+
+
 def midpoint_failure_decay(model, dist: StepDistribution, two_n_grid: Sequence[int],
                            samples: int, seed: int,
                            confidence: float = DEFAULT_CONFIDENCE,
-                           threads: int = 1, estimator: str = "tilted") -> DecayResult:
-    """P((w_n . w_2n)_1 < d(1, w_n)/2) along a grid of even walk lengths.
+                           threads: int = 1) -> DecayResult:
+    """P((w_n . w_2n)_1 < d(1, w_n)/2) along a grid of even walk lengths:
+    hits counted among plain mu-walks, with Clopper-Pearson intervals and
+    empty diagnostics.  The `midpoint` CLI subcommand runs it, so each row
+    is hits/samples of plain walks, on both models.
+    """
+    two_n_grid = _even_lengths(two_n_grid)
+    # one walk to the longest 2n: d(1, w_n) at each n, (w_n . w_2n)_1 at each 2n
+    pairs = {two_n // 2: 0 for two_n in two_n_grid}
+    pairs.update({two_n: two_n // 2 for two_n in two_n_grid})
+    return _decay(_counted(
+        two_n_grid, lambda out: [np.count_nonzero(out[t][1] < 0.5 * out[t // 2][0])
+                                 for t in two_n_grid],
+        engines.pair_products(pairs), model, dist, pairs, samples, seed, confidence,
+        threads=threads))
 
-    estimator="tilted" (the default) is importance sampling: walks from
-    `engines.free_midpoint_tilted` with the tilts MIDPOINT_TILTS,
+
+def midpoint_failure_tilted(model, dist: StepDistribution, two_n_grid: Sequence[int],
+                            samples: int, seed: int,
+                            confidence: float = DEFAULT_CONFIDENCE,
+                            threads: int = 1) -> DecayResult:
+    """`midpoint_failure_decay`'s probabilities by importance sampling: walks
+    from `engines.free_midpoint_tilted` with the tilts MIDPOINT_TILTS,
     estimate = mean of weight * hit, and a normal interval (clipped at 0)
     on that weighted mean.  Diagnostics carry, per grid point, the relative
     standard error, the hit count and the effective sample size
     (sum w)^2 / sum w^2 over the hits.  It stays accurate where the
     probability is far below 1/samples (about 2e-8 at 2n = 200).  Its
     tilts are derived on the tree, so it runs on the free model only.
-
-    estimator="frequency" counts hits among plain mu-walks, with
-    Clopper-Pearson intervals and empty diagnostics; the `midpoint` CLI
-    subcommand uses it, so its outputs keep their sample-by-sample meaning.
     """
-    two_n_grid = [int(x) for x in two_n_grid]
-    if any(two_n % 2 for two_n in two_n_grid):
-        raise ValueError("walk length must be even")
-    if estimator == "frequency":
-        # one walk to the longest 2n: d(1, w_n) at each n, (w_n . w_2n)_1 at each 2n
-        pairs = {two_n // 2: 0 for two_n in two_n_grid}
-        pairs.update({two_n: two_n // 2 for two_n in two_n_grid})
-        return _decay(_counted(
-            two_n_grid, lambda out: [np.count_nonzero(out[t][1] < 0.5 * out[t // 2][0])
-                                     for t in two_n_grid],
-            engines.pair_products(pairs), model, dist, pairs, samples, seed, confidence,
-            threads=threads))
-    if estimator != "tilted":
-        raise ValueError(f"unknown estimator {estimator!r}: use 'tilted' or 'frequency'")
+    two_n_grid = _even_lengths(two_n_grid)
     if model.name != "free":
-        raise ValueError("the tilted estimator walks the tree: use estimator='frequency'")
+        raise ValueError("the tilted estimator walks the tree: use midpoint_failure_decay")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not 0.0 < confidence < 1.0:

@@ -5,7 +5,7 @@ Criterion 10's midpoint half asks for three positive, strictly decreasing
 failure probabilities at walk lengths {100, 200, 400}.  The exact values
 (`tests/exact.py`) are 3.80e-5, 2.13e-8 and 8.78e-15, so counting hits among
 1e5 plain walks sees the first at best: 2.13e-8 is 0.002 expected hits.
-`stats.midpoint_failure_decay` therefore estimates them by importance
+`stats.midpoint_failure_tilted` therefore estimates them by importance
 sampling, tilting the step law toward cancellation, and
 tests/test_midpoint.py checks that estimator against the exact values.
 """
@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from hypwalk import stats, suites
-from hypwalk.engines import ENSEMBLE_GRID_BASE
 from hypwalk.models import bounded_bfs_distances, get_model, slope_distance
 from hypwalk.models.farey import INFINITY, Slope
 from hypwalk.models.free import FreeWord, cyclic_reduce
@@ -181,14 +180,11 @@ def test_criterion_06_translation_decay_farey():
 
 def test_criterion_07_shadow_decay_uniform_in_n():
     t0 = time.perf_counter()
-    fits = {}
-    for i, n in enumerate((50, 100)):
-        res = stats.shadow_measure_decay(
-            free, FREE_UNIFORM, n=n, center_distance=20,
-            r_grid=[float(r) for r in range(2, 15)], samples=100_000, seed=707,
-            ensemble=ENSEMBLE_GRID_BASE + i,
-        )
-        fits[n] = res.fit
+    results = stats.shadow_measure_decay(
+        free, FREE_UNIFORM, n_grid=[50, 100], center_distance=20,
+        r_grid=[float(r) for r in range(2, 15)], samples=100_000, seed=707,
+    )
+    fits = {n: res.fit for n, res in zip((50, 100), results)}
     elapsed = time.perf_counter() - t0
     ok = all(f is not None and f.c < 1 and f.r_squared >= 0.9 for f in fits.values())
     ratio = fits[100].c / fits[50].c if fits[50].c <= fits[100].c else fits[50].c / fits[100].c
@@ -259,8 +255,8 @@ def test_criterion_10a_midpoint_failure_decay():
     # Stated at the pinned walk lengths {100, 200, 400}; see the module
     # docstring for the estimator this needs.
     t0 = time.perf_counter()
-    res = stats.midpoint_failure_decay(free, FREE_UNIFORM, [100, 200, 400],
-                                       samples=100_000, seed=1010)
+    res = stats.midpoint_failure_tilted(free, FREE_UNIFORM, [100, 200, 400],
+                                        samples=100_000, seed=1010)
     elapsed = time.perf_counter() - t0
     p = res.series.probabilities
     strictly_decreasing = all(b < a for a, b in zip(p, p[1:]))

@@ -329,7 +329,7 @@ def test_bad_checkpoints_raise_before_any_draw(call, checkpoints, monkeypatch):
             stats.linear_progress_decay(free, UNIFORM, 0.5, checkpoints, 10, seed=1)
         elif call == "midpoint":
             stats.midpoint_failure_decay(free, UNIFORM, [2 * c for c in checkpoints], 10,
-                                         seed=1, estimator="frequency")
+                                         seed=1)
         else:
             pairs = dict.fromkeys(checkpoints, 0)
             engines.observe(farey, FAREY_UNIFORM, pairs, engines.pair_products(pairs), 10,

@@ -1,4 +1,4 @@
-"""The midpoint-failure estimators: the tilted (importance-sampling) default
+"""The midpoint-failure estimators: the tilted (importance-sampling) one
 against the exact oracle and against counting, and the determinism of both."""
 
 import hashlib
@@ -11,6 +11,7 @@ from scipy.stats import binom
 
 import exact
 from hypwalk import __version__, cli, engines, stats
+from hypwalk.config import validate_config
 from hypwalk.hypgeom import gromov_product
 from hypwalk.models.farey import FareyModel, L, R
 from hypwalk.models.free import FreeGroupModel, FreeWord
@@ -108,7 +109,7 @@ def test_tilts_are_the_roots_of_the_increment_law():
 
 def test_tilted_covers_oracle_at_acceptance_lengths():
     grid = [100, 200, 400]
-    res = stats.midpoint_failure_decay(free, UNIFORM, grid, samples=100_000, seed=1010)
+    res = stats.midpoint_failure_tilted(free, UNIFORM, grid, samples=100_000, seed=1010)
     rel = res.diagnostics["relative_error"]
     for two_n, lo, hi, r in zip(grid, res.series.ci_low, res.series.ci_high, rel):
         p = exact.midpoint_failure_probability(two_n)
@@ -156,8 +157,7 @@ def test_coverage_at_small_length():
 
     covered, hits = 0, 0
     for seed in range(seeds):
-        res = stats.midpoint_failure_decay(free, UNIFORM, [two_n], samples=500, seed=seed,
-                                           estimator="frequency")
+        res = stats.midpoint_failure_decay(free, UNIFORM, [two_n], samples=500, seed=seed)
         covered += res.series.ci_low[0] <= p <= res.series.ci_high[0]
         hits += round(res.series.probabilities[0] * 500)
     z = (hits / (500 * seeds) - p) / math.sqrt(p * (1 - p) / (500 * seeds))
@@ -168,9 +168,8 @@ def test_tilted_agrees_with_counting_on_a_multi_letter_law():
     # no oracle for this law: the two independent estimates must have
     # overlapping 95% intervals at every length
     grid = [6, 12, 20]
-    tilted = stats.midpoint_failure_decay(free, MULTI, grid, samples=10_000, seed=12)
-    counted = stats.midpoint_failure_decay(free, MULTI, grid, samples=10_000, seed=12,
-                                           estimator="frequency")
+    tilted = stats.midpoint_failure_tilted(free, MULTI, grid, samples=10_000, seed=12)
+    counted = stats.midpoint_failure_decay(free, MULTI, grid, samples=10_000, seed=12)
     assert tilted.diagnostics["estimator"] == "tilted" and counted.diagnostics == {}
     for a_lo, a_hi, b_lo, b_hi in zip(tilted.series.ci_low, tilted.series.ci_high,
                                       counted.series.ci_low, counted.series.ci_high):
@@ -180,9 +179,9 @@ def test_tilted_agrees_with_counting_on_a_multi_letter_law():
 
 def test_tilted_is_deterministic_and_thread_independent():
     args = (free, UNIFORM, [10, 20], 20_000, 77)  # two blocks of samples
-    first = stats.midpoint_failure_decay(*args)
-    again = stats.midpoint_failure_decay(*args)
-    threaded = stats.midpoint_failure_decay(*args, threads=2)
+    first = stats.midpoint_failure_tilted(*args)
+    again = stats.midpoint_failure_tilted(*args)
+    threaded = stats.midpoint_failure_tilted(*args, threads=2)
     for other in (again, threaded):
         assert other.series == first.series
         assert other.diagnostics == first.diagnostics
@@ -200,35 +199,56 @@ def test_counting_one_walk_matches_one_walk_per_grid_point(model, dist):
     # one observe call over the grid gives the counts of a call per point,
     # each walking only to its own 2n
     grid, samples, seed = [4, 8, 12, 16], 600, 31
-    whole = stats.midpoint_failure_decay(model, dist, grid, samples, seed,
-                                         estimator="frequency")
+    whole = stats.midpoint_failure_decay(model, dist, grid, samples, seed)
     for j, two_n in enumerate(grid):
-        single = stats.midpoint_failure_decay(model, dist, [two_n], samples, seed,
-                                              estimator="frequency")
+        single = stats.midpoint_failure_decay(model, dist, [two_n], samples, seed)
         assert single.series.rows() == whole.series.rows()[j:j + 1]
 
 
 def test_estimator_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        stats.midpoint_failure_decay(free, UNIFORM, [4], samples=100, seed=1, estimator="magic")
     # an odd length is refused before any grid point is walked
     with monkeypatch.context() as patch:
         patch.setattr(engines, "free_midpoint_tilted", None)
         patch.setattr(engines, "observe", None)
-        for estimator in ("tilted", "frequency"):
+        for estimate in (stats.midpoint_failure_tilted, stats.midpoint_failure_decay):
             with pytest.raises(ValueError, match="even"):
-                stats.midpoint_failure_decay(free, UNIFORM, [4, 7], samples=100, seed=1,
-                                             estimator=estimator)
+                estimate(free, UNIFORM, [4, 7], samples=100, seed=1)
     # the tilts are derived on the tree; counting runs on SL(2,Z) too
     farey = FareyModel()
     farey_law = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
     with pytest.raises(ValueError, match="tilted"):
-        stats.midpoint_failure_decay(farey, farey_law, [4], samples=100, seed=1)
-    counted = stats.midpoint_failure_decay(farey, farey_law, [4], samples=100, seed=1,
-                                           estimator="frequency")
+        stats.midpoint_failure_tilted(farey, farey_law, [4], samples=100, seed=1)
+    counted = stats.midpoint_failure_decay(farey, farey_law, [4], samples=100, seed=1)
     assert counted.series.sample_count == 100
     with pytest.raises(ValueError):
         engines.free_midpoint_tilted(UNIFORM, 5, 10, 1, stats.MIDPOINT_TILTS)
+
+
+def test_tilted_rejects_before_any_draw(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a tilted walk was drawn")
+
+    monkeypatch.setattr(engines, "free_midpoint_tilted", drawn)
+    farey_law = StepDistribution([R, L, R.inverse(), L.inverse()], [0.25] * 4)
+    with pytest.raises(ValueError, match="tilted"):
+        stats.midpoint_failure_tilted(FareyModel(), farey_law, [4, 8], samples=100, seed=1)
+    with pytest.raises(ValueError, match="even"):
+        stats.midpoint_failure_tilted(free, UNIFORM, [4, 8, 9], samples=100, seed=1)
+
+
+def test_counting_runs_on_sl2z_with_its_defaults(tmp_path):
+    # the estimator the `midpoint` subcommand runs, called with no option
+    doc = {"model": "farey", "seed": 3, "samples": 1500, "n_grid": [16, 32, 48, 64],
+           "distribution": [["[[1,1],[0,1]]", 0.25], ["[[1,0],[1,1]]", 0.25],
+                            ["[[1,-1],[0,1]]", 0.25], ["[[1,0],[-1,1]]", 0.25]],
+           "output_path": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main(["midpoint", "--config", str(tmp_path / "cfg.json")]) == 0
+    _, *lines = (tmp_path / "out" / "series.csv").read_text().splitlines()
+    model, dist = validate_config(json.dumps(doc)).step_distribution()
+    res = stats.midpoint_failure_decay(model, dist, doc["n_grid"], 1500, 3)
+    assert [tuple(map(float, line.split(","))) for line in lines] == res.series.rows()
+    assert res.diagnostics == {} and 0 < sum(res.series.probabilities)
 
 
 # series.csv and summary.json of the `midpoint` subcommand for this config:

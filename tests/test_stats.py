@@ -188,7 +188,7 @@ def test_small_count_bounds_solve_the_binomial_tail(trials, k, confidence):
 
 def test_tilted_interval_uses_the_normal_quantile():
     d, samples, seed = uniform_free(), 2000, 3
-    res = stats.midpoint_failure_decay(free, d, [10], samples, seed, confidence=0.9)
+    res = stats.midpoint_failure_tilted(free, d, [10], samples, seed, confidence=0.9)
     hit, log_w = engines.free_midpoint_tilted(d, 10, samples, seed, stats.MIDPOINT_TILTS)
     w = np.where(hit, np.exp(log_w), 0.0)
     p, se = float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples)
@@ -350,8 +350,8 @@ def test_translation_decay_farey_below_one_reads_only_traces(monkeypatch):
 
 def test_shadow_decay_trivial_radii():
     d = uniform_free()
-    res = stats.shadow_measure_decay(free, d, n=30, center_distance=6,
-                                     r_grid=[-1, 0, 10], samples=500, seed=5)
+    res, = stats.shadow_measure_decay(free, d, n_grid=[30], center_distance=6,
+                                      r_grid=[-1, 0, 10], samples=500, seed=5)
     p = res.series.probabilities
     assert p[0] == 1.0  # whole space at r <= 0
     assert p[2] == 0.0  # empty shadow beyond d(1, x) + 2 delta
@@ -403,6 +403,10 @@ def test_bernstein_trivial():
     assert res2.series.probabilities == (0.0, 0.0)
 
 
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a walk ran")
+
+
 @pytest.mark.parametrize("call", [
     lambda d: stats.z_sum_deviation(free, d, 2, 1.0, [1, 2], 20, 1, L_factor=3.0),
     lambda d: stats.z_sum_deviation(free, d, 2, None, [1, 2], 20, 1),
@@ -411,12 +415,60 @@ def test_bernstein_trivial():
 ], ids=["z-sum-both", "z-sum-neither", "bernstein-both", "bernstein-neither"])
 def test_value_and_its_factor_are_exclusive(call, monkeypatch):
     # with both set, the factor used to be dropped without a word
-    def no_walk(*args, **kwargs):
-        raise AssertionError("a walk ran")
-
-    monkeypatch.setattr(engines, "observe", no_walk)
+    monkeypatch.setattr(engines, "observe", _no_walk)
     with pytest.raises(ValueError, match="exactly one of"):
         call(uniform_free())
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("name,call", [
+    ("L", lambda d: stats.linear_progress_decay(free, d, NAN, [4, 8], 100, 1)),
+    ("L", lambda d: stats.linear_progress_decay(free, d, INF, [4, 8], 100, 1)),
+    ("L", lambda d: stats.z_sum_deviation(free, d, 2, NAN, [1, 2], 100, 1)),
+    ("L_factor", lambda d: stats.z_sum_deviation(free, d, 2, None, [1, 2], 100, 1,
+                                                 L_factor=NAN)),
+    ("L_factor", lambda d: stats.z_sum_deviation(free, d, 2, None, [1, 2], 100, 1,
+                                                 L_factor=0.0)),
+    ("epsilon", lambda d: stats.bernstein_check(free, d, 2, NAN, [1, 2], 100, 1)),
+    ("epsilon", lambda d: stats.bernstein_check(free, d, 2, -0.5, [1, 2], 100, 1)),
+    ("epsilon_factor", lambda d: stats.bernstein_check(free, d, 2, None, [1, 2], 100, 1,
+                                                       epsilon_factor=NAN)),
+], ids=["linear-L-nan", "linear-L-inf", "z-sum-L-nan", "z-sum-L_factor-nan",
+        "z-sum-L_factor-zero", "bernstein-epsilon-nan", "bernstein-epsilon-negative",
+        "bernstein-epsilon_factor-nan"])
+def test_threshold_slopes_are_checked_before_walking(name, call, monkeypatch):
+    # NaN used to give an all-zero series, and a negative epsilon was refused
+    # only after the whole walk
+    monkeypatch.setattr(engines, "observe", _no_walk)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(uniform_free())
+
+
+@pytest.mark.parametrize("thresholds", [[0, NAN, 4], [1, INF], [-INF, 0]],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("estimate", [
+    lambda d, th: stats.shadow_measure_decay(free, d, [10], 6, th, 100, 1),
+    lambda d, th: stats.diagonal_event_decay(free, d, 10, th, 100, 1),
+    lambda d, th: stats.backtrack_tail(free, d, 2, 10, 100, 1, thresholds=th),
+], ids=["shadow", "diagonal", "backtrack"])
+def test_tails_reject_non_finite_thresholds_before_walking(estimate, thresholds, monkeypatch):
+    # NaN passed the ascending check: thresholds [0, nan, 4] gave a tail that
+    # rose from 0 to 0.04 after it
+    monkeypatch.setattr(engines, "observe", _no_walk)
+    with pytest.raises(ValueError, match="finite"):
+        estimate(uniform_free(), thresholds)
+
+
+def test_shadow_sweep_walks_each_n_on_its_own_ensemble():
+    d = uniform_free()
+    first, second = stats.shadow_measure_decay(free, d, [10, 10], 6, RADII, 2000, 5)
+    assert first.diagnostics == second.diagnostics
+    assert first.series != second.series
+    for i, res in enumerate((first, second)):
+        series, _ = _recount_shadow(free, d, 2000, 5, engines.ENSEMBLE_GRID_BASE + i)
+        assert res.series == series
 
 
 def _traced_peak(call) -> int:
@@ -467,11 +519,12 @@ def _recount_translation(model, dist, samples, seed):
     return _series(GRID, [np.sum(hit[n]) for n in GRID], samples), {}
 
 
-def _recount_shadow(model, dist, samples, seed):
+def _recount_shadow(model, dist, samples, seed, ensemble=engines.ENSEMBLE_GRID_BASE):
     step, center = model.parse(stats._SHADOW_CENTER_STEP[model.name]), model.identity()
     for _ in range(6):
         center = model.multiply(center, step)
-    gp = observe_rows(model, dist, [10], engines.center_product(center), samples, seed)[10]
+    gp = observe_rows(model, dist, [10], engines.center_product(center), samples, seed,
+                      ensemble=ensemble)[10]
     return _series(RADII, [np.sum(gp >= r) for r in RADII], samples), {}
 
 
@@ -522,16 +575,16 @@ COUNTING = {
         lambda m, d, s, seed, th: stats.translation_decay(m, d, 1.0, GRID, s, seed, threads=th),
         _recount_translation),
     "shadow": (
-        lambda m, d, s, seed, th: stats.shadow_measure_decay(m, d, 10, 6, RADII, s, seed,
-                                                             threads=th),
+        lambda m, d, s, seed, th: stats.shadow_measure_decay(m, d, [10], 6, RADII, s, seed,
+                                                             threads=th)[0],
         _recount_shadow),
     "diagonal": (
         lambda m, d, s, seed, th: stats.diagonal_event_decay(m, d, 10, RADII, s, seed,
                                                              threads=th),
         _recount_diagonal),
     "midpoint": (
-        lambda m, d, s, seed, th: stats.midpoint_failure_decay(
-            m, d, MIDPOINT_GRID, s, seed, threads=th, estimator="frequency"),
+        lambda m, d, s, seed, th: stats.midpoint_failure_decay(m, d, MIDPOINT_GRID, s, seed,
+                                                               threads=th),
         _recount_midpoint),
     "backtrack": (
         lambda m, d, s, seed, th: stats.backtrack_tail(m, d, K, N_ITER * K, s, seed,
@@ -582,7 +635,7 @@ def test_counting_estimators_reject_confidence_outside_zero_one(confidence):
         lambda: stats.translation_decay(free, d, 0.0, [2, 4], **common),
         lambda: stats.z_sum_deviation(free, d, 2, 1.0, [1, 2], **common),
         lambda: stats.bernstein_check(free, d, 2, 0.5, [1, 2], **common),
-        lambda: stats.midpoint_failure_decay(free, d, [4, 8], estimator="frequency", **common),
+        lambda: stats.midpoint_failure_decay(free, d, [4, 8], **common),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="confidence"):
@@ -638,7 +691,7 @@ def test_chernoff_empirical_reads_the_aux_words_by_inversion():
 
 def test_midpoint_failure_small_lengths():
     d = uniform_free()
-    res = stats.midpoint_failure_decay(free, d, [4, 8, 16], samples=30_000, seed=10)
+    res = stats.midpoint_failure_tilted(free, d, [4, 8, 16], samples=30_000, seed=10)
     p = res.series.probabilities
     # exact at 2n = 4: failure means full cancellation of a length-2 word,
     # so P = (3/4) * (1/4) * (1/4) = 3/64

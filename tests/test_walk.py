@@ -141,16 +141,16 @@ def test_midpoint_event():
     # reads it: it holds on a^2n, and on the law {a, A} at 2n = 2 it fails
     # exactly where the second step cancels the first
     only_a = StepDistribution([W("a")], [1.0])
-    res = midpoint_failure_decay(free, only_a, [2, 10], 4, seed=0, estimator="frequency")
+    res = midpoint_failure_decay(free, only_a, [2, 10], 4, seed=0)
     assert res.series.probabilities == (0.0, 0.0)
     d = StepDistribution([W("a"), W("A")], [0.5, 0.5])
-    res = midpoint_failure_decay(free, d, [2], 64, seed=0, estimator="frequency")
+    res = midpoint_failure_decay(free, d, [2], 64, seed=0)
     walks = [sample_walk(free, d, 2, seed=0, stream=i) for i in range(64)]
     fails = sum(w.steps[1] != w.steps[0] for w in walks)
     assert 0 < fails < 64
     assert res.series.probabilities == (fails / 64,)
     with pytest.raises(ValueError, match="even"):
-        midpoint_failure_decay(free, only_a, [7], 4, seed=0, estimator="frequency")
+        midpoint_failure_decay(free, only_a, [7], 4, seed=0)
 
 
 def test_diagonal_event():
