@@ -9,7 +9,10 @@ at exactly r are members).
 The predicates `verify_*` implement inclusion/separation statements that
 hold in any delta-hyperbolic space once their slack constants are large
 enough.  The constants are existential, so they are treated as calibration
-outputs (`suites.calibrate_constants`).
+outputs (`suites.calibrate_constants`).  Each predicate reads each distance
+it needs once, only when its branch is reached, and forms its Gromov
+products from those values, which are the values `gromov_product` and
+`in_shadow` give.
 
 Everything is finite-time: boundary points, boundary metrics, and closure
 statements about limit sets are deliberately out of scope, so products and
@@ -64,8 +67,10 @@ def in_shadow(model, s: Shadow, y) -> bool:
 
 def in_set_shadow(model, viewpoint, centers: Iterable, radius: float, y) -> bool:
     """Membership in the union of shadows over a finite set of centers."""
+    d_vy = model.distance(viewpoint, y)
     return any(
-        gromov_product(model, viewpoint, t, y) >= radius for t in centers
+        0.5 * (model.distance(viewpoint, t) + d_vy - model.distance(t, y)) >= radius
+        for t in centers
     )
 
 
@@ -73,11 +78,14 @@ def shadow_product_bound_check(model, s: Shadow, y, z2) -> bool:
     """For y, z2 both in the shadow s, their mutual Gromov product at the
     viewpoint is at least radius - 2*delta.  Raises PreconditionError if
     either point is outside s."""
-    if not in_shadow(model, s, y) or not in_shadow(model, s, z2):
+    v, c = s.viewpoint, s.center
+    d_vc, d_vy = model.distance(v, c), model.distance(v, y)
+    if not 0.5 * (d_vc + d_vy - model.distance(c, y)) >= s.radius:
         raise PreconditionError("both points must lie in the shadow")
-    return (
-        gromov_product(model, s.viewpoint, y, z2) >= s.radius - 2.0 * model.delta
-    )
+    d_vz = model.distance(v, z2)
+    if not 0.5 * (d_vc + d_vz - model.distance(c, z2)) >= s.radius:
+        raise PreconditionError("both points must lie in the shadow")
+    return 0.5 * (d_vy + d_vz - model.distance(y, z2)) >= s.radius - 2.0 * model.delta
 
 
 def verify_metric_nest(model, centers: Iterable, r: float, neighborhood: float, probe) -> bool:
@@ -99,11 +107,12 @@ def verify_nested_shadow_separation(
     hypotheses (so harness searches can distinguish invalid instances from
     counterexamples).
     """
-    if model.distance(x, z) < gap + r + 2.0 * slack:
+    d_zx = model.distance(x, z)
+    if d_zx < gap + r + 2.0 * slack:
         raise PreconditionError("need d(x, z) >= gap + r + 2*slack")
-    if not in_shadow(model, Shadow(z, x, r), a_pt):
+    if not 0.5 * (d_zx + model.distance(z, a_pt) - model.distance(x, a_pt)) >= r:
         raise PreconditionError("a_pt must lie in S_z(x, r)")
-    if in_shadow(model, Shadow(z, x, r - gap - slack), b_pt):
+    if 0.5 * (d_zx + model.distance(z, b_pt) - model.distance(x, b_pt)) >= r - gap - slack:
         raise PreconditionError("b_pt must lie outside S_z(x, r - gap - slack)")
     return model.distance(a_pt, b_pt) >= gap
 
@@ -114,12 +123,14 @@ def verify_basepoint_change(
     """S_z(x, r) is contained in S_y(x, s) with
     s = d(x, y) - d(x, z) + r - radius_slack, provided (x . y)_z <= r - product_slack.
     """
-    if gromov_product(model, z, x, y) > r - product_slack:
+    d_zx, d_xy = model.distance(z, x), model.distance(x, y)
+    if 0.5 * (d_zx + model.distance(z, y) - d_xy) > r - product_slack:
         raise PreconditionError("need (x . y)_z <= r - product_slack")
-    if not in_shadow(model, Shadow(z, x, r), probe):
+    d_xp = model.distance(x, probe)
+    if not 0.5 * (d_zx + model.distance(z, probe) - d_xp) >= r:
         raise PreconditionError("probe must lie in S_z(x, r)")
-    s = model.distance(x, y) - model.distance(x, z) + r - radius_slack
-    return in_shadow(model, Shadow(y, x, s), probe)
+    s = d_xy - d_zx + r - radius_slack
+    return 0.5 * (d_xy + model.distance(y, probe) - d_xp) >= s
 
 
 def verify_shadow_complement(model, x, z, r: float, probe, slack: float = 0.0) -> bool:
@@ -133,14 +144,11 @@ def verify_shadow_complement(model, x, z, r: float, probe, slack: float = 0.0) -
     d = model.distance(x, z)
     if r < slack or d < r + 2.0 * slack:
         raise PreconditionError("need r >= slack and d(x, z) >= r + 2*slack")
-    in_main = in_shadow(model, Shadow(z, x, r), probe)
-    in_inner = in_shadow(model, Shadow(x, z, d - r + slack), probe)
-    in_outer = in_shadow(model, Shadow(x, z, d - r - slack), probe)
-    if in_inner and in_main:
-        return False  # inner shadow must avoid S_z(x, r)
-    if not in_main and not in_outer:
-        return False  # complement must land in the outer shadow
-    return True
+    d_zp, d_xp = model.distance(z, probe), model.distance(x, probe)
+    from_x = 0.5 * (d + d_xp - d_zp)  # (z . probe)_x
+    if 0.5 * (d + d_zp - d_xp) >= r:  # probe in S_z(x, r)
+        return not from_x >= d - r + slack  # inner shadow must avoid S_z(x, r)
+    return from_x >= d - r - slack  # complement must land in the outer shadow
 
 
 def shadow_composition_check(model, centers: Iterable, s: float, r: float, probe) -> bool:

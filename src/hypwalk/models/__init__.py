@@ -25,7 +25,6 @@ from .farey import (
 from .free import (
     FreeGroupModel,
     FreeWord,
-    common_prefix_len,
     cyclic_reduce,
     random_conjugacy_instance,
     reduce_letters,
@@ -41,7 +40,6 @@ __all__ = [
     "R",
     "Slope",
     "bounded_bfs_distances",
-    "common_prefix_len",
     "cyclic_reduce",
     "dist_to_infinity",
     "get_model",

@@ -19,8 +19,9 @@ _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
 GENERATOR_LETTERS = (1, -1, 2, -2)
 
 
-# _FOLLOWERS[x][k]: the k-th letter of GENERATOR_LETTERS that does not cancel x
-_FOLLOWERS = {x: tuple(y for y in GENERATOR_LETTERS if y != -x) for x in GENERATOR_LETTERS}
+# _FOLLOWERS[x][k]: the k-th letter of GENERATOR_LETTERS that does not cancel x,
+# a list read at x = 1, 2 and, from its end, at x = -2, -1
+_FOLLOWERS = [(), *(tuple(y for y in GENERATOR_LETTERS if y != -x) for x in (1, 2, -2, -1))]
 
 
 def random_reduced_letters(rng, length: int, last: int | None = None) -> list[int]:
@@ -40,9 +41,10 @@ def random_reduced_letters(rng, length: int, last: int | None = None) -> list[in
         letters.append(last)
         length -= 1
     if length:
+        append = letters.append
         for k in rng.integers(0, 3, size=length):
             last = _FOLLOWERS[last][k]
-            letters.append(last)
+            append(last)
     return letters
 
 
@@ -113,15 +115,6 @@ class FreeWord:
         return not self.letters
 
 
-def common_prefix_len(u: FreeWord, v: FreeWord) -> int:
-    a, b = u.letters, v.letters
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
-
-
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
     """Split w = v * core * v^-1 with core cyclically reduced.
 
@@ -154,13 +147,19 @@ class FreeGroupModel:
         return g.inverse()
 
     def distance(self, g: FreeWord, h: FreeWord) -> int:
-        # d(g, h) = |g^-1 h| = |g| + |h| - 2 * common_prefix(g, h)
-        return len(g) + len(h) - 2 * common_prefix_len(g, h)
+        """d(g, h) = |g^-1 h| = |g| + |h| - 2 * (common prefix length), read
+        on the letter tuples; `distances` gives the same on int32 padding."""
+        a, b = g.letters, h.letters
+        na, nb = len(a), len(b)
+        n, i = min(na, nb), 0
+        while i < n and a[i] == b[i]:
+            i += 1
+        return na + nb - 2 * i
 
     def distances(self, points: Sequence[FreeWord]) -> np.ndarray:
         """`distance` over every pair of `points`, as an int64 matrix.
 
-        The words are padded into the rows of one integer array, each row
+        The words are padded into the rows of one int32 array, each row
         ending in a sentinel column unique to it, so two rows differ by
         their shorter word's end at the latest.  The first column where two
         rows differ (`argmax`) is the words' common prefix length, the full
@@ -168,7 +167,7 @@ class FreeGroupModel:
         """
         lengths = np.array([len(p) for p in points], dtype=np.int64)
         n = len(points)
-        padded = np.zeros((n, int(lengths.max(initial=0)) + 1), dtype=np.int64)
+        padded = np.zeros((n, int(lengths.max(initial=0)) + 1), dtype=np.int32)
         padded[np.arange(padded.shape[1]) < lengths[:, None]] = list(
             chain.from_iterable(p.letters for p in points))
         padded[np.arange(n), lengths] = np.arange(3, n + 3)  # letters are +-1, +-2

@@ -486,8 +486,8 @@ def bernstein_check(model, dist: StepDistribution, k: int, epsilon: float | None
 def chernoff_bound(t: float, n: int) -> float:
     """((1 + t) / e^t)^n: the exceedance bound for sums of n i.i.d.
     exponential variables at (1 + t) times their mean."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:  # NaN too
+        raise ValueError("t must be finite and >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     return float(((1.0 + t) / math.exp(t)) ** n)
@@ -500,8 +500,8 @@ def chernoff_empirical(rate_mean: float, t: float, n: int, samples: int,
     its step-i word of the `ENSEMBLE_AUX` block streams, summed a block at a
     time, so every (t, n) reads a prefix of the same draws."""
     check_samples(samples)
-    if rate_mean <= 0:
-        raise ValueError("rate_mean must be positive")
+    if not 0 < rate_mean < math.inf:  # NaN too
+        raise ValueError("rate_mean must be finite and positive")
     bound = chernoff_bound(t, n)
 
     def hits(lo: int, hi: int) -> int:

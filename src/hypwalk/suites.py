@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import hypgeom
 from .engines import ENSEMBLE_CALIBRATE, ENSEMBLE_PROPS
 from .errors import PreconditionError, UnsatisfiableConfigError
@@ -76,7 +74,7 @@ def _shadow_member_tree(model, rng, z, x, r: float):
     """A point of S_z(x, r) in the tree: follow the geodesic z -> x past
     depth r, then wander up to 6 letters without cancelling."""
     u = model.multiply(model.invert(z), x)
-    lo = int(np.ceil(max(r, 0.0)))
+    lo = math.ceil(max(r, 0.0))
     if lo > len(u):
         raise UnsatisfiableConfigError("radius exceeds d(z, x); shadow has no such member")
     letters = list(u.letters[:int(rng.integers(lo, len(u) + 1))])
@@ -102,7 +100,7 @@ def _shadow_member_farey(model, rng, z, x, r: float):
 def _far_pair_tree(model, rng, min_d: float):
     """(z, x) with d(z, x) >= min_d, exactly: x = z u with |u| >= min_d."""
     z = model.sample_element(rng, _TREE_RADIUS)
-    gap = int(np.ceil(min_d))
+    gap = math.ceil(min_d)
     u = model.sample_word(rng, int(rng.integers(gap, max(gap + 1, _TREE_RADIUS + 1))))
     return z, model.multiply(z, u)
 
@@ -362,7 +360,7 @@ def basepoint_change_suite(model, instances: int, rng, product_slack: float,
 
 def _shadow_complement_trial(model, rng: StreamDraws, slack: float):
     shape = _SHAPES[model.name]
-    r_lo = int(np.ceil(slack))
+    r_lo = math.ceil(slack)
 
     def trial():
         r = float(rng.integers(r_lo, r_lo + shape.complement_span))

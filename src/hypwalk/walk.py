@@ -107,11 +107,13 @@ class StreamDraws:
         if not 0 < n <= 1 << 64:
             raise ValueError("low >= high" if n < 1 else "span above 2^64")
         if size is None:
-            if self._pos == len(self._words):
+            pos = self._pos
+            if pos == len(self._words):
                 self._refill(1)
-            self._pos += 1
-            return low + (self._words[self._pos - 1] * n >> 64)
-        if not isinstance(size, numbers.Integral) or size < 0:
+                pos = 0
+            self._pos = pos + 1
+            return low + (self._words[pos] * n >> 64)
+        if not (type(size) is int or isinstance(size, numbers.Integral)) or size < 0:
             raise ValueError(f"size must be a non-negative integer, got {size!r}")
         if self._pos + size > len(self._words):
             self._refill(size)

@@ -7,7 +7,8 @@ from k >= 1 it steps to k + 1 with probability 3/4 and to k - 1 with
 probability 1/4.  Given |w_n| = k, w_n is uniform on the sphere of radius k,
 because the automorphisms of the tree that fix the identity preserve the
 walk and act transitively on each sphere.  `words_of_length` lists a
-sphere, and tests build laws from it.
+sphere, and tests build laws from it; `common_prefix_len` is the tree's
+Gromov product at the identity, (u . v)_1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ def words_of_length(length: int) -> list[FreeWord]:
     for _ in range(length):
         words = [w + (x,) for w in words for x in GENERATOR_LETTERS if not w or x != -w[-1]]
     return [FreeWord(w, _reduced=True) for w in words]
+
+
+def common_prefix_len(u: FreeWord, v: FreeWord) -> int:
+    a, b = u.letters, v.letters
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
 
 
 def distance_law(n: int) -> np.ndarray:

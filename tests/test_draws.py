@@ -133,7 +133,7 @@ def test_counted_run_out_of_range_raises(most, span):
         StreamDraws(0, engines.ENSEMBLE_PROPS).runs(most, span)
 
 
-@pytest.mark.parametrize("size", [-2, -1, 2.5, 1.0, "3"])
+@pytest.mark.parametrize("size", [-2, -1, 2.5, 1.0, 2.0, "3"])
 def test_bad_size_raises_and_keeps_the_stream(size):
     """A negative or non-integer `size` is refused before the reader moves,
     so the next draw is the word after the last one served."""
@@ -142,6 +142,13 @@ def test_bad_size_raises_and_keeps_the_stream(size):
     with pytest.raises(ValueError, match="size"):
         served.integers(0, 7, size=size)
     assert served.integers(0, 2**64, size=2) == twin.integers(0, 2**64, size=2)
+
+
+def test_numpy_integer_size_draws_as_an_int():
+    served, twin = (StreamDraws(5, engines.ENSEMBLE_PROPS) for _ in range(2))
+    assert served.integers(0, 3, size=np.int64(3)) == twin.integers(0, 3, size=3)
+    assert served.integers(0, 3, size=np.int64(0)) == twin.integers(0, 3, size=0) == []
+    assert [served.integers(0, 3) for _ in range(5)] == [twin.integers(0, 3) for _ in range(5)]
 
 
 @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (-1, -1)])

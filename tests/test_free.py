@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import words_of_length
+from exact import common_prefix_len, words_of_length
 from hypwalk.models.free import (
     FreeGroupModel,
     FreeWord,
-    common_prefix_len,
     cyclic_reduce,
     random_conjugacy_instance,
     reduce_letters,

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypwalk import hypgeom
+import predicate_oracles
+from exact import common_prefix_len
+from hypwalk import hypgeom, suites
 from hypwalk.engines import ENSEMBLE_CALIBRATE
 from hypwalk.errors import PreconditionError
 from hypwalk.hypgeom import QuasiGeodesicParams, Shadow, gromov_product
 from hypwalk.models.farey import FareyModel, R
-from hypwalk.models.free import FreeGroupModel, FreeWord, common_prefix_len
+from hypwalk.models.free import FreeGroupModel, FreeWord
 from hypwalk.walk import StreamDraws
 
 free = FreeGroupModel()
@@ -132,6 +134,115 @@ def test_quasigeodesic_check():
         QuasiGeodesicParams(1.0, -1.0)
 
 
+def _instances(model, rng):
+    """One instance of each predicate that `predicate_oracles` restates, as
+    {name: (args, kwargs)}, and whether its points are pairwise distinct.
+    The first two are a suite's far pair; the others are fresh elements or
+    earlier points moved a little, so that shadow memberships go both ways.
+    Radii and slacks are half-integers."""
+    points = list(suites._SHAPES[model.name].far_pair(model, rng, int(rng.integers(0, 11))))
+    while len(points) < 5:
+        if rng.integers(0, 2):
+            near = points[int(rng.integers(0, len(points)))]
+            points.append(model.multiply(near, model.sample_element(rng, 2)))
+        else:
+            points.append(model.sample_element(rng, 4))
+    p0, p1, p2, p3, p4 = points
+    r = int(rng.integers(-2, 9)) / 2.0
+    gap, slack, other = (int(rng.integers(0, 5)) / 2.0 for _ in range(3))
+    centers = points[1:2 + int(rng.integers(0, 3))]
+    return {
+        "in_set_shadow": ((p0, centers, r, p4), {}),
+        "shadow_product_bound_check": ((Shadow(p0, p1, r), p2, p3), {}),
+        "verify_nested_shadow_separation": ((p0, p1, r, gap, p2, p3), {"slack": slack}),
+        "verify_basepoint_change": ((p0, p1, p2, r, p3),
+                                    {"product_slack": slack, "radius_slack": other}),
+        "verify_shadow_complement": ((p0, p1, r, p2), {"slack": slack}),
+    }, len(set(points)) == len(points)
+
+
+def _outcome(predicate, model, args, kwargs):
+    """The predicate's bool, or its PreconditionError message."""
+    try:
+        return predicate(model, *args, **kwargs)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# every PreconditionError message of each predicate
+_MESSAGES = {
+    "in_set_shadow": set(),
+    "shadow_product_bound_check": {"both points must lie in the shadow"},
+    "verify_nested_shadow_separation": {
+        "need d(x, z) >= gap + r + 2*slack", "a_pt must lie in S_z(x, r)",
+        "b_pt must lie outside S_z(x, r - gap - slack)"},
+    "verify_basepoint_change": {
+        "need (x . y)_z <= r - product_slack", "probe must lie in S_z(x, r)"},
+    "verify_shadow_complement": {"need r >= slack and d(x, z) >= r + 2*slack"},
+}
+
+
+def _check_against_oracles(model, instances):
+    outcomes = {}
+    for name, (args, kwargs) in instances.items():
+        got = _outcome(getattr(hypgeom, name), model, args, kwargs)
+        assert got == _outcome(getattr(predicate_oracles, name), model, args, kwargs), name
+        assert type(got) is bool or got in _MESSAGES[name], (name, got)
+        outcomes[name] = got
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["free", "farey"]), seed=st.integers(0, 2**32 - 1))
+def test_predicates_match_their_definitions(name, seed):
+    model = free if name == "free" else farey
+    _check_against_oracles(model, _instances(model, _draws(seed))[0])
+
+
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+def test_predicate_instances_reach_every_branch(model):
+    """The instances of the test above raise every precondition message of
+    each predicate and also pass every precondition; the union of shadows
+    both holds and fails."""
+    rng = _draws(33)
+    seen = {name: set() for name in _MESSAGES}
+    for _ in range(600):
+        for name, got in _check_against_oracles(model, _instances(model, rng)[0]).items():
+            seen[name].add(got)
+    for name, messages in _MESSAGES.items():
+        assert seen[name] - {True, False} == messages and seen[name] & {True, False}, name
+    assert seen["in_set_shadow"] == {True, False}
+
+
+class _Counting:
+    """`model` with the unordered pair of every `distance` call recorded."""
+
+    def __init__(self, model):
+        self.model, self.pairs = model, []
+
+    def __getattr__(self, attr):
+        return getattr(self.model, attr)
+
+    def distance(self, g, h):
+        self.pairs.append(frozenset((g, h)))
+        return self.model.distance(g, h)
+
+
+@pytest.mark.parametrize("model", [free, farey], ids=["free", "farey"])
+def test_predicates_read_each_distance_once(model):
+    rng = _draws(34)
+    checked = 0
+    while checked < 300:
+        instances, distinct = _instances(model, rng)
+        if not distinct:
+            continue
+        checked += 1
+        for name, (args, kwargs) in instances.items():
+            counting = _Counting(model)
+            _outcome(getattr(hypgeom, name), counting, args, kwargs)
+            assert counting.pairs and len(set(counting.pairs)) == len(counting.pairs), name
+
+
 def _points(model, rng, n):
     """n points, mostly one generator apart (a walk that may backtrack),
     with jumps, returns to the identity and repeats of earlier points."""
@@ -158,6 +269,19 @@ def test_distances_match_pairwise_distance(name, seed, n):
     dist = model.distances(points)
     assert dist.shape == (n, n)
     assert dist.tolist() == [[model.distance(p, q) for q in points] for p in points]
+
+
+def test_free_distances_past_eight_bit_sizes():
+    """Over 127 points, common prefixes and words over 127 letters: the
+    sentinels and letters of the int32 padding and the prefix columns all
+    leave an 8-bit range."""
+    rng = _draws(35)
+    stem = free.sample_word(rng, 300)
+    points = [free.multiply(stem, free.sample_element(rng, 4)) for _ in range(150)]
+    points += [free.sample_word(rng, 200) for _ in range(50)] + [ONE, stem]
+    dist = free.distances(points)
+    assert dist.dtype == np.int64 and dist.max() > 255
+    assert dist.tolist() == [[free.distance(p, q) for q in points] for p in points]
 
 
 def _quasigeodesic_reference(model, path, params):

@@ -673,6 +673,19 @@ def test_chernoff_empirical():
         stats.chernoff_empirical(0.0, t=1.0, n=5, samples=10, seed=1)
 
 
+@pytest.mark.parametrize("rate_mean,t,name", [
+    (NAN, 1.0, "rate_mean"), (INF, 1.0, "rate_mean"), (-1.0, 1.0, "rate_mean"),
+    (1.0, NAN, "t"), (1.0, INF, "t"), (1.0, -0.5, "t"),
+])
+def test_chernoff_rejects_non_finite_inputs_before_any_draw(rate_mean, t, name, monkeypatch):
+    monkeypatch.setattr(stats, "block_words", _no_walk)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        stats.chernoff_empirical(rate_mean, t, 5, 2000, 1)
+    if name == "t":
+        with pytest.raises(ValueError, match="^t must"):
+            stats.chernoff_bound(t, 5)
+
+
 def test_chernoff_empirical_reads_the_aux_words_by_inversion():
     # sample i's exponentials are -log1p(-u) of its n ENSEMBLE_AUX words, summed in step order
     t, n, seed = 0.5, 10, 9
